@@ -1,22 +1,18 @@
-//! Sharded-kernel scale bench: end-to-end audit through the sharded,
-//! vectorization-friendly per-row kernels versus the legacy scalar
-//! path (`shards = off`), at the **same thread count**.
+//! Sharded-kernel scale bench: end-to-end audit through the sharded
+//! per-row kernels on a 1M-row population.
 //!
 //! Beyond timing, this bench *asserts* the sharding contract:
 //!
-//! - on a ≥1M-row population the sharded audit (context build +
-//!   balanced search over the gate's protected attributes) is **at
-//!   least 2× faster** end-to-end than the `shards = off` baseline —
-//!   the gate that keeps the vectorized kernels honest;
-//! - sharded and scalar audits are **bit-identical** (unfairness bits
-//!   and partition count) across shard counts × thread counts;
+//! - audits are **bit-identical** (unfairness bits and partition count)
+//!   across shard counts × thread counts, against the one-shard,
+//!   one-thread layout (`Fixed(1)`);
 //! - the shard counters attribute truthfully: `shard_tasks` and
-//!   `rows_classified_parallel` are positive exactly when sharding is
-//!   enabled, and the row meter is layout-independent.
+//!   `rows_classified_parallel` are positive on every layout, and the
+//!   row meter is layout-independent.
 //!
 //! It also extends the machine-readable perf trajectory: a
-//! `BENCH_shard.json` next to the workspace root with both end-to-end
-//! timings and the speedup, uploaded as a CI artifact.
+//! `BENCH_shard.json` next to the workspace root with the 1M-row
+//! end-to-end timing, uploaded as a CI artifact.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fairjob_core::algorithms::{balanced::Balanced, Algorithm, AttributeChoice};
@@ -27,13 +23,11 @@ use fairjob_store::{ShardPolicy, Table};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Rows for the speedup gate — the ISSUE's "1M-row audit".
-const GATE_ROWS: usize = 1_000_000;
-/// Required end-to-end speedup of the sharded path over `shards = off`.
-const GATE_SPEEDUP: f64 = 2.0;
+/// Rows for the timed scale run — the "1M-row audit".
+const SCALE_ROWS: usize = 1_000_000;
 /// Rows for the bit-identity grid (small enough to sweep layouts).
 const PARITY_ROWS: usize = 20_000;
-/// Rows for the Criterion samples (the gate run is too big to repeat
+/// Rows for the Criterion samples (the scale run is too big to repeat
 /// `sample_size` times).
 const BENCH_ROWS: usize = 200_000;
 const SEED: u64 = 0x5AAD;
@@ -47,13 +41,12 @@ fn population(rows: usize) -> (Table, Vec<f64>) {
     (table, scores)
 }
 
-/// Protected attributes of the gate audit. Two low-cardinality
-/// attributes keep the workload dominated by the per-row kernels the
-/// sharded path vectorizes (classification, index build, split walks);
-/// auditing every attribute instead drowns both paths in the same
-/// exact-EMD solves over ~1800 partitions and measures the solver, not
-/// the layout.
-const GATE_ATTRS: &[&str] = &["gender", "country"];
+/// Protected attributes of the scale audit. Two low-cardinality
+/// attributes keep the workload dominated by the per-row kernels
+/// (classification, index build, split walks); auditing every attribute
+/// instead drowns them in exact-EMD solves over ~1800 partitions and
+/// measures the solver, not the layout.
+const SCALE_ATTRS: &[&str] = &["gender", "country"];
 
 /// One end-to-end audit: context build (validation + classification +
 /// index build) plus the balanced search — everything the shard layout
@@ -89,72 +82,35 @@ fn best_of_us(n: usize, mut f: impl FnMut()) -> u128 {
         .expect("at least one run")
 }
 
-struct GateReport {
-    scalar_us: u128,
-    sharded_us: u128,
-    speedup: f64,
-}
-
-/// The scale gate: ≥ [`GATE_SPEEDUP`]× end-to-end on [`GATE_ROWS`]
-/// rows, same thread count, bit-identical answers, truthful counters.
-fn assert_scale_gate(table: &Table, scores: &[f64]) -> GateReport {
-    let scalar = run_audit(table, scores, ShardPolicy::Disabled, 1, Some(GATE_ATTRS));
-    let sharded = run_audit(table, scores, ShardPolicy::Auto, 1, Some(GATE_ATTRS));
-    assert_eq!(
-        scalar.unfairness.to_bits(),
-        sharded.unfairness.to_bits(),
-        "sharded audit diverged from the scalar baseline"
-    );
-    assert_eq!(scalar.partitioning.len(), sharded.partitioning.len());
-    assert_eq!(scalar.engine.shard_tasks, 0, "scalar run dispatched shards");
-    assert_eq!(scalar.engine.rows_classified_parallel, 0);
+/// The scale run on [`SCALE_ROWS`] rows: truthful counters, then the
+/// best-of-3 end-to-end wall time in microseconds.
+fn time_scale_audit(table: &Table, scores: &[f64]) -> u128 {
+    let sharded = run_audit(table, scores, ShardPolicy::Auto, 1, Some(SCALE_ATTRS));
     assert!(
         sharded.engine.shard_tasks > 0,
         "sharded run dispatched no shard tasks"
     );
     assert!(
-        sharded.engine.rows_classified_parallel >= GATE_ROWS as u64,
+        sharded.engine.rows_classified_parallel >= SCALE_ROWS as u64,
         "sharded run metered {} rows, expected at least the population",
         sharded.engine.rows_classified_parallel
     );
-
-    // Interleaved best-of-3 keeps a one-off stall on either side from
-    // deciding the gate.
-    let scalar_us = best_of_us(3, || {
-        black_box(run_audit(
-            table,
-            scores,
-            ShardPolicy::Disabled,
-            1,
-            Some(GATE_ATTRS),
-        ));
-    });
-    let sharded_us = best_of_us(3, || {
+    // Best-of-3 keeps a one-off stall from deciding the number.
+    best_of_us(3, || {
         black_box(run_audit(
             table,
             scores,
             ShardPolicy::Auto,
             1,
-            Some(GATE_ATTRS),
+            Some(SCALE_ATTRS),
         ));
-    });
-    let speedup = scalar_us as f64 / sharded_us.max(1) as f64;
-    assert!(
-        speedup >= GATE_SPEEDUP,
-        "sharded audit is only {speedup:.2}x the scalar path \
-         ({scalar_us}us vs {sharded_us}us) — the gate requires {GATE_SPEEDUP}x"
-    );
-    GateReport {
-        scalar_us,
-        sharded_us,
-        speedup,
-    }
+    })
 }
 
 /// Bit-identity and counter attribution across shard × thread layouts.
 fn assert_layout_parity(table: &Table, scores: &[f64]) {
-    let baseline = run_audit(table, scores, ShardPolicy::Disabled, 1, None);
-    let mut rows_metered: Vec<u64> = Vec::new();
+    let baseline = run_audit(table, scores, ShardPolicy::Fixed(1), 1, None);
+    let mut rows_metered: Vec<u64> = vec![baseline.engine.rows_classified_parallel];
     for shards in [
         ShardPolicy::Fixed(1),
         ShardPolicy::Fixed(2),
@@ -184,15 +140,11 @@ fn assert_layout_parity(table: &Table, scores: &[f64]) {
 }
 
 /// Write the machine-readable trajectory next to the workspace root.
-fn write_bench_json(report: &GateReport) {
+fn write_bench_json(sharded_us: u128) {
     let json = format!(
-        "{{\"bench\":\"shard_scale\",\"rows\":{GATE_ROWS},\
-\"attrs\":\"{}\",\"scalar_us\":{},\"sharded_us\":{},\"speedup\":{:.2},\
-\"gate_speedup\":{GATE_SPEEDUP}}}\n",
-        GATE_ATTRS.join(","),
-        report.scalar_us,
-        report.sharded_us,
-        report.speedup,
+        "{{\"bench\":\"shard_scale\",\"rows\":{SCALE_ROWS},\
+\"attrs\":\"{}\",\"sharded_us\":{sharded_us}}}\n",
+        SCALE_ATTRS.join(","),
     );
     // `cargo bench` runs with the package directory as cwd; BENCH_*.json
     // lands at the workspace root either way.
@@ -211,10 +163,10 @@ fn bench_shard_scale(c: &mut Criterion) {
     let (parity_table, parity_scores) = population(PARITY_ROWS);
     assert_layout_parity(&parity_table, &parity_scores);
 
-    let (gate_table, gate_scores) = population(GATE_ROWS);
-    let report = assert_scale_gate(&gate_table, &gate_scores);
-    write_bench_json(&report);
-    drop((gate_table, gate_scores));
+    let (scale_table, scale_scores) = population(SCALE_ROWS);
+    let sharded_us = time_scale_audit(&scale_table, &scale_scores);
+    write_bench_json(sharded_us);
+    drop((scale_table, scale_scores));
 
     let (table, scores) = population(BENCH_ROWS);
     let mut group = c.benchmark_group("shard_scale");
@@ -226,18 +178,7 @@ fn bench_shard_scale(c: &mut Criterion) {
                 &scores,
                 ShardPolicy::Auto,
                 1,
-                Some(GATE_ATTRS),
-            ))
-        })
-    });
-    group.bench_function("audit_scalar", |b| {
-        b.iter(|| {
-            black_box(run_audit(
-                &table,
-                &scores,
-                ShardPolicy::Disabled,
-                1,
-                Some(GATE_ATTRS),
+                Some(SCALE_ATTRS),
             ))
         })
     });

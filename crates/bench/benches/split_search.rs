@@ -4,11 +4,11 @@
 //! of the paper's algorithms, where losing candidates are re-requested
 //! round after round.
 //!
-//! Two paths are compared. The naive path re-runs the legacy
-//! posting-intersection split ([`AuditContext::split_legacy`]) for every
+//! Two paths are compared. The naive path re-runs the
+//! posting-intersection oracle ([`AuditContext::split_legacy`]) for every
 //! request, every round. The engine path answers through
-//! [`EvalEngine::split_batch`]: the single-pass kernel on first touch,
-//! the fingerprint-keyed split cache afterwards.
+//! [`EvalEngine::split_batch`]: the split kernel on first touch, the
+//! fingerprint-keyed split cache afterwards.
 //!
 //! Beyond timing, this bench *asserts* the fast path's contract with
 //! real counters (row scans and split computations, not wall-clock):
@@ -19,7 +19,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fairjob_bench::prepare_population;
-use fairjob_core::{AuditConfig, AuditContext, EvalEngine, Partition};
+use fairjob_core::{AuditConfig, AuditContext, EngineStats, EvalEngine, Partition};
 use fairjob_marketplace::scoring::{LinearScore, ScoringFunction};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -153,12 +153,19 @@ fn assert_split_contract(w: &Workload<'_>) {
     );
 
     // Bit-identical results and counters for every worker-thread count.
+    // The shard meters are context-cumulative — every engine on `w.ctx`
+    // adds to them — so only the engine-local counters are compared.
+    let engine_local = |mut stats: EngineStats| {
+        stats.shard_tasks = 0;
+        stats.rows_classified_parallel = 0;
+        stats
+    };
     for threads in [2usize, 3, 8] {
         let parallel = EvalEngine::new(&w.ctx).with_threads(threads);
         let parts = engine_search(&parallel, w);
         assert_eq!(
-            parallel.stats(),
-            stats,
+            engine_local(parallel.stats()),
+            engine_local(stats),
             "{threads}-thread counters diverged"
         );
         let value = parallel.unfairness(&parts).expect("parallel eval");

@@ -46,17 +46,15 @@ pub(crate) fn load_workers(path: &str, schema_path: Option<&str>) -> Result<Tabl
     Ok(table)
 }
 
-/// Resolve the `--shards` flag (`auto` | `off` | a positive count;
-/// default `auto`). Audit results are bit-identical under every
+/// Resolve the `--shards` flag (`auto` | a positive count; default
+/// `auto`). Audit results are bit-identical under every
 /// setting — the flag only chooses how the context's split/classify
 /// kernels execute.
 pub(crate) fn parse_shards(args: &Args) -> Result<ShardPolicy, CliError> {
     match args.optional("shards") {
         None => Ok(ShardPolicy::default()),
         Some(raw) => ShardPolicy::parse(raw).ok_or_else(|| {
-            CliError::Usage(format!(
-                "cannot parse `--shards {raw}` (auto | off | count)"
-            ))
+            CliError::Usage(format!("cannot parse `--shards {raw}` (auto | count)"))
         }),
     }
 }
@@ -138,14 +136,25 @@ pub(crate) fn resolve_scorer(
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    /// A scratch file path in the target-adjacent temp dir; removed on
-    /// drop.
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Per-process sequence number: tests run in parallel threads of one
+    /// process, so the pid alone would let two tests asking for the same
+    /// name share (and delete) one file.
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+
+    /// A scratch file path in the target-adjacent temp dir, unique per
+    /// instance; removed on drop.
     pub struct TempFile(pub std::path::PathBuf);
 
     impl TempFile {
         pub fn new(name: &str) -> Self {
+            let seq = NEXT.fetch_add(1, Ordering::Relaxed);
             let mut path = std::env::temp_dir();
-            path.push(format!("fairjob-cli-test-{}-{name}", std::process::id()));
+            path.push(format!(
+                "fairjob-cli-test-{}-{seq}-{name}",
+                std::process::id()
+            ));
             TempFile(path)
         }
 
@@ -181,6 +190,13 @@ mod tests {
             resolve_scorer(None, Some("0.25"), 0).unwrap().name(),
             "alpha-0.25"
         );
+    }
+
+    #[test]
+    fn temp_files_with_one_name_get_distinct_paths() {
+        let a = testutil::TempFile::new("x");
+        let b = testutil::TempFile::new("x");
+        assert_ne!(a.0, b.0);
     }
 
     #[test]

@@ -75,24 +75,24 @@ USAGE:
                    [--algorithm balanced|unbalanced|r-balanced|r-unbalanced|all-attributes|subset-exact]
                    [--bins N] [--metric emd|emd-exact|tv|ks|jsd|hellinger|chi2]
                    [--permutations N] [--histograms] [--json] [--seed S]
-                   [--shards auto|off|N]
+                   [--shards auto|N]
   fairjob query    (--workers FILE.csv (--function f1..f9 | --alpha A)
                     | --paged FILE.fjp [--mem-budget BYTES])
                    [-e QUERY | --query QUERY | --file FILE.fql]
                    [--algorithm ...] [--metric ...] [--bins N]
-                   [--threads N] [--seed S] [--shards auto|off|N]
+                   [--threads N] [--seed S] [--shards auto|N]
   fairjob snapshot --workers FILE.csv (--function f1..f9 | --alpha A)
                    [--bins N] [--seed S] --out FILE.fjp
   fairjob snapshot --info FILE.fjp
   fairjob stream   --workers FILE.csv --events FILE (--function f1..f9 | --alpha A)
                    [--algorithm ...] [--bins N] [--metric ...]
-                   [--cold-check] [--json] [--seed S] [--shards auto|off|N]
+                   [--cold-check] [--json] [--seed S] [--shards auto|N]
   fairjob serve    (--workers FILE.csv (--function f1..f9 | --alpha A)
                     | --snapshot FILE.fjp [--mem-budget BYTES])
                    [--algorithm ...] [--bins N] [--metric ...]
                    [--addr HOST:PORT] [--addr-file FILE]
                    [--max-inflight N] [--max-sessions N] [--seed S]
-                   [--shards auto|off|N]
+                   [--shards auto|N]
   fairjob repair   --workers FILE.csv (--function f1..f9 | --alpha A)
                    [--lambda L] [--target median|pooled] --out SCORES.csv [--seed S]
   fairjob rerank   --workers FILE.csv (--function f1..f9 | --alpha A)
@@ -113,8 +113,8 @@ cold-starts the daemon from the file at its recorded epoch, no event
 replay. `snapshot --info` prints a file's header facts.
 
 --shards picks the shard layout for the audit context's data-parallel
-split/classify kernels (auto = from row count and thread budget, off =
-the legacy scalar path, N = exactly N row-range shards). Results are
+split/classify kernels (auto = from row count and thread budget, N =
+exactly N row-range shards; 1 = one serial walk). Results are
 bit-identical under every setting; only speed changes.
 
 Every command reading --workers also accepts --schema FILE: a schema

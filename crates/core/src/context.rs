@@ -6,6 +6,7 @@ use crate::partition::Partition;
 use crate::pool::WorkerPool;
 use fairjob_hist::distance::Emd1d;
 use fairjob_hist::{BinSpec, Histogram, HistogramDistance};
+use fairjob_store::column::CodeColumn;
 use fairjob_store::index::{CategoricalIndex, IndexSet};
 use fairjob_store::paged::{PageCacheStats, PageCounters, PageData, PagedColumn, PAGE_ALIGN_ROWS};
 use fairjob_store::{PagedStore, Predicate, RowSet, Schema, ShardPlan, ShardPolicy, Table};
@@ -42,13 +43,11 @@ pub struct AuditConfig {
     /// thread count; this knob exists for reproducible benchmarking
     /// and resource capping.
     pub threads: Option<usize>,
-    /// Row-range sharding of the per-row kernels (classification,
-    /// splits, index build). [`ShardPolicy::Auto`] (the default) picks
-    /// a shard count from the row count and thread budget;
-    /// [`ShardPolicy::Disabled`] runs the legacy scalar kernels — the
-    /// baseline the `shard_scale` bench gates against. Audit results
-    /// are bit-identical under every policy; only the `shard_tasks` /
-    /// `rows_classified_parallel` counters (and wall-clock) change.
+    /// Row-range sharding of the per-row kernels (classification and
+    /// splits). [`ShardPolicy::Auto`] (the default) picks a shard count
+    /// from the row count and thread budget; `Fixed(1)` is one serial
+    /// walk. Audit results are bit-identical under every policy; only
+    /// the `shard_tasks` counter (and wall-clock) changes.
     pub shards: ShardPolicy,
 }
 
@@ -98,7 +97,7 @@ impl AuditConfig {
 
 /// Where an audit's underlying data lives. The split/histogram kernels
 /// never read it after the context is built — they run entirely on the
-/// derived arrays (`bin_of`, indexes) — so the paged variant audits
+/// derived columns (`bin_of`, indexes) — so the paged variant audits
 /// datasets whose raw columns never fit in memory.
 enum DataSource<'a> {
     /// An in-memory table (batch and streaming audits).
@@ -123,29 +122,22 @@ pub struct AuditContext<'a> {
     indexes: Arc<IndexSet>,
     min_partition_size: usize,
     threads: Option<usize>,
-    /// `bin_of[row]` = the histogram bin of the row's score, computed
-    /// once at build (scores are immutable per audit). Every histogram
-    /// built during the search reads this array instead of re-binning
+    /// `bin_of.get(row)` = the histogram bin of the row's score,
+    /// computed once at build (scores are immutable per audit), one byte
+    /// per row when the layout has at most 256 bins. Every histogram
+    /// built during the search reads this column instead of re-binning
     /// floats. Shared for the same reason as `indexes`.
-    bin_of: Arc<Vec<u32>>,
-    /// Byte-narrowed copy of `bin_of`, built once for sharded batch
-    /// contexts when the layout fits a byte (bins ≤ 256 — always, for
-    /// the paper's configurations). The serial split fast path reads 1
-    /// byte per row instead of 4; `None` on legacy and streaming
-    /// contexts (the stream view patches `bin_of` in place and a second
-    /// maintained array would double its write traffic).
-    bin8: Option<Arc<Vec<u8>>>,
+    bin_of: Arc<CodeColumn>,
     /// The audited rows. `None` = every table row (the batch case);
     /// `Some` = the live subset of a streaming view whose table keeps
     /// tombstoned rows in place.
     live: Option<RowSet>,
     /// Epoch stamp of the underlying data version (0 for batch audits).
     epoch: u64,
-    /// Resolved shard layout (`None` = [`ShardPolicy::Disabled`]: the
-    /// legacy scalar kernels). Fixed at build from `(rows, policy,
+    /// Resolved shard layout, fixed at build from `(rows, policy,
     /// thread budget)`, so every split of this context shards the same
     /// way.
-    shard_plan: Option<ShardPlan>,
+    shard_plan: ShardPlan,
     /// Data-parallel work counters, accumulated across the context's
     /// lifetime and folded into [`crate::EngineStats`] by
     /// [`crate::EvalEngine::stats`]. Relaxed atomics: every increment
@@ -188,9 +180,32 @@ impl std::fmt::Debug for AuditContext<'_> {
             .field("distance", &self.distance.name())
             .field("attributes", &self.attributes)
             .field("min_partition_size", &self.min_partition_size)
-            .field("shards", &self.shard_plan.as_ref().map(ShardPlan::shards))
+            .field("shards", &self.shard_plan.shards())
             .finish()
     }
+}
+
+/// `Ok` when every score lies in `[0, 1]` (NaN and infinities fail);
+/// otherwise [`AuditError::BadScore`] naming the first offender, its
+/// row offset by `first_row`.
+pub(crate) fn check_scores(first_row: usize, scores: &[f64]) -> Result<(), AuditError> {
+    // A branchless fold the compiler vectorizes; the rescan only runs
+    // on failure.
+    if scores
+        .iter()
+        .fold(true, |ok, s| ok & (0.0..=1.0).contains(s))
+    {
+        return Ok(());
+    }
+    let (i, &value) = scores
+        .iter()
+        .enumerate()
+        .find(|(_, s)| !(0.0..=1.0).contains(*s))
+        .expect("the fold saw a bad score");
+    Err(AuditError::BadScore {
+        row: first_row + i,
+        value,
+    })
 }
 
 impl<'a> AuditContext<'a> {
@@ -199,86 +214,32 @@ impl<'a> AuditContext<'a> {
     ///
     /// # Errors
     ///
-    /// [`AuditError`] for empty tables, misaligned or out-of-range
-    /// scores, unusable attribute selections, or bad bin counts.
+    /// [`AuditError`] for empty tables, misaligned scores, bad bin
+    /// counts, unusable attribute selections, or out-of-range scores —
+    /// in that order (see the shared `validate` step).
     pub fn new(
         table: &'a Table,
         scores: &'a [f64],
         config: AuditConfig,
     ) -> Result<Self, AuditError> {
-        if table.is_empty() {
-            return Err(AuditError::EmptyTable);
-        }
-        if scores.len() != table.len() {
-            return Err(AuditError::ScoreLength {
-                rows: table.len(),
-                scores: scores.len(),
-            });
-        }
+        let (spec, attributes) =
+            Self::validate(table.schema(), table.len(), &[scores.len()], None, &config)?;
         let parallelism = Self::parallelism_for(config.threads);
         let shard_plan = config.shards.plan(table.len(), parallelism);
-        if shard_plan.is_none() {
-            // Legacy path: upfront branchless bulk validation the
-            // compiler can vectorize — the bounds test alone rejects
-            // every bad value (NaN and +inf fail `<= 1`, -inf fails
-            // `>= 0`). The sharded path fuses this fold into the
-            // classification pass instead (scores are read once);
-            // [`AuditContext::first_bad_score`] keeps the error
-            // precedence identical between the two paths.
-            if let Some((row, value)) = Self::first_bad_score(scores) {
-                return Err(AuditError::BadScore { row, value });
-            }
-        }
-        let spec = match BinSpec::equal_width(0.0, 1.0, config.bins) {
-            Ok(spec) => spec,
-            Err(e) => {
-                // Sharded path: a bad score still outranks a bad bin
-                // count, exactly as the legacy upfront validation had it.
-                if let Some((row, value)) = Self::first_bad_score(scores) {
-                    return Err(AuditError::BadScore { row, value });
-                }
-                return Err(AuditError::Bins(e.to_string()));
-            }
-        };
-        let attributes = match Self::resolve_attributes_in(table.schema(), &config) {
-            Ok(attributes) => attributes,
-            Err(e) => {
-                // Same precedence guard as for the bin spec above.
-                if let Some((row, value)) = Self::first_bad_score(scores) {
-                    return Err(AuditError::BadScore { row, value });
-                }
-                return Err(e);
-            }
-        };
         let shard_counters = ShardCounters::default();
-        let (indexes, bin_of, bin8) = match &shard_plan {
-            None => (
-                Arc::new(IndexSet::build(table)?),
-                Arc::new(scores.iter().map(|&s| spec.bin_index(s) as u32).collect()),
-                None,
-            ),
-            Some(plan) => {
-                let (bin_of, bin8) =
-                    Self::classify_validated(&spec, scores, plan, parallelism, &shard_counters)?;
-                // Sharded contexts index exactly the audited attributes
-                // (splits only ever touch those); the legacy path keeps
-                // building every splittable attribute.
-                let indexes = Arc::new(IndexSet::build_sharded_subset(table, &attributes, plan)?);
-                shard_counters.note(plan.shards() * attributes.len(), 0);
-                (indexes, Arc::new(bin_of), bin8.map(Arc::new))
-            }
-        };
+        let bin_of = Self::classify(&spec, scores, &shard_plan, parallelism, &shard_counters)?;
+        // Index exactly the audited attributes: splits only touch those.
+        let indexes = IndexSet::build(table, &attributes)?;
         Ok(AuditContext {
             source: DataSource::Mem(table),
             scores: Some(scores),
             spec,
             distance: config.distance,
             attributes,
-            indexes,
+            indexes: Arc::new(indexes),
             min_partition_size: config.min_partition_size.max(1),
             threads: config.threads,
-            bin_of,
-            bin8,
+            bin_of: Arc::new(bin_of),
             live: None,
             epoch: 0,
             shard_plan,
@@ -286,6 +247,43 @@ impl<'a> AuditContext<'a> {
             engine_caches: Mutex::new(None),
             page_stats: None,
         })
+    }
+
+    /// The one validation path of every constructor, in a fixed order:
+    ///
+    /// 1. shape — a non-empty table; every row-aligned input (`aligned`
+    ///    holds their lengths: scores, a prebuilt bin column) exactly
+    ///    `rows` long; a `live` subset non-empty and inside the table;
+    /// 2. config — the bin count, then the attribute selection.
+    ///
+    /// Per-row data (score values, paged codes) is checked last, by the
+    /// classification and index passes that read it anyway.
+    pub(crate) fn validate(
+        schema: &Schema,
+        rows: usize,
+        aligned: &[usize],
+        live: Option<&RowSet>,
+        config: &AuditConfig,
+    ) -> Result<(BinSpec, Vec<usize>), AuditError> {
+        if rows == 0 {
+            return Err(AuditError::EmptyTable);
+        }
+        if let Some(&scores) = aligned.iter().find(|&&len| len != rows) {
+            return Err(AuditError::ScoreLength { rows, scores });
+        }
+        match live.map(|live| live.rows().last()) {
+            Some(None) => return Err(AuditError::EmptyTable),
+            Some(Some(&last)) if last as usize >= rows => {
+                return Err(AuditError::ScoreLength {
+                    rows,
+                    scores: last as usize + 1,
+                })
+            }
+            _ => {}
+        }
+        let spec = BinSpec::equal_width(0.0, 1.0, config.bins)
+            .map_err(|e| AuditError::Bins(e.to_string()))?;
+        Ok((spec, Self::resolve_attributes_in(schema, config)?))
     }
 
     /// The thread budget the sharded kernels (and the auto shard
@@ -301,86 +299,51 @@ impl<'a> AuditContext<'a> {
             .max(1)
     }
 
-    /// First `(row, value)` outside `[0, 1]` (NaN and infinities
-    /// included), if any — the scalar rescan behind every `BadScore`
-    /// error.
-    fn first_bad_score(scores: &[f64]) -> Option<(usize, f64)> {
-        scores
-            .iter()
-            .enumerate()
-            .find(|&(_, &s)| !(0.0..=1.0).contains(&s))
-            .map(|(row, &value)| (row, value))
-    }
-
     /// Classify every score through the chunked [`BinSpec::bin_indices`]
-    /// kernel — one task per shard on the worker pool when parallel,
-    /// merged in shard order — **fused** with the `[0, 1]` validation
-    /// fold (each chunk is validated while it is still cache-hot, so
-    /// the scores are read once instead of twice) and, when the layout
-    /// fits a byte (bins ≤ 256), with the byte-narrowed bin array the
-    /// serial split kernels read. Shards are contiguous score ranges
-    /// and classification is elementwise, so the concatenation equals
-    /// the serial `bin_index`-per-row loop exactly.
+    /// kernel into the bin column — one task per shard on the worker
+    /// pool when parallel, written back in shard order — with the
+    /// `[0, 1]` check fused in (each chunk is checked while it is
+    /// cache-hot, so the scores are read once). Classification is
+    /// elementwise, so the column equals the serial `bin_index`-per-row
+    /// loop exactly.
     ///
     /// # Errors
     ///
-    /// [`AuditError::BadScore`] with the **first** offending row — the
-    /// same error the legacy upfront validation produces.
-    fn classify_validated(
+    /// [`AuditError::BadScore`] with the **first** offending row.
+    fn classify(
         spec: &BinSpec,
         scores: &[f64],
         plan: &ShardPlan,
         parallelism: usize,
         counters: &ShardCounters,
-    ) -> Result<(Vec<u32>, Option<Vec<u8>>), AuditError> {
+    ) -> Result<CodeColumn, AuditError> {
+        const CHUNK: usize = 4096;
         counters.note(plan.shards(), scores.len());
-        let narrow = spec.len() <= 256;
-        let mut bin_of = Vec::with_capacity(scores.len());
-        let mut bin8 = Vec::with_capacity(if narrow { scores.len() } else { 0 });
-        let mut all_valid = true;
+        let mut bin_of = CodeColumn::zeroed(spec.len(), scores.len());
         if scores.len() < SHARD_DISPATCH_MIN_ROWS || parallelism <= 1 {
-            // Serial execution: chunked so the validity fold and the
-            // byte narrowing re-read each chunk from L1, not from DRAM.
-            // `bin_indices` is elementwise, so per-chunk calls equal the
-            // whole-slice call exactly.
-            for chunk in scores.chunks(4096) {
-                all_valid &= chunk
-                    .iter()
-                    .fold(true, |ok, &s| ok & (0.0..=1.0).contains(&s));
-                let bins = spec.bin_indices(chunk);
-                if narrow {
-                    bin8.extend(bins.iter().map(|&b| b as u8));
-                }
-                bin_of.extend_from_slice(&bins);
+            // Chunked so the check and the narrowing re-read each chunk
+            // from L1, not from DRAM.
+            for (i, chunk) in scores.chunks(CHUNK).enumerate() {
+                check_scores(i * CHUNK, chunk)?;
+                bin_of.write_at(i * CHUNK, &spec.bin_indices(chunk));
             }
         } else {
-            let per_shard: Vec<(Vec<u32>, bool)> =
-                WorkerPool::global().run_chunks(parallelism, plan.shards(), |s| {
-                    let slice = &scores[plan.range(s)];
-                    let ok = slice
-                        .iter()
-                        .fold(true, |ok, &v| ok & (0.0..=1.0).contains(&v));
-                    (spec.bin_indices(slice), ok)
-                });
-            for (shard, shard_ok) in per_shard {
-                if narrow {
-                    bin8.extend(shard.iter().map(|&b| b as u8));
-                }
-                bin_of.extend_from_slice(&shard);
-                all_valid &= shard_ok;
+            let per_shard = WorkerPool::global().run_chunks(parallelism, plan.shards(), |s| {
+                let range = plan.range(s);
+                check_scores(range.start, &scores[range.clone()])
+                    .map(|()| spec.bin_indices(&scores[range]))
+            });
+            for (s, bins) in per_shard.into_iter().enumerate() {
+                bin_of.write_at(plan.range(s).start, &bins?);
             }
         }
-        if !all_valid {
-            let (row, value) = Self::first_bad_score(scores).expect("a failing score exists");
-            return Err(AuditError::BadScore { row, value });
-        }
-        Ok((bin_of, narrow.then_some(bin8)))
+        Ok(bin_of)
     }
 
     /// Build a context from pre-maintained parts — the streaming fast
     /// path: the view hands over its in-place-maintained indexes and
-    /// bin array (shared `Arc`s, no rebuild), the live row subset, and
-    /// an epoch stamp. Only cheap shape validation runs here; the
+    /// bin column (shared `Arc`s, no rebuild), the live row subset, and
+    /// an epoch stamp. Only the shared `validate` step runs here; the
     /// caller guarantees that every **live** row's score is finite in
     /// `[0, 1]` and binned consistently with `config.bins` (the stream
     /// view validates incrementally on mutation). Results over the live
@@ -389,50 +352,25 @@ impl<'a> AuditContext<'a> {
     ///
     /// # Errors
     ///
-    /// [`AuditError`] for empty tables/live sets, misaligned scores,
-    /// index or bin arrays, unusable attribute selections, or bad bin
-    /// counts.
+    /// [`AuditError`] for empty tables/live sets, misaligned scores or
+    /// bin columns, bad bin counts, or unusable attribute selections.
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         table: &'a Table,
         scores: &'a [f64],
         config: AuditConfig,
         indexes: Arc<IndexSet>,
-        bin_of: Arc<Vec<u32>>,
+        bin_of: Arc<CodeColumn>,
         live: Option<RowSet>,
         epoch: u64,
     ) -> Result<Self, AuditError> {
-        if table.is_empty() {
-            return Err(AuditError::EmptyTable);
-        }
-        if scores.len() != table.len() {
-            return Err(AuditError::ScoreLength {
-                rows: table.len(),
-                scores: scores.len(),
-            });
-        }
-        if bin_of.len() != table.len() {
-            return Err(AuditError::ScoreLength {
-                rows: table.len(),
-                scores: bin_of.len(),
-            });
-        }
-        let spec = BinSpec::equal_width(0.0, 1.0, config.bins)
-            .map_err(|e| AuditError::Bins(e.to_string()))?;
-        if let Some(live) = &live {
-            if live.is_empty() {
-                return Err(AuditError::EmptyTable);
-            }
-            if let Some(&last) = live.rows().last() {
-                if last as usize >= table.len() {
-                    return Err(AuditError::ScoreLength {
-                        rows: table.len(),
-                        scores: last as usize + 1,
-                    });
-                }
-            }
-        }
-        let attributes = Self::resolve_attributes_in(table.schema(), &config)?;
+        let (spec, attributes) = Self::validate(
+            table.schema(),
+            table.len(),
+            &[scores.len(), bin_of.len()],
+            live.as_ref(),
+            &config,
+        )?;
         let shard_plan = config
             .shards
             .plan(table.len(), Self::parallelism_for(config.threads));
@@ -446,7 +384,6 @@ impl<'a> AuditContext<'a> {
             min_partition_size: config.min_partition_size.max(1),
             threads: config.threads,
             bin_of,
-            bin8: None,
             live,
             epoch,
             shard_plan,
@@ -461,7 +398,7 @@ impl<'a> AuditContext<'a> {
     /// binned page-by-page (fused with the read, so the score pages are
     /// streamed once), and one inverted index is built per audited
     /// attribute in a single page-ordered pass, so the peak resident
-    /// footprint is the derived per-row arrays plus the buffer-manager
+    /// footprint is the derived per-row columns plus the buffer-manager
     /// budget — never the raw columns. Sharding aligns its interior
     /// boundaries to page boundaries ([`ShardPlan::new_aligned`] with
     /// granule [`PAGE_ALIGN_ROWS`]); results stay bit-identical to the
@@ -479,15 +416,12 @@ impl<'a> AuditContext<'a> {
     /// the filter's page traffic is attributed to the audit; `None`
     /// snapshots at entry.
     ///
-    /// Unlike [`AuditContext::new`], configuration errors (bins,
-    /// attributes) are reported before score errors: validating scores
-    /// first would cost an extra streaming pass over the score pages.
-    ///
     /// # Errors
     ///
     /// [`AuditError`] for empty stores or live sets, stores without a
-    /// score column, unusable attribute selections, bad bin counts,
-    /// out-of-range scores, or unreadable/corrupt page files.
+    /// score column, bad bin counts, unusable attribute selections,
+    /// out-of-range scores, or unreadable/corrupt page files — in
+    /// the shared `validate` step's order, like every constructor.
     pub fn from_paged(
         store: &'a PagedStore,
         config: AuditConfig,
@@ -496,56 +430,30 @@ impl<'a> AuditContext<'a> {
     ) -> Result<Self, AuditError> {
         let baseline = baseline.unwrap_or_else(|| store.stats().snapshot());
         let rows = store.rows();
-        if rows == 0 {
-            return Err(AuditError::EmptyTable);
-        }
-        if !store.has_scores() {
-            return Err(AuditError::ScoreLength { rows, scores: 0 });
-        }
-        let spec = BinSpec::equal_width(0.0, 1.0, config.bins)
-            .map_err(|e| AuditError::Bins(e.to_string()))?;
-        let attributes = Self::resolve_attributes_in(store.schema(), &config)?;
         let live = live.or_else(|| store.live().cloned());
-        if let Some(live) = &live {
-            if live.is_empty() {
-                return Err(AuditError::EmptyTable);
-            }
-            if let Some(&last) = live.rows().last() {
-                if last as usize >= rows {
-                    return Err(AuditError::ScoreLength {
-                        rows,
-                        scores: last as usize + 1,
-                    });
-                }
-            }
-        }
-        let parallelism = Self::parallelism_for(config.threads);
-        let shard_plan = config
+        let scores = if store.has_scores() { rows } else { 0 };
+        let (spec, attributes) =
+            Self::validate(store.schema(), rows, &[scores], live.as_ref(), &config)?;
+        let shards = config
             .shards
-            .plan(rows, parallelism)
-            .map(|plan| ShardPlan::new_aligned(rows, plan.shards(), PAGE_ALIGN_ROWS));
+            .plan(rows, Self::parallelism_for(config.threads))
+            .shards();
         let shard_counters = ShardCounters::default();
-        let (bin_of, bin8) = Self::classify_paged(store, &spec, live.as_ref(), &shard_counters)?;
-        let indexes = Arc::new(Self::index_paged(
-            store,
-            &attributes,
-            live.as_ref(),
-            &shard_counters,
-        )?);
+        let bin_of = Self::classify_paged(store, &spec, live.as_ref(), &shard_counters)?;
+        let indexes = Self::index_paged(store, &attributes, live.as_ref(), &shard_counters)?;
         Ok(AuditContext {
             source: DataSource::Paged(store),
             scores: None,
             spec,
             distance: config.distance,
             attributes,
-            indexes,
+            indexes: Arc::new(indexes),
             min_partition_size: config.min_partition_size.max(1),
             threads: config.threads,
             bin_of: Arc::new(bin_of),
-            bin8: bin8.map(Arc::new),
             live,
             epoch: store.epoch(),
-            shard_plan,
+            shard_plan: ShardPlan::new_aligned(rows, shards, PAGE_ALIGN_ROWS),
             shard_counters,
             engine_caches: Mutex::new(None),
             page_stats: Some((Arc::clone(store.stats()), baseline)),
@@ -553,84 +461,54 @@ impl<'a> AuditContext<'a> {
     }
 
     /// Fused paged classification: stream the score pages once,
-    /// validating and binning each page while it is cache-hot and
-    /// writing the results into pre-zeroed whole-table arrays. Pages
-    /// with no audited row are skipped and keep their zeros — those
-    /// rows are outside every partition, so the histogram kernels never
-    /// read them. Per-page [`BinSpec::bin_indices`] calls are
-    /// elementwise, so the concatenation equals the serial whole-slice
-    /// classification exactly.
+    /// checking and binning each page while it is cache-hot and writing
+    /// the results into a pre-zeroed whole-table column. Pages with no
+    /// audited row are skipped and keep their zeros — those rows are
+    /// outside every partition, so the histogram kernels never read
+    /// them. Per-page [`BinSpec::bin_indices`] calls are elementwise, so
+    /// the column equals the serial whole-slice classification exactly.
     fn classify_paged(
         store: &PagedStore,
         spec: &BinSpec,
         live: Option<&RowSet>,
         counters: &ShardCounters,
-    ) -> Result<(Vec<u32>, Option<Vec<u8>>), AuditError> {
-        let rows = store.rows();
-        let narrow = spec.len() <= 256;
-        let mut bin_of = vec![0u32; rows];
-        let mut bin8 = narrow.then(|| vec![0u8; rows]);
-        let mut first_bad: Option<(usize, f64)> = None;
+    ) -> Result<CodeColumn, AuditError> {
+        let mut bin_of = CodeColumn::zeroed(spec.len(), store.rows());
+        let mut checked = Ok(());
         let mut classified = 0usize;
         let summary = store.scan_column(PagedColumn::Scores, live, None, |first_row, data| {
             let PageData::F64(values) = data else {
                 return; // score pages are always F64; `open` validated kinds
             };
-            if first_bad.is_none() {
-                if let Some((i, &value)) = values
-                    .iter()
-                    .enumerate()
-                    .find(|&(_, &s)| !(0.0..=1.0).contains(&s))
-                {
-                    first_bad = Some((first_row + i, value));
-                }
+            if checked.is_ok() {
+                checked = check_scores(first_row, values);
             }
-            let bins = spec.bin_indices(values);
-            if let Some(bin8) = bin8.as_mut() {
-                for (dst, &bin) in bin8[first_row..first_row + bins.len()]
-                    .iter_mut()
-                    .zip(&bins)
-                {
-                    *dst = bin as u8;
-                }
-            }
-            bin_of[first_row..first_row + bins.len()].copy_from_slice(&bins);
+            bin_of.write_at(first_row, &spec.bin_indices(values));
             classified += values.len();
         })?;
         counters.note(summary.pages_scanned, classified);
-        if let Some((row, value)) = first_bad {
-            return Err(AuditError::BadScore { row, value });
-        }
-        Ok((bin_of, bin8))
+        checked.map(|()| bin_of)
     }
 
-    /// Single-pass paged index build: for each audited attribute,
-    /// stream its code pages once, filling the forward column (rows on
-    /// candidate-skipped pages keep zero placeholders — the split
-    /// kernels consult the forward column only at audited rows) and
-    /// pushing every audited row onto its code's posting list. Pages
-    /// arrive in row order, so postings come out sorted without a sort
-    /// pass — exactly the in-memory index build's output over the same
-    /// rows.
+    /// Paged index build: for each audited attribute, stream its code
+    /// pages once into the forward column (rows on candidate-skipped
+    /// pages keep zero placeholders — the split kernels consult the
+    /// forward column only at audited rows), then build the postings of
+    /// the audited rows from it — the in-memory index build's output
+    /// over the same rows.
     fn index_paged(
         store: &PagedStore,
         attributes: &[usize],
         live: Option<&RowSet>,
         counters: &ShardCounters,
     ) -> Result<IndexSet, AuditError> {
-        let rows = store.rows();
         let mut built = Vec::with_capacity(attributes.len());
         for &attr in attributes {
             let def = store.schema().attribute(attr);
             // Audited attributes are categorical (resolve checked).
             let cardinality = def.cardinality().unwrap_or(0);
-            let narrow = cardinality <= 256;
-            let mut postings: Vec<Vec<u32>> = vec![Vec::new(); cardinality];
-            let mut codes8 = narrow.then(|| vec![0u8; rows]);
-            let mut codes = if narrow { Vec::new() } else { vec![0u32; rows] };
+            let mut codes = CodeColumn::zeroed(cardinality, store.rows());
             let mut corrupt: Option<String> = None;
-            let live_rows = live.map(RowSet::rows);
-            let mut cursor = 0usize;
             let summary =
                 store.scan_column(PagedColumn::Attribute(attr), live, None, |first_row, data| {
                     if corrupt.is_some() {
@@ -643,11 +521,10 @@ impl<'a> AuditContext<'a> {
                         ));
                         return;
                     }
-                    let page_rows = data.rows();
-                    // Forward column: every row of the page. A code out
-                    // of the dictionary's range means a corrupt file —
-                    // report it instead of panicking downstream.
-                    for i in 0..page_rows {
+                    // A code out of the dictionary's range means a
+                    // corrupt file — report it instead of panicking
+                    // downstream.
+                    for i in 0..data.rows() {
                         let code = data.code_at(i);
                         if code as usize >= cardinality {
                             corrupt = Some(format!(
@@ -657,36 +534,14 @@ impl<'a> AuditContext<'a> {
                             ));
                             return;
                         }
-                        match codes8.as_mut() {
-                            Some(fwd) => fwd[first_row + i] = code as u8,
-                            None => codes[first_row + i] = code,
-                        }
-                    }
-                    // Postings: audited rows only, in row order.
-                    match live_rows {
-                        None => {
-                            for i in 0..page_rows {
-                                postings[data.code_at(i) as usize].push((first_row + i) as u32);
-                            }
-                        }
-                        Some(rows) => {
-                            cursor += rows[cursor..].partition_point(|&r| (r as usize) < first_row);
-                            while cursor < rows.len()
-                                && (rows[cursor] as usize) < first_row + page_rows
-                            {
-                                let row = rows[cursor] as usize;
-                                postings[data.code_at(row - first_row) as usize].push(rows[cursor]);
-                                cursor += 1;
-                            }
-                        }
+                        codes.set(first_row + i, code);
                     }
                 })?;
             if let Some(reason) = corrupt {
                 return Err(AuditError::Paged(reason));
             }
             counters.note(summary.pages_scanned, 0);
-            let postings: Vec<RowSet> = postings.into_iter().map(RowSet::from_sorted).collect();
-            built.push(CategoricalIndex::from_parts(attr, postings, codes8, codes));
+            built.push(CategoricalIndex::from_codes(attr, cardinality, codes, live));
         }
         Ok(IndexSet::from_indexes(store.schema().width(), built))
     }
@@ -817,10 +672,10 @@ impl<'a> AuditContext<'a> {
         self.threads
     }
 
-    /// The precomputed per-row bin indices (`bin_of()[row]` = histogram
-    /// bin of the row's score).
-    pub fn bin_of(&self) -> &[u32] {
-        self.bin_of.as_slice()
+    /// The precomputed per-row bin indices (`bin_of().get(row)` =
+    /// histogram bin of the row's score).
+    pub fn bin_of(&self) -> &CodeColumn {
+        &self.bin_of
     }
 
     /// The audited row subset, when restricted (`None` = all rows).
@@ -833,11 +688,6 @@ impl<'a> AuditContext<'a> {
         self.epoch
     }
 
-    /// The resolved shard layout, when sharding is enabled.
-    pub fn shard_plan(&self) -> Option<&ShardPlan> {
-        self.shard_plan.as_ref()
-    }
-
     /// Per-shard kernel executions dispatched so far (layout-dependent:
     /// scales with the shard count; independent of thread count).
     pub fn shard_tasks(&self) -> u64 {
@@ -845,8 +695,7 @@ impl<'a> AuditContext<'a> {
     }
 
     /// Rows pushed through the sharded classify/split kernels so far
-    /// (0 when sharding is disabled; otherwise independent of both the
-    /// shard count and the thread count).
+    /// (independent of both the shard count and the thread count).
     pub fn rows_classified_parallel(&self) -> u64 {
         self.shard_counters
             .rows_classified_parallel
@@ -854,11 +703,14 @@ impl<'a> AuditContext<'a> {
     }
 
     /// Histogram of the scores of `rows`, built from the precomputed
-    /// bin-index array with integer counting (no per-value float
+    /// bin column with integer counting (no per-value float
     /// binning, no float accumulation — bit-identical to the float
     /// path, see [`Histogram::from_bin_indices_u32`]).
     pub fn histogram(&self, rows: &RowSet) -> Histogram {
-        Histogram::from_bin_indices_u32(self.spec.clone(), rows.iter().map(|row| self.bin_of[row]))
+        Histogram::from_bin_indices_u32(
+            self.spec.clone(),
+            rows.iter().map(|row| self.bin_of.get(row)),
+        )
     }
 
     /// Build a [`Partition`] from a predicate and its rows.
@@ -886,51 +738,34 @@ impl<'a> AuditContext<'a> {
     /// partition, every member shares one value (split would be a
     /// no-op), or any child would fall below the minimum size.
     ///
-    /// Runs the single-pass split kernel: one walk over the partition's
-    /// rows produces all child row sets and child histograms at once
-    /// (O(|partition|) instead of the legacy O(table) posting
-    /// intersections — see [`AuditContext::split_legacy`]). With
-    /// sharding enabled the walk runs as one two-pass task per shard —
-    /// on the worker pool for large partitions — merged in shard order,
-    /// which is bit-identical to the serial kernel.
+    /// Runs the split kernel: one walk over the partition's rows
+    /// produces all child row sets and child histograms at once
+    /// (O(|partition|) instead of the O(table) posting intersections of
+    /// [`AuditContext::split_legacy`]). The root split reads the
+    /// postings directly; partitions of at least
+    /// `SHARD_DISPATCH_MIN_ROWS` rows run the kernel once per shard on
+    /// the worker pool, merged in shard order — bit-identical to the
+    /// serial walk.
     pub fn split(&self, part: &Partition, attr: usize) -> Option<Vec<Partition>> {
         if part.predicate.constrains(attr) {
             return None;
         }
         let index = self.indexes.get(attr)?;
         let bins = self.spec.len();
-        let groups = match &self.shard_plan {
-            None => index.split_with_bins(&part.rows, &self.bin_of, bins),
-            Some(plan) => {
-                self.shard_counters.note(plan.shards(), part.rows.len());
-                let parallelism = Self::parallelism_for(self.threads);
-                if part.rows.len() == self.rows() {
-                    // Root split: the children's row sets are exactly
-                    // the index postings — only bin counting remains.
-                    match &self.bin8 {
-                        Some(bin8) => index.split_full_with_bins8(bin8, bins),
-                        None => index.split_full_with_bins(&self.bin_of, bins),
-                    }
-                } else if part.rows.len() >= SHARD_DISPATCH_MIN_ROWS && parallelism > 1 {
-                    let sharded = plan.shard_rows(&part.rows);
-                    let partials =
-                        WorkerPool::global().run_chunks(parallelism, sharded.shards(), |s| {
-                            index.split_shard(sharded.shard(s), &self.bin_of, bins)
-                        });
-                    CategoricalIndex::merge_shard_splits(partials, bins)
-                } else {
-                    // Serial execution: the one-pass byte kernel when
-                    // the layout fits (narrow forward column + narrow
-                    // bin array), else the same two-pass kernel over
-                    // the whole row slice — bit-identical either way.
-                    self.bin8
-                        .as_ref()
-                        .and_then(|bin8| index.split_onepass(part.rows.rows(), bin8, bins))
-                        .unwrap_or_else(|| {
-                            index.split_with_bins_two_pass(part.rows.rows(), &self.bin_of, bins)
-                        })
-                }
-            }
+        let rows = &part.rows;
+        self.shard_counters
+            .note(self.shard_plan.shards(), rows.len());
+        let parallelism = Self::parallelism_for(self.threads);
+        let groups = if rows.len() == self.rows() {
+            index.split_root(&self.bin_of, bins)
+        } else if rows.len() >= SHARD_DISPATCH_MIN_ROWS && parallelism > 1 {
+            let sharded = self.shard_plan.shard_rows(rows);
+            let partials = WorkerPool::global().run_chunks(parallelism, sharded.shards(), |s| {
+                index.split_rows(sharded.shard(s), &self.bin_of, bins)
+            });
+            CategoricalIndex::merge_shard_splits(partials)
+        } else {
+            index.split_rows(rows.rows(), &self.bin_of, bins)
         };
         if groups.len() <= 1 {
             return None;
@@ -1087,6 +922,52 @@ mod tests {
         // Zero bins.
         let err = AuditContext::new(&t, &scores, AuditConfig::with_bins(0)).unwrap_err();
         assert!(matches!(err, AuditError::Bins(_)));
+    }
+
+    /// Every constructor validates in one order — shape, then config,
+    /// then per-row data — so a config error outranks a bad score on
+    /// all three.
+    #[test]
+    fn constructors_report_errors_in_one_order() {
+        let (t, mut scores) = toy_workers();
+        scores[3] = 1.5;
+        let mut path = std::env::temp_dir();
+        path.push(format!("fairjob-context-errors-{}.fjp", std::process::id()));
+        fairjob_store::paged::write_paged(&path, &t, Some(&scores), None, 0, 10).unwrap();
+        let store = PagedStore::open(&path, 1 << 20).unwrap();
+        let indexes = Arc::new(IndexSet::build(&t, &t.schema().splittable()).unwrap());
+        let bin_of = Arc::new(CodeColumn::zeroed(10, t.len()));
+        let unknown = AuditConfig {
+            attributes: Some(vec!["nope".into()]),
+            ..Default::default()
+        };
+        for config in [AuditConfig::with_bins(0), unknown] {
+            let new = AuditContext::new(&t, &scores, config.clone()).unwrap_err();
+            let paged = AuditContext::from_paged(&store, config.clone(), None, None).unwrap_err();
+            let parts = AuditContext::from_parts(
+                &t,
+                &scores,
+                config,
+                Arc::clone(&indexes),
+                Arc::clone(&bin_of),
+                None,
+                0,
+            )
+            .unwrap_err();
+            assert!(matches!(
+                new,
+                AuditError::Bins(_) | AuditError::BadAttribute { .. }
+            ));
+            assert_eq!(paged, new);
+            assert_eq!(parts, new);
+        }
+        // With a usable config, the per-row pass names the first bad
+        // score (parts contexts take scores as validated by the caller).
+        let new = AuditContext::new(&t, &scores, AuditConfig::default()).unwrap_err();
+        assert!(matches!(new, AuditError::BadScore { row: 3, .. }));
+        let paged = AuditContext::from_paged(&store, AuditConfig::default(), None, None);
+        assert_eq!(paged.unwrap_err(), new);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

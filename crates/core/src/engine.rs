@@ -481,19 +481,19 @@ pub struct EngineStats {
     /// Dijkstra (consecutive chunk pairs sharing a support set).
     pub warm_starts: u64,
     /// Per-shard kernel executions dispatched through the sharded
-    /// split/classify path (0 with `shards = off`). **Layout-dependent**:
-    /// scales with the shard count, so it is excluded from the
-    /// layout-independence parity the other counters guarantee; it is
-    /// still thread-count independent. Unlike the engine-local counters
+    /// split/classify path. **Layout-dependent**: scales with the shard
+    /// count, so it is excluded from the layout-independence parity the
+    /// other counters guarantee; it is still thread-count independent. Unlike the engine-local counters
     /// above, the shard counters are **context-cumulative**: they live on
     /// the [`crate::AuditContext`] (shard work starts at context build,
     /// before any engine exists) and cover everything sharded on that
     /// context up to the `stats()` call.
     pub shard_tasks: u64,
-    /// Rows pushed through the sharded classify/split kernels (0 with
-    /// `shards = off`; otherwise independent of both shard count and
-    /// thread count, but still layout-dependent in the on/off sense).
-    /// Context-cumulative, like [`Self::shard_tasks`].
+    /// Rows pushed through the sharded classify/split kernels:
+    /// independent of both shard count and thread count, but kept out
+    /// of the layout-independence parity alongside
+    /// [`Self::shard_tasks`] because the paged build meters only the
+    /// rows it reads. Context-cumulative, like [`Self::shard_tasks`].
     pub rows_classified_parallel: u64,
     /// Page requests served from the paged store's buffer cache (0 for
     /// in-memory contexts). Like the shard counters, the page counters

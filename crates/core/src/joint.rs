@@ -13,6 +13,7 @@
 //! the greedy here evaluates O(attributes²) candidate partitionings,
 //! which stays interactive for the paper-scale populations.
 
+use crate::context::{check_scores, AuditConfig, AuditContext};
 use crate::error::AuditError;
 use fairjob_hist::hist2d::{emd_2d, Histogram2d};
 use fairjob_hist::BinSpec;
@@ -80,36 +81,24 @@ impl<'a> JointAuditContext<'a> {
     ///
     /// # Errors
     ///
-    /// The same validation failures as [`crate::AuditContext::new`].
+    /// The same validation failures, in the same order, as
+    /// [`crate::AuditContext::new`].
     pub fn new(
         table: &'a Table,
         scores_a: &'a [f64],
         scores_b: &'a [f64],
         bins: usize,
     ) -> Result<Self, AuditError> {
-        if table.is_empty() {
-            return Err(AuditError::EmptyTable);
-        }
-        for scores in [scores_a, scores_b] {
-            if scores.len() != table.len() {
-                return Err(AuditError::ScoreLength {
-                    rows: table.len(),
-                    scores: scores.len(),
-                });
-            }
-            for (row, &s) in scores.iter().enumerate() {
-                if !s.is_finite() || !(0.0..=1.0).contains(&s) {
-                    return Err(AuditError::BadScore { row, value: s });
-                }
-            }
-        }
-        let spec =
-            BinSpec::equal_width(0.0, 1.0, bins).map_err(|e| AuditError::Bins(e.to_string()))?;
-        let attributes = table.schema().splittable();
-        if attributes.is_empty() {
-            return Err(AuditError::NoAttributes);
-        }
-        let indexes = IndexSet::build(table)?;
+        let (spec, attributes) = AuditContext::validate(
+            table.schema(),
+            table.len(),
+            &[scores_a.len(), scores_b.len()],
+            None,
+            &AuditConfig::with_bins(bins),
+        )?;
+        check_scores(0, scores_a)?;
+        check_scores(0, scores_b)?;
+        let indexes = IndexSet::build(table, &attributes)?;
         let bin_a: Vec<u32> = scores_a.iter().map(|&s| spec.bin_index(s) as u32).collect();
         let bin_b: Vec<u32> = scores_b.iter().map(|&s| spec.bin_index(s) as u32).collect();
         Ok(JointAuditContext {

@@ -3,14 +3,22 @@
 //! the naive O(k²) evaluation it replaces — across random populations,
 //! scoring functions, and every algorithm of the paper's comparison.
 
+mod common;
+
+use common::population;
 use fairjob_core::algorithms::Algorithm;
 use fairjob_core::algorithms::{balanced::Balanced, beam::Beam, lookahead::Lookahead};
 use fairjob_core::algorithms::{paper_algorithms, unbalanced::Unbalanced, AttributeChoice};
 use fairjob_core::{AuditConfig, AuditContext, EvalEngine, IncrementalEval};
 use fairjob_hist::distance::Emd1d;
 use fairjob_hist::{DistanceError, Histogram, HistogramDistance};
-use fairjob_marketplace::scoring::{LinearScore, RuleBasedScore, ScoringFunction};
-use fairjob_marketplace::{bucketise_numeric_protected, generate_uniform};
+use fairjob_marketplace::stream::Event;
+use fairjob_store::column::CodeColumn;
+use fairjob_store::paged::write_paged;
+use fairjob_store::schema::{AttributeKind, Schema};
+use fairjob_store::table::{Table, Value};
+use fairjob_store::{PagedStore, RowSet, ShardPolicy};
+use fairjob_stream::StreamView;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -31,16 +39,85 @@ impl HistogramDistance for NoBounds {
     }
 }
 
-/// A generated audit context input: population + scores.
-fn population(size: usize, seed: u64, rule: bool) -> (fairjob_store::table::Table, Vec<f64>) {
-    let mut workers = generate_uniform(size, seed);
-    bucketise_numeric_protected(&mut workers).unwrap();
-    let scores = if rule {
-        RuleBasedScore::f7(5).score_all(&workers).unwrap()
-    } else {
-        LinearScore::alpha("f1", 0.5).score_all(&workers).unwrap()
-    };
-    (workers, scores)
+/// `ctx.split` equals the posting-intersection oracle
+/// `ctx.split_legacy` — same predicates, rows and histograms — for every
+/// attribute at the root and, below the first attribute that splits the
+/// root, for every other attribute on every child.
+fn assert_split_matches_oracle(ctx: &AuditContext<'_>, what: &str) {
+    let root = ctx.root();
+    for &a in ctx.attributes() {
+        assert_eq!(
+            ctx.split(&root, a),
+            ctx.split_legacy(&root, a),
+            "{what}: root attr {a}"
+        );
+    }
+    if let Some((first, children)) = ctx
+        .attributes()
+        .iter()
+        .find_map(|&a| ctx.split(&root, a).map(|c| (a, c)))
+    {
+        for child in &children {
+            for &a in ctx.attributes().iter().filter(|&&a| a != first) {
+                assert_eq!(
+                    ctx.split(child, a),
+                    ctx.split_legacy(child, a),
+                    "{what}: child of {first} by attr {a}"
+                );
+            }
+        }
+    }
+}
+
+/// Partitions of at least 65 536 rows run the kernel once per shard on
+/// the worker pool and merge the shards in order. The root of a stream
+/// context with one tombstone is such a partition (the root of a batch
+/// context takes the postings path instead).
+#[test]
+fn pooled_split_kernel_matches_legacy() {
+    let (workers, scores) = population(70_000, 7, false);
+    let mut view = StreamView::new(workers, scores, 10).unwrap();
+    view.apply_epoch(&[Event::WorkerRemoved { worker: 0 }])
+        .unwrap();
+    for shards in [ShardPolicy::Auto, ShardPolicy::Fixed(7)] {
+        let config = AuditConfig {
+            attributes: Some(vec!["gender".into(), "country".into()]),
+            threads: Some(2),
+            shards,
+            ..AuditConfig::default()
+        };
+        let ctx = view.context(config).unwrap();
+        assert_split_matches_oracle(&ctx, &format!("pooled, shards={shards}"));
+        assert!(ctx.shard_tasks() > 0);
+    }
+}
+
+/// A 300-value attribute and a 300-bin layout reach the four-byte code
+/// and bin columns and the kernel's counting pre-pass, which the
+/// paper's schema never does.
+#[test]
+fn wide_code_and_bin_columns_match_legacy() {
+    let labels: Vec<String> = (0..300).map(|v| format!("v{v}")).collect();
+    let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+    let schema = Schema::builder()
+        .categorical("wide", AttributeKind::Protected, &labels)
+        .categorical("gender", AttributeKind::Protected, &["Male", "Female"])
+        .build()
+        .unwrap();
+    let mut table = Table::new(schema);
+    let mut scores = Vec::new();
+    for r in 0..3_000usize {
+        let gender = if r % 3 == 0 { "Male" } else { "Female" };
+        table
+            .push_row(&[Value::cat(labels[(r * 7) % 300]), Value::cat(gender)])
+            .unwrap();
+        scores.push(((r * 37) % 1_000) as f64 / 999.0);
+    }
+    for bins in [10usize, 300] {
+        let ctx = AuditContext::new(&table, &scores, AuditConfig::with_bins(bins)).unwrap();
+        assert_eq!(matches!(ctx.bin_of(), CodeColumn::Wide(_)), bins > 256);
+        assert_split_matches_oracle(&ctx, &format!("bins={bins}"));
+    }
 }
 
 proptest! {
@@ -82,10 +159,8 @@ proptest! {
         }
     }
 
-    /// The single-pass split kernel produces exactly the children the
-    /// legacy posting-list path produced: same predicates, same rows,
-    /// same histograms, for every attribute at the root and one level
-    /// down.
+    /// The split kernel produces exactly the children the legacy
+    /// posting-list path produced, on batch, stream and paged contexts.
     #[test]
     fn split_kernel_matches_legacy_at_core_level(
         size in 60usize..220,
@@ -93,29 +168,22 @@ proptest! {
     ) {
         let (workers, scores) = population(size, seed, seed % 2 == 1);
         let ctx = AuditContext::new(&workers, &scores, AuditConfig::default()).unwrap();
-        let root = ctx.root();
-        for &a in ctx.attributes() {
-            prop_assert_eq!(ctx.split(&root, a), ctx.split_legacy(&root, a), "root attr {}", a);
-        }
-        // One level down: split by the first splittable attribute, then
-        // compare every remaining attribute on every child.
-        if let Some((first, children)) = ctx
-            .attributes()
-            .iter()
-            .find_map(|&a| ctx.split(&root, a).map(|c| (a, c)))
-        {
-            for child in &children {
-                for &a in ctx.attributes().iter().filter(|&&a| a != first) {
-                    prop_assert_eq!(
-                        ctx.split(child, a),
-                        ctx.split_legacy(child, a),
-                        "child of {} by attr {}",
-                        first,
-                        a
-                    );
-                }
-            }
-        }
+        assert_split_matches_oracle(&ctx, "batch");
+
+        // A stream view's maintained parts over its live rows.
+        let mut view = StreamView::new(workers.clone(), scores.clone(), 10).unwrap();
+        view.apply_epoch(&[Event::WorkerRemoved { worker: 0 }]).unwrap();
+        assert_split_matches_oracle(&view.context(AuditConfig::default()).unwrap(), "stream");
+
+        // The paged build, over a live subset.
+        let mut path = std::env::temp_dir();
+        path.push(format!("fairjob-engine-parity-{}-{size}-{seed}.fjp", std::process::id()));
+        let live = RowSet::from_sorted((0..size as u32).filter(|r| r % 5 != 0).collect());
+        write_paged(&path, &workers, Some(&scores), Some(&live), 0, 10).unwrap();
+        let store = PagedStore::open(&path, 1 << 20).unwrap();
+        let paged = AuditContext::from_paged(&store, AuditConfig::default(), None, None).unwrap();
+        assert_split_matches_oracle(&paged, "paged");
+        let _ = std::fs::remove_file(&path);
     }
 
     /// The parallel candidate search is deterministic: every algorithm

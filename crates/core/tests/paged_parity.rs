@@ -6,27 +6,15 @@
 //! (a smaller budget re-reads more pages) but must stay truthful:
 //! every audited page is either scanned or zone-skipped.
 
-use fairjob_core::algorithms::{
-    balanced::Balanced, unbalanced::Unbalanced, Algorithm, AttributeChoice,
-};
+mod common;
+
+use common::{layout, population, run_mem, worst_audit};
+use fairjob_core::algorithms::{balanced::Balanced, Algorithm, AttributeChoice};
 use fairjob_core::{AuditConfig, AuditContext, AuditResult, EngineStats};
-use fairjob_marketplace::scoring::{LinearScore, RuleBasedScore, ScoringFunction};
-use fairjob_marketplace::{bucketise_numeric_protected, generate_uniform};
 use fairjob_store::paged::write_paged;
 use fairjob_store::{PagedStore, RowSet, ShardPolicy};
 use proptest::prelude::*;
 use std::path::PathBuf;
-
-fn population(size: usize, seed: u64, rule: bool) -> (fairjob_store::table::Table, Vec<f64>) {
-    let mut workers = generate_uniform(size, seed);
-    bucketise_numeric_protected(&mut workers).unwrap();
-    let scores = if rule {
-        RuleBasedScore::f7(5).score_all(&workers).unwrap()
-    } else {
-        LinearScore::alpha("f1", 0.5).score_all(&workers).unwrap()
-    };
-    (workers, scores)
-}
 
 /// A scratch paged file, removed on drop. Named by test + params so
 /// concurrent proptest cases never collide.
@@ -55,43 +43,14 @@ impl Drop for TempPaged {
     }
 }
 
-fn run_mem(
-    workers: &fairjob_store::table::Table,
-    scores: &[f64],
-    shards: ShardPolicy,
-    threads: usize,
-    balanced: bool,
-) -> AuditResult {
-    let config = AuditConfig {
-        shards,
-        threads: Some(threads),
-        ..AuditConfig::default()
-    };
-    let ctx = AuditContext::new(workers, scores, config).unwrap();
-    if balanced {
-        Balanced::new(AttributeChoice::Worst).run(&ctx).unwrap()
-    } else {
-        Unbalanced::new(AttributeChoice::Worst).run(&ctx).unwrap()
-    }
-}
-
 fn run_paged(
     store: &PagedStore,
     shards: ShardPolicy,
     threads: usize,
     balanced: bool,
 ) -> AuditResult {
-    let config = AuditConfig {
-        shards,
-        threads: Some(threads),
-        ..AuditConfig::default()
-    };
-    let ctx = AuditContext::from_paged(store, config, None, None).unwrap();
-    if balanced {
-        Balanced::new(AttributeChoice::Worst).run(&ctx).unwrap()
-    } else {
-        Unbalanced::new(AttributeChoice::Worst).run(&ctx).unwrap()
-    }
+    let ctx = AuditContext::from_paged(store, layout(shards, threads), None, None).unwrap();
+    worst_audit(&ctx, balanced)
 }
 
 /// The engine-local counters: everything except the shard-work meters
@@ -141,12 +100,15 @@ fn live_subset_roundtrips_and_audits_identically() {
 
     // In-memory baseline over the same subset, through the stream
     // layer's validated parts path.
-    let indexes = std::sync::Arc::new(fairjob_store::index::IndexSet::build(&workers).unwrap());
-    let bin_of = std::sync::Arc::new(
-        fairjob_hist::BinSpec::equal_width(0.0, 1.0, 10)
+    let indexes = std::sync::Arc::new(
+        fairjob_store::index::IndexSet::build(&workers, &workers.schema().splittable()).unwrap(),
+    );
+    let bin_of = std::sync::Arc::new(fairjob_store::column::CodeColumn::from_values(
+        10,
+        &fairjob_hist::BinSpec::equal_width(0.0, 1.0, 10)
             .unwrap()
             .bin_indices(&scores),
-    );
+    ));
     let ctx_mem = AuditContext::from_parts(
         &workers,
         &scores,
@@ -215,10 +177,10 @@ proptest! {
             &scores,
             None,
         );
-        let baseline = run_mem(&workers, &scores, ShardPolicy::Disabled, 1, balanced);
+        let baseline = run_mem(&workers, &scores, ShardPolicy::Fixed(1), 1, balanced);
         for budget in [1usize, 1 << 17, 1 << 30] {
             let store = PagedStore::open(&tmp.0, budget).unwrap();
-            for shards in [ShardPolicy::Disabled, ShardPolicy::Fixed(3), ShardPolicy::Auto] {
+            for shards in [ShardPolicy::Fixed(1), ShardPolicy::Fixed(3), ShardPolicy::Auto] {
                 for threads in [1usize, 4] {
                     let got = run_paged(&store, shards, threads, balanced);
                     prop_assert_eq!(

@@ -2,49 +2,16 @@
 //! partitioning shape, and every layout-independent engine counter —
 //! must not depend on the shard policy or the thread count. The sharded
 //! kernels (per-shard split/classify merged in serial shard order) are
-//! defined to be bit-identical to the legacy scalar path; this suite
-//! holds them to it across shard counts {1, 2, 3, 7, auto} × thread
-//! counts {1, 2, 8}, against the `shards = off` baseline.
+//! defined to be bit-identical to one serial walk; this suite holds
+//! them to it across shard counts {1, 2, 3, 7, auto} × thread counts
+//! {1, 2, 8}, against the one-shard, one-thread baseline.
 
-use fairjob_core::algorithms::{
-    balanced::Balanced, unbalanced::Unbalanced, Algorithm, AttributeChoice,
-};
-use fairjob_core::{AuditConfig, AuditContext, AuditResult, EngineStats};
-use fairjob_marketplace::scoring::{LinearScore, RuleBasedScore, ScoringFunction};
-use fairjob_marketplace::{bucketise_numeric_protected, generate_uniform};
+mod common;
+
+use common::{population, run_mem as run};
+use fairjob_core::EngineStats;
 use fairjob_store::ShardPolicy;
 use proptest::prelude::*;
-
-fn population(size: usize, seed: u64, rule: bool) -> (fairjob_store::table::Table, Vec<f64>) {
-    let mut workers = generate_uniform(size, seed);
-    bucketise_numeric_protected(&mut workers).unwrap();
-    let scores = if rule {
-        RuleBasedScore::f7(5).score_all(&workers).unwrap()
-    } else {
-        LinearScore::alpha("f1", 0.5).score_all(&workers).unwrap()
-    };
-    (workers, scores)
-}
-
-fn run(
-    workers: &fairjob_store::table::Table,
-    scores: &[f64],
-    shards: ShardPolicy,
-    threads: usize,
-    balanced: bool,
-) -> AuditResult {
-    let config = AuditConfig {
-        shards,
-        threads: Some(threads),
-        ..AuditConfig::default()
-    };
-    let ctx = AuditContext::new(workers, scores, config).unwrap();
-    if balanced {
-        Balanced::new(AttributeChoice::Worst).run(&ctx).unwrap()
-    } else {
-        Unbalanced::new(AttributeChoice::Worst).run(&ctx).unwrap()
-    }
-}
 
 /// The counters defined to be independent of the shard layout: every
 /// `EngineStats` counter except the two shard-work meters.
@@ -59,7 +26,7 @@ fn layout_independent(stats: &EngineStats) -> Vec<(&'static str, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Every shard policy × thread count reproduces the `shards = off`
+    /// Every shard policy × thread count reproduces the one-shard,
     /// single-thread baseline bit for bit, counters included.
     #[test]
     fn audits_are_bit_identical_across_shard_layouts(
@@ -68,9 +35,7 @@ proptest! {
     ) {
         let balanced = seed % 2 == 0;
         let (workers, scores) = population(size, seed, !balanced);
-        let baseline = run(&workers, &scores, ShardPolicy::Disabled, 1, balanced);
-        prop_assert_eq!(baseline.engine.shard_tasks, 0);
-        prop_assert_eq!(baseline.engine.rows_classified_parallel, 0);
+        let baseline = run(&workers, &scores, ShardPolicy::Fixed(1), 1, balanced);
         let policies = [
             ShardPolicy::Fixed(1),
             ShardPolicy::Fixed(2),
@@ -78,9 +43,9 @@ proptest! {
             ShardPolicy::Fixed(7),
             ShardPolicy::Auto,
         ];
-        // `rows_classified_parallel` must agree across every *enabled*
-        // layout (it meters rows, not shards); collect to cross-check.
-        let mut rows_metered: Vec<u64> = Vec::new();
+        // `rows_classified_parallel` must agree across every layout (it
+        // meters rows, not shards); collect to cross-check.
+        let mut rows_metered: Vec<u64> = vec![baseline.engine.rows_classified_parallel];
         for shards in policies {
             for threads in [1usize, 2, 8] {
                 let got = run(&workers, &scores, shards, threads, balanced);

@@ -30,6 +30,7 @@ use fairjob_core::algorithms::{self, Algorithm};
 use fairjob_core::{AuditConfig, AuditContext, EngineCaches};
 use fairjob_hist::distance::{self, HistogramDistance};
 use fairjob_hist::BinSpec;
+use fairjob_store::column::CodeColumn;
 use fairjob_store::column::Column;
 use fairjob_store::index::IndexSet;
 use fairjob_store::stats::{cardinality_present, summarise, ColumnSummary};
@@ -191,8 +192,8 @@ pub struct Session<'a> {
     /// Lazily built inverted indexes (batch sources only; snapshots
     /// bring their own).
     batch_indexes: Option<Arc<IndexSet>>,
-    /// Lazily built score→bin arrays, per bin count (batch only).
-    batch_bin_of: HashMap<usize, Arc<Vec<u32>>>,
+    /// Lazily built score→bin columns, per bin count (batch only).
+    batch_bin_of: HashMap<usize, Arc<CodeColumn>>,
     warm: WarmCache,
 }
 
@@ -312,7 +313,8 @@ impl<'a> Session<'a> {
     fn ensure_batch_indexes(&mut self) {
         if let (Source::Batch { table, .. }, None) = (&self.source, &self.batch_indexes) {
             self.batch_indexes = Some(Arc::new(
-                IndexSet::build(table).expect("schema-valid table indexes"),
+                IndexSet::build(table, &table.schema().splittable())
+                    .expect("schema-valid table indexes"),
             ));
         }
     }
@@ -462,14 +464,14 @@ impl<'a> Session<'a> {
         }
     }
 
-    fn batch_bin_of(&mut self, bins: usize) -> Result<Arc<Vec<u32>>, QueryError> {
+    fn batch_bin_of(&mut self, bins: usize) -> Result<Arc<CodeColumn>, QueryError> {
         if let Some(cached) = self.batch_bin_of.get(&bins) {
             return Ok(Arc::clone(cached));
         }
         let spec = BinSpec::equal_width(0.0, 1.0, bins)
             .map_err(|e| QueryError::Exec(format!("bins: {e}")))?;
-        let scores = self.source.scores().expect("bin arrays are batch-only");
-        let bin_of: Arc<Vec<u32>> = Arc::new(spec.bin_indices(scores));
+        let scores = self.source.scores().expect("bin columns are batch-only");
+        let bin_of = Arc::new(CodeColumn::from_values(bins, &spec.bin_indices(scores)));
         self.batch_bin_of.insert(bins, Arc::clone(&bin_of));
         Ok(bin_of)
     }

@@ -277,7 +277,7 @@ proptest! {
             0 => "EXPLAIN ANALYZE AUDIT workers PROTECT gender, country",
             _ => "EXPLAIN ANALYZE AUDIT workers WHERE country = 'India' BINS 8",
         };
-        let baseline = explain_analyze_lines(query, size, ShardPolicy::Disabled, 1);
+        let baseline = explain_analyze_lines(query, size, ShardPolicy::Fixed(1), 1);
         for shards in [ShardPolicy::Fixed(1), ShardPolicy::Fixed(3), ShardPolicy::Fixed(7), ShardPolicy::Auto] {
             for threads in [1usize, 2, 8] {
                 let other = explain_analyze_lines(query, size, shards, threads);

@@ -523,7 +523,9 @@ fn do_epoch(
     // the session — they would be parsed as request lines. Reading
     // before taking the writer lock also keeps a slow writer's payload
     // I/O from blocking the `writer-busy` answer to a rival session.
-    let mut payload = Vec::with_capacity(count);
+    // `count` is client-supplied: the payload grows only as lines
+    // arrive, never by reserving `count` slots up front.
+    let mut payload = Vec::new();
     while payload.len() < count {
         match lines.next_line(|| false)? {
             Some(line) => payload.push(line),

@@ -9,6 +9,8 @@ use fairjob_marketplace::stream::{generate_stream, Event, StreamConfig};
 use fairjob_serve::{protocol, ServeClient, ServeConfig, Server};
 use fairjob_store::schema::Schema;
 use fairjob_stream::StreamView;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -331,6 +333,33 @@ fn shutdown_verb_drains_from_the_wire() {
     let mut client = ServeClient::connect(server.addr()).unwrap();
     assert_eq!(client.request("SHUTDOWN").unwrap(), "OK draining");
     assert_eq!(server.join().unwrap(), 1);
+}
+
+/// `EPOCH <count>` takes its count from the client. A huge count with
+/// no payload behind it gets a typed error — nothing is reserved for
+/// records that never arrive — and the server keeps serving others.
+#[test]
+fn huge_epoch_count_gets_a_typed_error() {
+    let scn = scenario(30, 0, 19);
+    let server = start(&scn, ServeConfig::default());
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap(); // the greeting
+    stream.write_all(b"EPOCH 10000000000\n").unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.starts_with("ERR usage") && line.contains("truncated"),
+        "got {line}"
+    );
+
+    let mut other = ServeClient::connect(server.addr()).unwrap();
+    assert_eq!(other.request("PING").unwrap(), "OK pong");
+    other.quit();
+    server.shutdown();
+    server.join().unwrap();
 }
 
 #[test]

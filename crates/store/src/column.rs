@@ -74,10 +74,112 @@ impl Column {
     }
 }
 
+/// A row-aligned column of small non-negative integers — dictionary
+/// codes or histogram bin indices — one byte per row when every value
+/// of the domain fits (at most [`CodeColumn::NARROW_DOMAIN`] values),
+/// four bytes otherwise. The split kernels walk these columns row by
+/// row and are bandwidth bound, so the narrow form is their main lever.
+///
+/// Values must lie in the domain the column was created for; a narrow
+/// column truncates wider values.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CodeColumn {
+    /// One byte per row (domain of at most 256 values).
+    Narrow(Vec<u8>),
+    /// Four bytes per row.
+    Wide(Vec<u32>),
+}
+
+impl CodeColumn {
+    /// Largest domain stored one byte per row.
+    pub const NARROW_DOMAIN: usize = 256;
+
+    /// `len` zeros, in the width a domain of `domain` values needs.
+    pub fn zeroed(domain: usize, len: usize) -> Self {
+        if domain <= Self::NARROW_DOMAIN {
+            CodeColumn::Narrow(vec![0; len])
+        } else {
+            CodeColumn::Wide(vec![0; len])
+        }
+    }
+
+    /// A copy of `values` (each `< domain`) in the width `domain` needs.
+    pub fn from_values(domain: usize, values: &[u32]) -> Self {
+        let mut column = Self::zeroed(domain, values.len());
+        column.write_at(0, values);
+        column
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match self {
+            CodeColumn::Narrow(v) => v.len(),
+            CodeColumn::Wide(v) => v.len(),
+        }
+    }
+
+    /// True when the column has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The value of row `row` (panics when out of range).
+    pub fn get(&self, row: usize) -> u32 {
+        match self {
+            CodeColumn::Narrow(v) => u32::from(v[row]),
+            CodeColumn::Wide(v) => v[row],
+        }
+    }
+
+    /// Overwrite row `row` (panics when out of range).
+    pub fn set(&mut self, row: usize, value: u32) {
+        match self {
+            CodeColumn::Narrow(v) => v[row] = value as u8,
+            CodeColumn::Wide(v) => v[row] = value,
+        }
+    }
+
+    /// Append one row.
+    pub fn push(&mut self, value: u32) {
+        match self {
+            CodeColumn::Narrow(v) => v.push(value as u8),
+            CodeColumn::Wide(v) => v.push(value),
+        }
+    }
+
+    /// Overwrite rows `first..first + values.len()` (panics when the
+    /// range runs past the end).
+    pub fn write_at(&mut self, first: usize, values: &[u32]) {
+        let end = first + values.len();
+        match self {
+            CodeColumn::Narrow(v) => {
+                for (dst, &value) in v[first..end].iter_mut().zip(values) {
+                    *dst = value as u8;
+                }
+            }
+            CodeColumn::Wide(v) => v[first..end].copy_from_slice(values),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::DataType;
+
+    #[test]
+    fn code_column_width_follows_the_domain() {
+        let values = [0u32, 255, 3];
+        let narrow = CodeColumn::from_values(256, &values);
+        assert_eq!(narrow, CodeColumn::Narrow(vec![0, 255, 3]));
+        assert_eq!(narrow.get(1), 255);
+        let mut wide = CodeColumn::from_values(257, &values);
+        wide.push(256);
+        wide.set(0, 7);
+        assert_eq!(wide, CodeColumn::Wide(vec![7, 255, 3, 256]));
+        assert_eq!(wide.get(3), 256);
+        assert!(CodeColumn::zeroed(10, 0).is_empty());
+    }
 
     #[test]
     fn empty_for_matches_dtype() {

@@ -7,8 +7,8 @@
 //! sorted, a partition sliced by such ranges decomposes into contiguous
 //! subslices whose concatenation *in shard order* reproduces the serial
 //! walk exactly; per-shard results merged in that order are therefore
-//! bit-identical to the unsharded kernels for every shard count and
-//! every thread count. Counts are merged by integer addition (exact),
+//! bit-identical to one serial walk of the kernel for every shard count
+//! and every thread count. Counts are merged by integer addition (exact),
 //! and row vectors by concatenation (order-preserving) — no
 //! floating-point reassociation happens in any sharded merge.
 //!
@@ -37,34 +37,30 @@ pub enum ShardPolicy {
     /// (the default).
     #[default]
     Auto,
-    /// Exactly this many shards (clamped to the row count).
+    /// Exactly this many shards (clamped to the row count); `Fixed(1)`
+    /// runs every kernel as one serial walk.
     Fixed(usize),
-    /// No sharding: run the legacy scalar kernels unchanged. This is
-    /// the baseline the `shard_scale` bench gates against.
-    Disabled,
 }
 
 impl ShardPolicy {
-    /// Resolve the policy into a plan over `n_rows` rows, or `None`
-    /// when sharding is disabled. `parallelism` is the caller's thread
-    /// budget (only consulted by [`ShardPolicy::Auto`]).
-    pub fn plan(self, n_rows: usize, parallelism: usize) -> Option<ShardPlan> {
+    /// Resolve the policy into a plan over `n_rows` rows. `parallelism`
+    /// is the caller's thread budget (only consulted by
+    /// [`ShardPolicy::Auto`]).
+    pub fn plan(self, n_rows: usize, parallelism: usize) -> ShardPlan {
         match self {
-            ShardPolicy::Disabled => None,
-            ShardPolicy::Fixed(shards) => Some(ShardPlan::new(n_rows, shards)),
+            ShardPolicy::Fixed(shards) => ShardPlan::new(n_rows, shards),
             ShardPolicy::Auto => {
                 let want = n_rows.div_ceil(AUTO_ROWS_PER_SHARD).max(1);
                 let cap = parallelism.max(1) * AUTO_OVERSUBSCRIPTION;
-                Some(ShardPlan::new(n_rows, want.min(cap)))
+                ShardPlan::new(n_rows, want.min(cap))
             }
         }
     }
 
-    /// Parse the CLI / FairQL surface form: `auto`, `off`, or a count.
+    /// Parse the CLI / FairQL surface form: `auto` or a positive count.
     pub fn parse(text: &str) -> Option<ShardPolicy> {
         match text {
             "auto" => Some(ShardPolicy::Auto),
-            "off" | "disabled" | "0" => Some(ShardPolicy::Disabled),
             n => n
                 .parse::<usize>()
                 .ok()
@@ -79,7 +75,6 @@ impl std::fmt::Display for ShardPolicy {
         match self {
             ShardPolicy::Auto => write!(f, "auto"),
             ShardPolicy::Fixed(n) => write!(f, "{n}"),
-            ShardPolicy::Disabled => write!(f, "off"),
         }
     }
 }
@@ -252,23 +247,22 @@ mod tests {
 
     #[test]
     fn policy_resolution() {
-        assert!(ShardPolicy::Disabled.plan(100, 4).is_none());
-        assert_eq!(ShardPolicy::Fixed(3).plan(100, 1).unwrap().shards(), 3);
+        assert_eq!(ShardPolicy::Fixed(1).plan(100, 4).shards(), 1);
+        assert_eq!(ShardPolicy::Fixed(3).plan(100, 1).shards(), 3);
         // Auto: one shard per granule, capped by parallelism.
-        let auto = ShardPolicy::Auto.plan(AUTO_ROWS_PER_SHARD * 10, 2).unwrap();
+        let auto = ShardPolicy::Auto.plan(AUTO_ROWS_PER_SHARD * 10, 2);
         assert_eq!(auto.shards(), 2 * AUTO_OVERSUBSCRIPTION);
-        assert_eq!(ShardPolicy::Auto.plan(100, 8).unwrap().shards(), 1);
+        assert_eq!(ShardPolicy::Auto.plan(100, 8).shards(), 1);
     }
 
     #[test]
     fn policy_parses_surface_forms() {
         assert_eq!(ShardPolicy::parse("auto"), Some(ShardPolicy::Auto));
-        assert_eq!(ShardPolicy::parse("off"), Some(ShardPolicy::Disabled));
-        assert_eq!(ShardPolicy::parse("0"), Some(ShardPolicy::Disabled));
         assert_eq!(ShardPolicy::parse("5"), Some(ShardPolicy::Fixed(5)));
+        assert_eq!(ShardPolicy::parse("off"), None);
+        assert_eq!(ShardPolicy::parse("0"), None);
         assert_eq!(ShardPolicy::parse("nope"), None);
         assert_eq!(ShardPolicy::Auto.to_string(), "auto");
         assert_eq!(ShardPolicy::Fixed(5).to_string(), "5");
-        assert_eq!(ShardPolicy::Disabled.to_string(), "off");
     }
 }

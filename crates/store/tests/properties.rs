@@ -2,6 +2,7 @@
 //! round-trips, bucketisation totality.
 
 use fairjob_store::bucketize::{bucketize, BucketSpec};
+use fairjob_store::column::CodeColumn;
 use fairjob_store::groupby::{group_by, group_by_many};
 use fairjob_store::index::CategoricalIndex;
 use fairjob_store::schema::{AttributeKind, Schema};
@@ -98,9 +99,10 @@ proptest! {
             within.rows().iter().copied().filter(|&r| (r as usize) < t.len()).collect(),
         );
         let bin_of: Vec<u32> = (0..t.len() as u32).map(|r| r % bins as u32).collect();
+        let bin_column = CodeColumn::from_values(bins, &bin_of);
         for attr in t.schema().splittable() {
             let idx = CategoricalIndex::build(&t, attr).unwrap();
-            let kernel = idx.split_with_bins(&within, &bin_of, bins);
+            let kernel = idx.split_rows(within.rows(), &bin_column, bins);
             let legacy = idx.split(&within);
             prop_assert_eq!(kernel.len(), legacy.len());
             for (child, (code, rows)) in kernel.iter().zip(&legacy) {

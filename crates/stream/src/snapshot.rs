@@ -15,6 +15,7 @@
 use crate::error::StreamError;
 use fairjob_core::{AuditConfig, AuditContext};
 use fairjob_hist::BinSpec;
+use fairjob_store::column::CodeColumn;
 use fairjob_store::index::IndexSet;
 use fairjob_store::paged::{self, PagedWriteSummary};
 use fairjob_store::table::Table;
@@ -31,7 +32,7 @@ pub struct StreamSnapshot {
     scores: Arc<Vec<f64>>,
     live: RowSet,
     indexes: Arc<IndexSet>,
-    bin_of: Arc<Vec<u32>>,
+    bin_of: Arc<CodeColumn>,
     spec: BinSpec,
     epoch: u64,
 }
@@ -44,7 +45,7 @@ impl StreamSnapshot {
         scores: Arc<Vec<f64>>,
         live: RowSet,
         indexes: Arc<IndexSet>,
-        bin_of: Arc<Vec<u32>>,
+        bin_of: Arc<CodeColumn>,
         spec: BinSpec,
         epoch: u64,
     ) -> Self {
@@ -94,22 +95,7 @@ impl StreamSnapshot {
     /// the snapshot's layout; [`StreamError::Audit`] for unusable
     /// configs.
     pub fn context(&self, config: AuditConfig) -> Result<AuditContext<'_>, StreamError> {
-        if config.bins != self.spec.len() {
-            return Err(StreamError::BinMismatch {
-                view: self.spec.len(),
-                config: config.bins,
-            });
-        }
-        AuditContext::from_parts(
-            self.table.as_ref(),
-            self.scores.as_slice(),
-            config,
-            Arc::clone(&self.indexes),
-            Arc::clone(&self.bin_of),
-            Some(self.live.clone()),
-            self.epoch,
-        )
-        .map_err(StreamError::Audit)
+        self.context_over(config, self.live.clone())
     }
 
     /// Like [`context`](Self::context), but restricted to `live` — a

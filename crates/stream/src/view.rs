@@ -6,6 +6,7 @@ use fairjob_core::{AuditConfig, AuditContext, AuditError, RowChange, RowFacts};
 use fairjob_hist::BinSpec;
 use fairjob_marketplace::stream::Event;
 use fairjob_store::bitmap::Bitmap;
+use fairjob_store::column::CodeColumn;
 use fairjob_store::index::IndexSet;
 use fairjob_store::schema::DataType;
 use fairjob_store::table::Table;
@@ -58,7 +59,7 @@ pub struct StreamView {
     /// hand-off, no rebuild); mutated via `Arc::make_mut` between
     /// audits, when no context of *this* view is borrowing them.
     indexes: Arc<IndexSet>,
-    bin_of: Arc<Vec<u32>>,
+    bin_of: Arc<CodeColumn>,
     spec: BinSpec,
     epoch: u64,
 }
@@ -113,13 +114,13 @@ impl StreamView {
         }
         let spec = BinSpec::equal_width(0.0, 1.0, bins)
             .map_err(|e| StreamError::Audit(AuditError::Bins(e.to_string())))?;
-        let indexes = Arc::new(IndexSet::build(&table)?);
+        let indexes = Arc::new(IndexSet::build(&table, &table.schema().splittable())?);
         // Bulk classification through the chunked kernel (identical
         // indices to per-row `bin_index`; asserted in the hist crate).
         // Epoch patching below stays per-row: deltas are small relative
         // to the initial population, so per-event updates beat
         // reclassifying the column.
-        let bin_of: Arc<Vec<u32>> = Arc::new(spec.bin_indices(&scores));
+        let bin_of = Arc::new(CodeColumn::from_values(bins, &spec.bin_indices(&scores)));
         let live = match live {
             Some(rows) => {
                 if let Some(&last) = rows.rows().last() {
@@ -238,8 +239,8 @@ impl StreamView {
                     validate_score(*worker, *score)?;
                     self.record_before(&mut touched, *worker)?;
                     Arc::make_mut(&mut self.scores)[*worker as usize] = *score;
-                    Arc::make_mut(&mut self.bin_of)[*worker as usize] =
-                        self.spec.bin_index(*score) as u32;
+                    Arc::make_mut(&mut self.bin_of)
+                        .set(*worker as usize, self.spec.bin_index(*score) as u32);
                 }
                 Event::AttributeChanged {
                     worker,
@@ -367,7 +368,7 @@ impl StreamView {
         }
         Ok(RowFacts {
             codes,
-            bin: self.bin_of[row as usize],
+            bin: self.bin_of.get(row as usize),
         })
     }
 
@@ -441,7 +442,7 @@ mod tests {
     #[test]
     fn score_update_moves_bin_and_reports_change() {
         let mut v = view(8, 3);
-        let before_bin = v.bin_of[0];
+        let before_bin = v.bin_of.get(0);
         let delta = v
             .apply_epoch(&[Event::ScoreUpdated {
                 worker: 0,
@@ -451,7 +452,7 @@ mod tests {
         assert_eq!(v.epoch(), 1);
         assert_eq!(delta.epoch, 1);
         assert_eq!(v.scores()[0], 0.999);
-        assert_eq!(v.bin_of[0], 9);
+        assert_eq!(v.bin_of.get(0), 9);
         assert_eq!(delta.changes.len(), 1);
         let c = &delta.changes[0];
         assert_eq!(c.row, 0);
@@ -484,7 +485,7 @@ mod tests {
         assert!(delta.changes[0].before.is_none());
         assert!(delta.changes[0].after.is_some());
         // The maintained indexes match a from-scratch rebuild.
-        let rebuilt = IndexSet::build(v.table()).unwrap();
+        let rebuilt = IndexSet::build(v.table(), &v.table().schema().splittable()).unwrap();
         for attr in v.table().schema().splittable() {
             assert_eq!(
                 v.indexes.get(attr).unwrap().codes(),
@@ -582,7 +583,7 @@ mod tests {
             .unwrap();
         let new = v.table().code_at(attr, 3).unwrap();
         assert_ne!(old, new);
-        assert_eq!(v.indexes.get(attr).unwrap().codes()[3], new);
+        assert_eq!(v.indexes.get(attr).unwrap().codes().get(3), new);
         assert!(v.indexes.get(attr).unwrap().rows_with_code(new).contains(3));
         assert!(!v.indexes.get(attr).unwrap().rows_with_code(old).contains(3));
         let c = &delta.changes[0];

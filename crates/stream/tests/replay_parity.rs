@@ -105,9 +105,9 @@ proptest! {
     }
 
     /// The warm-cache replay path is shard-layout independent: the same
-    /// event stream driven through auditors configured with `shards =
-    /// off`, fixed counts, and `auto` produces bit-identical unfairness
-    /// at every epoch, across thread counts.
+    /// event stream driven through auditors configured with fixed shard
+    /// counts and `auto` produces bit-identical unfairness at every
+    /// epoch, across thread counts.
     #[test]
     fn warm_replay_is_bit_identical_across_shard_layouts(
         initial in 40usize..120,
@@ -141,7 +141,7 @@ proptest! {
             }
             bits
         };
-        let baseline = run(ShardPolicy::Disabled, 1);
+        let baseline = run(ShardPolicy::Fixed(1), 1);
         for shards in [ShardPolicy::Fixed(2), ShardPolicy::Fixed(7), ShardPolicy::Auto] {
             for threads in [1usize, 2, 8] {
                 prop_assert_eq!(
