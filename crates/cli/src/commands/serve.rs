@@ -7,10 +7,10 @@
 //! failure — which still drains every in-flight session before this
 //! command returns an error, instead of aborting mid-request).
 //!
-//! The bound address is printed to stdout as soon as the listener is
-//! up (port 0 resolves to an ephemeral port) and, with `--addr-file`,
-//! also written to a file so scripts can discover it without parsing
-//! output.
+//! The daemon audits its starting epoch before it listens. The bound
+//! address is printed to stdout as soon as the listener is up (port 0
+//! resolves to an ephemeral port) and, with `--addr-file`, also written
+//! to a file so scripts can discover it without parsing output.
 
 use crate::args::Args;
 use crate::CliError;

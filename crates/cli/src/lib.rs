@@ -123,13 +123,15 @@ population layout; numeric protected attributes are auto-bucketised
 into 5 bands. Without --schema the paper's AMT worker schema is assumed.
 
 `serve` starts the resident audit daemon: a TCP server speaking the
-line-delimited fairjob-serve v1 protocol (AUDIT, EPOCH, METRICS,
-HEALTH, STATS, PING, QUIT, SHUTDOWN). One writer session appends
-epochs; concurrent readers audit the published snapshot; --max-inflight
-bounds concurrent audits (excess gets `ERR overloaded`). --addr
-defaults to 127.0.0.1:0; the bound address is printed on startup and,
-with --addr-file, written to a file for scripts. --max-sessions serves
-a bounded number of sessions then drains and exits.
+line-delimited fairjob-serve v1 protocol (AUDIT, QUERY, EPOCH,
+METRICS, HEALTH, STATS, PING, QUIT, SHUTDOWN). It audits the starting
+epoch, then one writer session appends epochs, each audited by the
+writer; AUDIT returns the writer's report on the published epoch;
+--max-inflight bounds concurrent QUERYs (excess gets `ERR overloaded`).
+--addr defaults to 127.0.0.1:0; the bound address is printed once the
+start audit is done and, with --addr-file, written to a file for
+scripts. --max-sessions serves a bounded number of sessions then
+drains and exits.
 
 `query` runs FairQL: `AUDIT workers [WHERE a = 'v' ...] [PROTECT cols]
 [USING alg] [METRIC m] [BINS n]`, `SELECT ... FROM workers [GROUP BY

@@ -72,14 +72,11 @@ impl ServeClient {
         self.read_response()
     }
 
-    /// `AUDIT` the published snapshot.
+    /// `AUDIT`: the writer's report on the published epoch.
     ///
     /// # Errors
     ///
-    /// See [`ServeClient::request`]; `ERR overloaded …` surfaces as
-    /// [`ServeError::Protocol`] — check with [`is_overloaded`].
-    ///
-    /// [`is_overloaded`]: ServeClient::is_overloaded
+    /// See [`ServeClient::request`].
     pub fn audit(&mut self) -> Result<String, ServeError> {
         self.request("AUDIT")
     }
@@ -92,7 +89,11 @@ impl ServeClient {
     ///
     /// See [`ServeClient::request`]; FairQL errors surface as
     /// [`ServeError::Protocol`] carrying the server's
-    /// `ERR parse <offset> <message>` or `ERR query <message>` line.
+    /// `ERR parse <offset> <message>` or `ERR query <message>` line,
+    /// and admission rejections as `ERR overloaded …` — check with
+    /// [`is_overloaded`].
+    ///
+    /// [`is_overloaded`]: ServeClient::is_overloaded
     pub fn query(&mut self, text: &str) -> Result<(String, Vec<String>), ServeError> {
         let header = self.request(&format!("QUERY {text}"))?;
         let count: usize = protocol::kv(&header, "lines")

@@ -4,7 +4,7 @@
 //! `ERR <code> <detail>` response lines; transport failures
 //! ([`ServeError::Io`]) end the session or the accept loop.
 
-use fairjob_core::AuditError;
+use crate::protocol::MAX_LINE_BYTES;
 use fairjob_stream::StreamError;
 use std::fmt;
 
@@ -34,6 +34,10 @@ pub enum ServeError {
     WriterPoisoned,
     /// A malformed request line or epoch payload.
     Protocol(String),
+    /// A request line or epoch payload record longer than
+    /// [`MAX_LINE_BYTES`]. The framing is lost, so the server answers
+    /// once and closes the session.
+    LineTooLong,
     /// A FairQL parse or analysis failure; `position` is the byte
     /// offset in the query text. Renders as
     /// `ERR parse <position> <message>`.
@@ -47,10 +51,9 @@ pub enum ServeError {
     Query(String),
     /// The server is draining; no new work is admitted.
     ShuttingDown,
-    /// Underlying stream-layer failure (event application, snapshots).
+    /// Underlying stream-layer failure (event application, the
+    /// writer's audits, snapshots).
     Stream(StreamError),
-    /// Underlying audit failure.
-    Audit(AuditError),
 }
 
 impl ServeError {
@@ -61,12 +64,11 @@ impl ServeError {
             ServeError::Overloaded { .. } => "overloaded",
             ServeError::WriterBusy { .. } => "writer-busy",
             ServeError::WriterPoisoned => "writer-poisoned",
-            ServeError::Protocol(_) => "usage",
+            ServeError::Protocol(_) | ServeError::LineTooLong => "usage",
             ServeError::Parse { .. } => "parse",
             ServeError::Query(_) => "query",
             ServeError::ShuttingDown => "shutting-down",
             ServeError::Stream(_) => "stream",
-            ServeError::Audit(_) => "audit",
         }
     }
 }
@@ -88,11 +90,13 @@ impl fmt::Display for ServeError {
                 )
             }
             ServeError::Protocol(msg) => write!(f, "{msg}"),
+            ServeError::LineTooLong => {
+                write!(f, "line longer than {MAX_LINE_BYTES} bytes; closing")
+            }
             ServeError::Parse { position, message } => write!(f, "{position} {message}"),
             ServeError::Query(msg) => write!(f, "{msg}"),
             ServeError::ShuttingDown => write!(f, "server is draining"),
             ServeError::Stream(e) => write!(f, "stream: {e}"),
-            ServeError::Audit(e) => write!(f, "audit: {e}"),
         }
     }
 }
@@ -108,11 +112,5 @@ impl From<std::io::Error> for ServeError {
 impl From<StreamError> for ServeError {
     fn from(e: StreamError) -> Self {
         ServeError::Stream(e)
-    }
-}
-
-impl From<AuditError> for ServeError {
-    fn from(e: AuditError) -> Self {
-        ServeError::Audit(e)
     }
 }

@@ -3,13 +3,14 @@
 //! Newline-framed text, versioned like `fairjob-events v1`: the server
 //! greets each connection with [`PROTOCOL_HEADER`], then answers every
 //! request line with exactly one response line — `OK key=value …` or
-//! `ERR <code> <detail>`. Verbs:
+//! `ERR <code> <detail>`. A line longer than [`MAX_LINE_BYTES`] gets
+//! `ERR usage …` and closes the session. Verbs:
 //!
 //! | request            | meaning                                              |
 //! |--------------------|------------------------------------------------------|
-//! | `AUDIT`            | run the configured audit on the published snapshot   |
+//! | `AUDIT`            | the writer's audit of the published epoch, rendered when it was published; runs no audit |
 //! | `QUERY <fairql>`   | run FairQL statements against the published snapshot; multi-line framed response (`OK results=… lines=n` + `n` payload lines) |
-//! | `EPOCH <k>`        | writer-only: apply the next `k` event record lines as one epoch, re-audit warm, publish the new snapshot |
+//! | `EPOCH <k>`        | writer-only: apply the next `k` event record lines as one epoch, re-audit warm, publish the new snapshot with its `AUDIT` reply |
 //! | `METRICS`          | server-wide counters (sessions, audits, `EngineStats` totals, epoch lag, pool spawns) |
 //! | `HEALTH`           | liveness probe: epoch, live rows, admission state    |
 //! | `STATS`            | this session's request/audit/epoch/error counts      |
@@ -29,10 +30,15 @@ use fairjob_store::schema::Schema;
 /// Version greeting; the first line a client reads after connecting.
 pub const PROTOCOL_HEADER: &str = "fairjob-serve v1";
 
+/// Longest request line or `EPOCH` payload record the server reads,
+/// terminator excluded; a longer one gets `ERR usage` and closes the
+/// session.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// A parsed request line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Run an audit against the currently published snapshot.
+    /// The writer's audit of the currently published epoch.
     Audit,
     /// Run FairQL statement text against the published snapshot. A
     /// FairQL parse/analysis failure answers

@@ -8,16 +8,25 @@
 //!   claims the writer role for its lifetime; it owns the
 //!   [`StreamAuditor`] and appends epochs through the warm incremental
 //!   path. Everyone else gets `ERR writer-busy`.
-//! - **Snapshot publication.** After each applied epoch the writer
-//!   swaps a fresh [`StreamSnapshot`] behind an `Arc`; reader `AUDIT`s
-//!   clone that `Arc` and audit off-lock, so a long audit never blocks
-//!   ingest and an epoch application never blocks audits. Reader
-//!   results are bit-identical to a cold offline audit of the same
-//!   epoch (copy-on-write isolation: later writer mutations cannot
-//!   reach a published snapshot).
-//! - **Admission control.** At most `max_inflight` audits run at once;
-//!   excess requests are rejected with `ERR overloaded` immediately
-//!   instead of queueing ([`AdmissionGate`]).
+//! - **Publication.** [`Server::start`] audits the starting epoch
+//!   through the writer's [`StreamAuditor`], and each applied epoch is
+//!   audited warm by the writer. Each audited epoch is published as one
+//!   `Arc` holding the [`StreamSnapshot`] and the `AUDIT` reply rendered
+//!   from the writer's [`EpochReport`], swapped in a single store. A
+//!   reader `AUDIT` returns that reply: it runs no audit and needs no
+//!   admission permit. The writer's warm result is bit-identical to a
+//!   cold offline audit of the same epoch.
+//! - **Off-lock queries.** `QUERY` clones the published `Arc` and runs
+//!   FairQL against its snapshot off-lock, so a long query never blocks
+//!   ingest and an epoch application never blocks queries
+//!   (copy-on-write isolation: later writer mutations cannot reach a
+//!   published snapshot).
+//! - **Admission control.** At most `max_inflight` queries run at
+//!   once; excess requests are rejected with `ERR overloaded`
+//!   immediately instead of queueing ([`AdmissionGate`]).
+//! - **Bounded lines.** A request line or `EPOCH` payload record longer
+//!   than [`protocol::MAX_LINE_BYTES`] gets `ERR usage` and closes the
+//!   session, since the framing is lost.
 //! - **Clean shutdown.** `SHUTDOWN`, [`Server::shutdown`], or a
 //!   listener error set the drain flag; sessions notice within one
 //!   poll interval, finish their current request, and the accept loop
@@ -26,18 +35,18 @@
 
 use crate::admission::AdmissionGate;
 use crate::error::ServeError;
-use crate::protocol::{self, Request, PROTOCOL_HEADER};
+use crate::protocol::{self, Request, MAX_LINE_BYTES, PROTOCOL_HEADER};
 use fairjob_core::algorithms::Algorithm;
 use fairjob_core::pool::WorkerPool;
 use fairjob_core::{AuditConfig, EngineStats};
 use fairjob_fairql::{Defaults, QueryError, QueryOutput, Session, Source, WarmCache};
-use fairjob_stream::{StreamAuditor, StreamSnapshot, StreamView};
+use fairjob_stream::{EpochReport, StreamAuditor, StreamSnapshot, StreamView};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How a [`Server`] is run.
 #[derive(Debug, Clone)]
@@ -45,7 +54,8 @@ pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`Server::addr`]).
     pub addr: String,
-    /// Concurrent-audit budget; further `AUDIT`s get `ERR overloaded`.
+    /// Concurrent-`QUERY` budget; further `QUERY`s get
+    /// `ERR overloaded`. `AUDIT` needs no permit.
     pub max_inflight: usize,
     /// Accept at most this many sessions, then stop listening and
     /// drain — `None` serves until [`Server::shutdown`]. Lets a CLI
@@ -79,25 +89,53 @@ struct Metrics {
     queries_ok: AtomicU64,
     epochs_applied: AtomicU64,
     errors: AtomicU64,
-    /// Worst observed audit staleness: published epoch at audit
-    /// completion minus the epoch the audit ran against.
+    /// Worst observed `QUERY` staleness: published epoch at query
+    /// completion minus the epoch the query ran against.
     max_epoch_lag: AtomicU64,
-    /// [`EngineStats`] totals across every audit and epoch.
+    /// [`EngineStats`] totals of the writer's audits (the start audit
+    /// and each epoch) and of `QUERY` audits.
     engine: Mutex<EngineStats>,
 }
 
 /// The writer role: whichever session holds `owner` may append epochs.
 /// A failed epoch retires the auditor (`None` = poisoned): the view may
 /// hold a partial epoch, so appending stops while readers keep serving
-/// the last published snapshot.
+/// the last published epoch.
 #[derive(Debug)]
 struct WriterState {
     auditor: Option<StreamAuditor>,
     owner: Option<u64>,
 }
 
+/// One audited epoch as readers see it: the snapshot `QUERY` runs
+/// against and the `AUDIT` reply rendered from the writer's report on
+/// it. The reply is kept as a line rather than an `AuditResult`, so a
+/// published epoch keeps no partition row sets alive.
+#[derive(Debug)]
+struct Published {
+    snapshot: StreamSnapshot,
+    audit_reply: String,
+}
+
+impl Published {
+    fn new(snapshot: StreamSnapshot, report: &EpochReport) -> Self {
+        let audit_reply = format!(
+            "OK epoch={} live={} partitions={} {} elapsed_us={}",
+            report.epoch,
+            report.live_workers,
+            report.audit.partitioning.partitions().len(),
+            protocol::render_f64("unfairness", report.audit.unfairness),
+            report.audit.elapsed.as_micros(),
+        );
+        Published {
+            snapshot,
+            audit_reply,
+        }
+    }
+}
+
 struct Shared {
-    snapshot: Mutex<Arc<StreamSnapshot>>,
+    published: Mutex<Arc<Published>>,
     writer: Mutex<WriterState>,
     gate: AdmissionGate,
     algorithm: Arc<dyn Algorithm + Send + Sync>,
@@ -118,8 +156,8 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    fn published(&self) -> Arc<StreamSnapshot> {
-        Arc::clone(&lock_ignore_poison(&self.snapshot))
+    fn published(&self) -> Arc<Published> {
+        Arc::clone(&lock_ignore_poison(&self.published))
     }
 
     /// Set the drain flag and unblock a listener parked in `accept`.
@@ -137,27 +175,34 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind `serve.addr` and start serving `view` with `algorithm`
-    /// under `config`. The initial snapshot (the view's current epoch)
-    /// is published immediately, before any writer connects.
+    /// Audit `view`'s current epoch with `algorithm` under `config`
+    /// through the writer's [`StreamAuditor`], publish it, then bind
+    /// `serve.addr` and start serving. The start audit also warms the
+    /// writer's caches, so the first `EPOCH` runs incrementally.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] if the bind fails, or
     /// [`ServeError::Stream`] on a bin-layout mismatch between `view`
-    /// and `config`.
+    /// and `config`, or when the start audit fails (an unusable
+    /// `config`, such as an unknown attribute); [`ServeError::Io`] if
+    /// the bind fails.
     pub fn start(
         view: StreamView,
         algorithm: Arc<dyn Algorithm + Send + Sync>,
         config: AuditConfig,
         serve: ServeConfig,
     ) -> Result<Server, ServeError> {
-        let snapshot = view.snapshot();
-        let auditor = StreamAuditor::new(view, config.clone())?;
+        let mut auditor = StreamAuditor::new(view, config.clone())?;
+        let report = auditor.audit(&*algorithm)?;
+        let published = Published::new(auditor.view().snapshot(), &report);
+        let metrics = Metrics {
+            engine: Mutex::new(report.audit.engine),
+            ..Metrics::default()
+        };
         let listener = TcpListener::bind(&serve.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            snapshot: Mutex::new(Arc::new(snapshot)),
+            published: Mutex::new(Arc::new(published)),
             writer: Mutex::new(WriterState {
                 auditor: Some(auditor),
                 owner: None,
@@ -165,7 +210,7 @@ impl Server {
             gate: AdmissionGate::new(serve.max_inflight),
             algorithm,
             config,
-            metrics: Metrics::default(),
+            metrics,
             shutdown: AtomicBool::new(false),
             poll_interval: serve.poll_interval,
             seed: serve.seed,
@@ -193,7 +238,7 @@ impl Server {
 
     /// The epoch of the currently published snapshot.
     pub fn published_epoch(&self) -> u64 {
-        self.shared.published().epoch()
+        self.shared.published().snapshot.epoch()
     }
 
     /// Begin draining: stop admitting work, wake the accept loop.
@@ -320,29 +365,41 @@ fn session_inner(shared: &Arc<Shared>, stream: TcpStream, id: u64) -> Result<(),
     stream.set_read_timeout(Some(shared.poll_interval))?;
     let _ = stream.set_nodelay(true);
     let mut out = stream.try_clone()?;
-    out.write_all(PROTOCOL_HEADER.as_bytes())?;
-    out.write_all(b"\n")?;
-    out.flush()?;
+    respond(&mut out, PROTOCOL_HEADER)?;
     let mut lines = LineReader::new(stream);
     let mut stats = SessionStats::default();
     // FairQL caches survive across this session's QUERY requests, so a
     // repeated audit query reuses the previous run's split/distance
     // caches (invalidated automatically when the snapshot moves on).
     let mut warm = WarmCache::default();
-    while let Some(line) = lines.next_line(|| shared.draining())? {
+    loop {
+        let line = match lines.next_line(|| shared.draining()) {
+            Ok(Some(line)) => line,
+            Ok(None) => break,
+            Err(e @ ServeError::LineTooLong) => {
+                // The framing is lost: answer once, then close.
+                return respond(&mut out, &err_line(shared, &mut stats, &e));
+            }
+            Err(e) => return Err(e),
+        };
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
         stats.requests += 1;
         let (response, close) = handle(shared, id, &mut lines, line, &mut stats, &mut warm);
-        out.write_all(response.as_bytes())?;
-        out.write_all(b"\n")?;
-        out.flush()?;
+        respond(&mut out, &response)?;
         if close {
             break;
         }
     }
+    Ok(())
+}
+
+fn respond(out: &mut TcpStream, response: &str) -> Result<(), ServeError> {
+    out.write_all(response.as_bytes())?;
+    out.write_all(b"\n")?;
+    out.flush()?;
     Ok(())
 }
 
@@ -389,9 +446,11 @@ fn handle(
                 stats.epochs += 1;
                 (response, false)
             }
-            // An I/O failure while reading the payload leaves the
-            // stream mid-record: close the session.
-            Err(e @ ServeError::Io(_)) => (err_line(shared, stats, &e), true),
+            // An I/O failure or an overlong record while reading the
+            // payload leaves the stream mid-record: close the session.
+            Err(e @ (ServeError::Io(_) | ServeError::LineTooLong)) => {
+                (err_line(shared, stats, &e), true)
+            }
             Err(e) => (err_line(shared, stats, &e), false),
         },
         Request::Metrics => (render_metrics(shared), false),
@@ -412,39 +471,15 @@ fn handle(
     }
 }
 
+/// The published reply: the writer audited this epoch already, so an
+/// `AUDIT` does no audit work and draws no admission permit.
 fn do_audit(shared: &Shared) -> Result<String, ServeError> {
     if shared.draining() {
         return Err(ServeError::ShuttingDown);
     }
-    let _permit = shared.gate.try_acquire().inspect_err(|_| {
-        shared
-            .metrics
-            .audits_rejected
-            .fetch_add(1, Ordering::SeqCst);
-    })?;
-    let snapshot = shared.published();
-    let started = Instant::now();
-    let ctx = snapshot.context(shared.config.clone())?;
-    let result = shared.algorithm.run(&ctx).map_err(ServeError::Audit)?;
-    let elapsed = started.elapsed();
-    // Staleness at completion: how far the published state moved while
-    // this audit ran off its snapshot.
-    let lag = shared.published().epoch().saturating_sub(snapshot.epoch());
-    shared
-        .metrics
-        .max_epoch_lag
-        .fetch_max(lag, Ordering::SeqCst);
-    lock_ignore_poison(&shared.metrics.engine).merge(&result.engine);
+    let reply = shared.published().audit_reply.clone();
     shared.metrics.audits_ok.fetch_add(1, Ordering::SeqCst);
-    Ok(format!(
-        "OK epoch={} live={} partitions={} {} elapsed_us={} lag={}",
-        snapshot.epoch(),
-        snapshot.live_count(),
-        result.partitioning.partitions().len(),
-        protocol::render_f64("unfairness", result.unfairness),
-        elapsed.as_micros(),
-        lag,
-    ))
+    Ok(reply)
 }
 
 fn map_query_error(e: QueryError) -> ServeError {
@@ -461,15 +496,15 @@ fn do_query(shared: &Shared, warm: &mut WarmCache, text: &str) -> Result<String,
     if shared.draining() {
         return Err(ServeError::ShuttingDown);
     }
-    // Queries can run audits, so they draw from the same admission
-    // budget as the AUDIT verb.
+    // Queries can run audits, so they draw from the admission budget.
     let _permit = shared.gate.try_acquire().inspect_err(|_| {
         shared
             .metrics
             .audits_rejected
             .fetch_add(1, Ordering::SeqCst);
     })?;
-    let snapshot = shared.published();
+    let published = shared.published();
+    let snapshot = &published.snapshot;
     let defaults = Defaults {
         algorithm: Arc::clone(&shared.algorithm),
         metric: Arc::clone(&shared.config.distance),
@@ -479,7 +514,7 @@ fn do_query(shared: &Shared, warm: &mut WarmCache, text: &str) -> Result<String,
         min_partition_size: shared.config.min_partition_size,
         shards: shared.config.shards,
     };
-    let mut session = Session::new(Source::Snapshot(&snapshot), defaults)
+    let mut session = Session::new(Source::Snapshot(snapshot), defaults)
         .map_err(map_query_error)?
         .with_warm(std::mem::take(warm));
     let executed = session.execute(text);
@@ -495,6 +530,17 @@ fn do_query(shared: &Shared, warm: &mut WarmCache, text: &str) -> Result<String,
             return Err(map_query_error(e));
         }
     };
+    // Staleness at completion: how far the published state moved while
+    // this query ran off its snapshot.
+    let lag = shared
+        .published()
+        .snapshot
+        .epoch()
+        .saturating_sub(snapshot.epoch());
+    shared
+        .metrics
+        .max_epoch_lag
+        .fetch_max(lag, Ordering::SeqCst);
     let mut payload: Vec<String> = Vec::new();
     for output in &outputs {
         if let QueryOutput::Audit { summary, .. } = output {
@@ -560,7 +606,7 @@ fn do_epoch(
         Err(e) => {
             // Event application or the audit failed: the view may hold
             // a partial epoch. Retire the auditor (writer poisoned);
-            // readers keep the last published snapshot.
+            // readers keep the last published epoch.
             Err(e)
         }
     }
@@ -574,7 +620,8 @@ fn apply_epoch(
     let events = protocol::parse_epoch_records(payload, auditor.view().table().schema())
         .map_err(ServeError::Protocol)?;
     let report = auditor.run_epoch(&events, &*shared.algorithm)?;
-    *lock_ignore_poison(&shared.snapshot) = Arc::new(auditor.view().snapshot());
+    let published = Published::new(auditor.view().snapshot(), &report);
+    *lock_ignore_poison(&shared.published) = Arc::new(published);
     shared.metrics.epochs_applied.fetch_add(1, Ordering::SeqCst);
     lock_ignore_poison(&shared.metrics.engine).merge(&report.audit.engine);
     Ok(format!(
@@ -588,7 +635,8 @@ fn apply_epoch(
 }
 
 fn render_metrics(shared: &Shared) -> String {
-    let snapshot = shared.published();
+    let published = shared.published();
+    let snapshot = &published.snapshot;
     let engine = *lock_ignore_poison(&shared.metrics.engine);
     let m = &shared.metrics;
     let mut out = format!(
@@ -614,7 +662,8 @@ fn render_metrics(shared: &Shared) -> String {
 }
 
 fn render_health(shared: &Shared) -> String {
-    let snapshot = shared.published();
+    let published = shared.published();
+    let snapshot = &published.snapshot;
     let writer = lock_ignore_poison(&shared.writer);
     format!(
         "OK status={} epoch={} live={} inflight={} max_inflight={} writer={}",
@@ -634,6 +683,8 @@ fn render_health(shared: &Shared) -> String {
 /// A newline framer over a [`TcpStream`] with a read timeout:
 /// `BufReader::read_line` would lose buffered bytes on a timeout, so
 /// this keeps its own buffer and re-checks `draining` between polls.
+/// The buffer holds at most one partial line of [`MAX_LINE_BYTES`] and
+/// one read chunk.
 #[derive(Debug)]
 struct LineReader {
     stream: TcpStream,
@@ -654,30 +705,38 @@ impl LineReader {
 
     /// The next line (without its terminator), `None` on EOF or when
     /// `draining()` turns true while idle.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::LineTooLong`] once a line passes
+    /// [`MAX_LINE_BYTES`]; [`ServeError::Io`] on a read failure.
     fn next_line(&mut self, draining: impl Fn() -> bool) -> Result<Option<String>, ServeError> {
         loop {
-            if let Some(nl) = self.buf[self.start..].iter().position(|&b| b == b'\n') {
-                let end = self.start + nl;
-                let line = String::from_utf8_lossy(&self.buf[self.start..end])
+            let pending = &self.buf[self.start..];
+            let newline = pending.iter().position(|&b| b == b'\n');
+            if newline.unwrap_or(pending.len()) > MAX_LINE_BYTES {
+                return Err(ServeError::LineTooLong);
+            }
+            if let Some(nl) = newline {
+                let line = String::from_utf8_lossy(&pending[..nl])
                     .trim_end_matches('\r')
                     .to_string();
-                self.start = end + 1;
-                if self.start == self.buf.len() {
-                    self.buf.clear();
-                    self.start = 0;
-                }
+                self.start += nl + 1;
                 return Ok(Some(line));
             }
             if self.eof {
                 // Trailing bytes without a newline: surface them once.
-                if self.start < self.buf.len() {
-                    let line = String::from_utf8_lossy(&self.buf[self.start..]).to_string();
-                    self.buf.clear();
-                    self.start = 0;
-                    return Ok(Some(line));
+                if pending.is_empty() {
+                    return Ok(None);
                 }
-                return Ok(None);
+                let line = String::from_utf8_lossy(pending).to_string();
+                self.start = self.buf.len();
+                return Ok(Some(line));
             }
+            // Drop the lines already returned, so the buffer holds at
+            // most one partial line and one chunk.
+            self.buf.drain(..self.start);
+            self.start = 0;
             let mut chunk = [0u8; 4096];
             match self.stream.read(&mut chunk) {
                 Ok(0) => self.eof = true,

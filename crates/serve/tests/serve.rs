@@ -1,15 +1,16 @@
 //! End-to-end tests of the resident daemon: protocol round trips,
 //! concurrent-reader determinism against offline cold audits,
-//! admission control, writer exclusivity/poisoning, and clean drain.
+//! admission control, writer exclusivity/poisoning, bounded request
+//! lines, and clean drain.
 
 use fairjob_core::algorithms::balanced::Balanced;
 use fairjob_core::algorithms::{Algorithm, AttributeChoice};
-use fairjob_core::{AuditConfig, AuditContext};
+use fairjob_core::{AuditConfig, AuditContext, EngineStats};
 use fairjob_marketplace::stream::{generate_stream, Event, StreamConfig};
-use fairjob_serve::{protocol, ServeClient, ServeConfig, Server};
+use fairjob_serve::{protocol, ServeClient, ServeConfig, ServeError, Server};
 use fairjob_store::schema::Schema;
-use fairjob_stream::StreamView;
-use std::io::{BufRead, BufReader, Write};
+use fairjob_stream::{StreamAuditor, StreamView};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -201,6 +202,8 @@ fn concurrent_readers_observe_some_published_epoch_exactly() {
     server.join().unwrap();
 }
 
+/// `QUERY` is the verb that still runs audits, so it is the one the
+/// admission gate guards.
 #[test]
 fn admission_control_rejects_instead_of_queueing() {
     let scn = scenario(40, 0, 5);
@@ -213,7 +216,7 @@ fn admission_control_rejects_instead_of_queueing() {
     );
     let mut client = ServeClient::connect(server.addr()).unwrap();
     for _ in 0..3 {
-        let err = client.audit().unwrap_err();
+        let err = client.query("AUDIT workers").unwrap_err();
         assert!(
             ServeClient::is_overloaded(&err),
             "zero-budget gate must reject with ERR overloaded, got {err}"
@@ -228,6 +231,90 @@ fn admission_control_rejects_instead_of_queueing() {
     client.quit();
     server.shutdown();
     server.join().unwrap();
+}
+
+/// `AUDIT` answers with the writer's report: it needs no admission
+/// permit and adds no engine work, so on an `AUDIT`-only workload the
+/// server's engine totals are exactly the writer's own (the start audit
+/// plus each epoch).
+#[test]
+fn audit_adds_no_engine_work_and_needs_no_permit() {
+    let scn = scenario(70, 3, 47);
+    let expected = cold_bits_per_epoch(&scn);
+    let server = start(
+        &scn,
+        ServeConfig {
+            max_inflight: 0,
+            ..ServeConfig::default()
+        },
+    );
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    let check_audits = |client: &mut ServeClient, epoch: usize| {
+        for _ in 0..10 {
+            let audit = client.audit().unwrap();
+            assert_eq!(
+                protocol::kv(&audit, "epoch"),
+                Some(epoch.to_string().as_str())
+            );
+            let bits = protocol::kv(&audit, "unfairness_bits").unwrap();
+            assert_eq!(
+                protocol::parse_f64_bits(bits).unwrap().to_bits(),
+                expected[epoch],
+                "epoch-{epoch} AUDIT diverges from the cold audit"
+            );
+        }
+    };
+    check_audits(&mut client, 0);
+    for (k, events) in scn.epochs.iter().enumerate() {
+        client.epoch(events, &scn.schema).unwrap();
+        check_audits(&mut client, k + 1);
+    }
+
+    let algorithm = algorithm();
+    let mut auditor = StreamAuditor::new(scn.view.clone(), config()).unwrap();
+    let mut writer = EngineStats::default();
+    writer.merge(&auditor.audit(&*algorithm).unwrap().audit.engine);
+    for events in &scn.epochs {
+        writer.merge(&auditor.run_epoch(events, &*algorithm).unwrap().audit.engine);
+    }
+    let metrics = client.request("METRICS").unwrap();
+    assert_eq!(protocol::kv(&metrics, "audits_ok"), Some("40"));
+    assert_eq!(protocol::kv(&metrics, "audits_rejected"), Some("0"));
+    for (name, value) in [
+        ("distances_computed", writer.distances_computed),
+        ("splits_computed", writer.splits_computed),
+        ("rows_scanned", writer.rows_scanned),
+    ] {
+        assert_eq!(
+            protocol::kv(&metrics, name),
+            Some(value.to_string().as_str()),
+            "{name} counts more than the writer's work: {metrics}"
+        );
+    }
+    client.quit();
+    server.shutdown();
+    server.join().unwrap();
+}
+
+/// A config the start audit cannot run fails `Server::start` with a
+/// typed error instead of serving an `ERR` to every `AUDIT`.
+#[test]
+fn failed_start_audit_is_a_typed_error() {
+    let scn = scenario(30, 0, 53);
+    let config = AuditConfig {
+        attributes: Some(vec!["no_such".to_string()]),
+        ..config()
+    };
+    match Server::start(
+        scn.view.clone(),
+        algorithm(),
+        config,
+        ServeConfig::default(),
+    ) {
+        Err(ServeError::Stream(_)) => {}
+        Err(e) => panic!("expected ServeError::Stream, got {e:?}"),
+        Ok(server) => panic!("started on {} with an unusable config", server.addr()),
+    }
 }
 
 #[test]
@@ -362,6 +449,47 @@ fn huge_epoch_count_gets_a_typed_error() {
     server.join().unwrap();
 }
 
+/// A line longer than `MAX_LINE_BYTES`, request or `EPOCH` payload
+/// record, gets a short `ERR usage` and closes the session: the server
+/// neither buffers it without limit nor echoes it back.
+#[test]
+fn overlong_line_gets_a_usage_error_and_closes_the_session() {
+    let scn = scenario(30, 0, 59);
+    let server = start(&scn, ServeConfig::default());
+    for prefix in [&b""[..], b"EPOCH 1\n"] {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap(); // the greeting
+        let mut flood = prefix.to_vec();
+        flood.resize(prefix.len() + (1 << 20), b'A');
+        // The server closes mid-flood; the write may fail from then on.
+        let _ = stream.write_all(&flood);
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(
+            line.starts_with("ERR usage") && line.len() < 200,
+            "got {} bytes: {:.200}",
+            line.len(),
+            line
+        );
+        let mut rest = Vec::new();
+        assert!(
+            matches!(reader.read_to_end(&mut rest), Ok(0) | Err(_)),
+            "the session stayed open after an overlong line"
+        );
+    }
+
+    let mut other = ServeClient::connect(server.addr()).unwrap();
+    assert_eq!(other.request("PING").unwrap(), "OK pong");
+    other.quit();
+    server.shutdown();
+    server.join().unwrap();
+}
+
 #[test]
 fn max_sessions_bounds_the_accept_loop() {
     let scn = scenario(30, 0, 17);
@@ -415,8 +543,7 @@ fn query_audit_is_bit_identical_to_the_audit_verb() {
 #[test]
 fn query_explain_analyze_reports_the_cold_runs_counters() {
     let scn = scenario(80, 0, 37);
-    // The ground truth: a cold audit through the exact path the server
-    // uses for the AUDIT verb.
+    // The ground truth: a cold audit of the published snapshot.
     let snapshot = scn.view.snapshot();
     let ctx = snapshot.context(config()).unwrap();
     let expected = algorithm().run(&ctx).unwrap();
