@@ -11,16 +11,17 @@ pub struct Args {
 }
 
 /// Flags that take no value, per subcommand surface.
-const SWITCHES: &[&str] = &["correlated", "histograms", "json", "cold-check", "help"];
+const SWITCHES: &[&str] = &["correlated", "histograms", "json", "cold-check"];
 
 impl Args {
-    /// Parse an argument list.
+    /// Parse an argument list against the flag names (without `--`) the
+    /// command accepts.
     ///
     /// # Errors
     ///
-    /// [`CliError::Usage`] on non-flag tokens, repeated flags or a
-    /// trailing flag with no value.
-    pub fn parse(argv: &[String]) -> Result<Self, CliError> {
+    /// [`CliError::Usage`] on non-flag tokens, flags outside `accepted`,
+    /// repeated flags or a trailing flag with no value.
+    pub fn parse(argv: &[String], accepted: &[&str]) -> Result<Self, CliError> {
         let mut args = Args::default();
         let mut i = 0;
         while i < argv.len() {
@@ -28,6 +29,12 @@ impl Args {
             let Some(name) = token.strip_prefix("--") else {
                 return Err(CliError::Usage(format!("unexpected argument `{token}`")));
             };
+            if !accepted.contains(&name) {
+                return Err(CliError::Usage(format!(
+                    "unknown flag `--{name}` (accepted: --{})",
+                    accepted.join(", --")
+                )));
+            }
             if SWITCHES.contains(&name) {
                 args.switches.push(name.to_string());
                 i += 1;
@@ -93,9 +100,15 @@ mod tests {
         parts.iter().map(|s| s.to_string()).collect()
     }
 
+    const FLAGS: &[&str] = &["size", "out", "seed", "bins", "correlated", "histograms"];
+
     #[test]
     fn options_and_switches() {
-        let a = Args::parse(&argv(&["--size", "100", "--correlated", "--out", "x.csv"])).unwrap();
+        let a = Args::parse(
+            &argv(&["--size", "100", "--correlated", "--out", "x.csv"]),
+            FLAGS,
+        )
+        .unwrap();
         assert_eq!(a.required("size").unwrap(), "100");
         assert_eq!(a.required("out").unwrap(), "x.csv");
         assert!(a.switch("correlated"));
@@ -106,21 +119,25 @@ mod tests {
 
     #[test]
     fn rejects_bad_input() {
-        assert!(Args::parse(&argv(&["positional"])).is_err());
-        assert!(Args::parse(&argv(&["--size"])).is_err());
-        assert!(Args::parse(&argv(&["--size", "1", "--size", "2"])).is_err());
+        assert!(Args::parse(&argv(&["positional"]), FLAGS).is_err());
+        assert!(Args::parse(&argv(&["--size"]), FLAGS).is_err());
+        assert!(Args::parse(&argv(&["--size", "1", "--size", "2"]), FLAGS).is_err());
+        // Not accepted, as an option and as a switch.
+        let err = Args::parse(&argv(&["--sise", "1"]), FLAGS).unwrap_err();
+        assert!(err.to_string().contains("unknown flag `--sise`"), "{err}");
+        assert!(Args::parse(&argv(&["--json"]), FLAGS).is_err());
     }
 
     #[test]
     fn missing_required_reported() {
-        let a = Args::parse(&argv(&[])).unwrap();
+        let a = Args::parse(&argv(&[]), FLAGS).unwrap();
         let err = a.required("workers").unwrap_err();
         assert!(err.to_string().contains("--workers"));
     }
 
     #[test]
     fn parse_failure_reported() {
-        let a = Args::parse(&argv(&["--bins", "lots"])).unwrap();
+        let a = Args::parse(&argv(&["--bins", "lots"]), FLAGS).unwrap();
         assert!(a.parsed_or("bins", 10usize).is_err());
     }
 }

@@ -31,13 +31,31 @@ pub(crate) fn resolve_metric(name: &str) -> Result<Arc<dyn HistogramDistance>, C
     })
 }
 
+/// The flags `fairjob audit` accepts; any other `--flag` is a usage error.
+const FLAGS: &[&str] = &[
+    "workers",
+    "schema",
+    "paged",
+    "mem-budget",
+    "function",
+    "alpha",
+    "algorithm",
+    "bins",
+    "metric",
+    "permutations",
+    "histograms",
+    "json",
+    "seed",
+    "shards",
+];
+
 /// Run the subcommand; returns the audit report.
 ///
 /// # Errors
 ///
 /// [`CliError`] on bad flags, unreadable input, or audit failure.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     if let Some(path) = args.optional("paged") {
         return run_paged(&args, path);
     }
@@ -139,6 +157,25 @@ mod tests {
         assert!(out.contains("scoring function: f6"));
         assert!(out.contains("gender=Male"));
         assert!(out.contains("permutation test"));
+    }
+
+    /// A misspelt flag is a usage error naming it, not a silent run
+    /// with the default it meant to override.
+    #[test]
+    fn unknown_flag_is_a_usage_error_naming_it() {
+        let tmp = population();
+        let err = crate::dispatch(&argv(&[
+            "audit",
+            "--workers",
+            &tmp.path_str(),
+            "--function",
+            "f1",
+            "--algoritm",
+            "unbalanced",
+        ]))
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        assert!(err.to_string().contains("`--algoritm`"), "{err}");
     }
 
     #[test]

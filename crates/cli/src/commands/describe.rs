@@ -3,13 +3,16 @@
 use crate::args::Args;
 use crate::CliError;
 
+/// The flags `fairjob describe` accepts; any other `--flag` is a usage error.
+const FLAGS: &[&str] = &["workers", "schema"];
+
 /// Run the subcommand; returns the description text.
 ///
 /// # Errors
 ///
 /// [`CliError`] on bad flags or unreadable input.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let workers =
         crate::commands::load_workers(args.required("workers")?, args.optional("schema"))?;
     Ok(fairjob_store::stats::describe(&workers))

@@ -5,13 +5,25 @@ use crate::CliError;
 use fairjob_marketplace::stream::{generate_stream, StreamConfig};
 use fairjob_marketplace::{generate_correlated, generate_uniform, CorrelationConfig};
 
+/// The flags `fairjob generate` accepts; any other `--flag` is a usage error.
+const FLAGS: &[&str] = &[
+    "size",
+    "seed",
+    "correlated",
+    "out",
+    "events",
+    "events-out",
+    "epochs",
+    "alpha",
+];
+
 /// Run the subcommand; returns the text to print.
 ///
 /// # Errors
 ///
 /// [`CliError`] on bad flags or file I/O.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let size: usize = args.parsed_or("size", 0)?;
     if size == 0 {
         return Err(CliError::Usage("--size must be a positive integer".into()));

@@ -41,6 +41,24 @@ fn expand_short_flags(argv: &[String]) -> Vec<String> {
         .collect()
 }
 
+/// The flags `fairjob query` accepts; any other `--flag` is a usage error.
+const FLAGS: &[&str] = &[
+    "workers",
+    "schema",
+    "paged",
+    "mem-budget",
+    "function",
+    "alpha",
+    "query",
+    "file",
+    "algorithm",
+    "metric",
+    "bins",
+    "threads",
+    "seed",
+    "shards",
+];
+
 /// Run the subcommand; returns the rendered outputs of every statement.
 ///
 /// # Errors
@@ -49,7 +67,7 @@ fn expand_short_flags(argv: &[String]) -> Vec<String> {
 /// errors, [`CliError::Io`] (exit 3) on unreadable inputs,
 /// [`CliError::Run`] (exit 4) on execution failures.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(&expand_short_flags(argv))?;
+    let args = Args::parse(&expand_short_flags(argv), FLAGS)?;
     let seed: u64 = args.parsed_or("seed", 0xBEEF)?;
     // Paged sources bring their own scores; batch sources load + score.
     let paged = match args.optional("paged") {

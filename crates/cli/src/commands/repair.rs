@@ -8,13 +8,18 @@ use fairjob_core::{AuditConfig, AuditContext};
 use fairjob_repair::{repair_scores, RepairConfig, RepairTarget};
 use fairjob_store::{Predicate, RowSet};
 
+/// The flags `fairjob repair` accepts; any other `--flag` is a usage error.
+const FLAGS: &[&str] = &[
+    "workers", "schema", "function", "alpha", "lambda", "target", "out", "seed",
+];
+
 /// Run the subcommand; returns a summary line.
 ///
 /// # Errors
 ///
 /// [`CliError`] on bad flags or failed repair.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let workers =
         crate::commands::load_workers(args.required("workers")?, args.optional("schema"))?;
     let seed: u64 = args.parsed_or("seed", 0xBEEF)?;

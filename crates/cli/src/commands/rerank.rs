@@ -7,13 +7,25 @@ use crate::CliError;
 use fairjob_marketplace::ranking::rank;
 use fairjob_repair::rerank::{first_quota_violation, rerank_proportional, RankedItem};
 
+/// The flags `fairjob rerank` accepts; any other `--flag` is a usage error.
+const FLAGS: &[&str] = &[
+    "workers",
+    "schema",
+    "function",
+    "alpha",
+    "attribute",
+    "quota",
+    "top",
+    "seed",
+];
+
 /// Run the subcommand; returns the before/after rendering.
 ///
 /// # Errors
 ///
 /// [`CliError`] on bad flags or re-ranking failure.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let workers =
         crate::commands::load_workers(args.required("workers")?, args.optional("schema"))?;
     let seed: u64 = args.parsed_or("seed", 0xBEEF)?;

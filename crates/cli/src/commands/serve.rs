@@ -20,6 +20,25 @@ use fairjob_stream::StreamView;
 use std::io::Write;
 use std::sync::Arc;
 
+/// The flags `fairjob serve` accepts; any other `--flag` is a usage error.
+const FLAGS: &[&str] = &[
+    "workers",
+    "schema",
+    "snapshot",
+    "mem-budget",
+    "function",
+    "alpha",
+    "algorithm",
+    "bins",
+    "metric",
+    "addr",
+    "addr-file",
+    "max-inflight",
+    "max-sessions",
+    "seed",
+    "shards",
+];
+
 /// Run the subcommand; blocks while the daemon serves and returns the
 /// drain summary.
 ///
@@ -29,7 +48,7 @@ use std::sync::Arc;
 /// input, [`CliError::Run`] when the daemon stops on a listener
 /// failure (after draining in-flight sessions).
 pub fn run(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let seed: u64 = args.parsed_or("seed", 0xBEEF)?;
     let algorithm: Arc<dyn fairjob_core::algorithms::Algorithm + Send + Sync> =
         crate::commands::audit::resolve_algorithm(

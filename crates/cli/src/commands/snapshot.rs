@@ -15,6 +15,19 @@ use crate::args::Args;
 use crate::CliError;
 use fairjob_stream::{StreamError, StreamView};
 
+/// The flags `fairjob snapshot` accepts; any other `--flag` is a usage error.
+const FLAGS: &[&str] = &[
+    "workers",
+    "schema",
+    "function",
+    "alpha",
+    "bins",
+    "seed",
+    "out",
+    "info",
+    "mem-budget",
+];
+
 /// Run the subcommand; returns a one-line summary (write) or the
 /// header facts (info).
 ///
@@ -24,7 +37,7 @@ use fairjob_stream::{StreamError, StreamView};
 /// 3) on unreadable or unwritable files, [`CliError::Run`] (exit 4) on
 /// corrupt files or scoring failures.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     if let Some(path) = args.optional("info") {
         return info(&args, path);
     }

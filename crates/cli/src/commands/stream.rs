@@ -83,6 +83,22 @@ fn json_epoch(report: &EpochReport) -> String {
     )
 }
 
+/// The flags `fairjob stream` accepts; any other `--flag` is a usage error.
+const FLAGS: &[&str] = &[
+    "workers",
+    "schema",
+    "events",
+    "function",
+    "alpha",
+    "algorithm",
+    "bins",
+    "metric",
+    "cold-check",
+    "json",
+    "seed",
+    "shards",
+];
+
 /// Run the subcommand; returns the replay report.
 ///
 /// # Errors
@@ -90,7 +106,7 @@ fn json_epoch(report: &EpochReport) -> String {
 /// [`CliError`] on bad flags, unreadable or unparsable input, event
 /// application failures, or a failed `--cold-check`.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let workers =
         crate::commands::load_workers(args.required("workers")?, args.optional("schema"))?;
     let events_path = args.required("events")?;

@@ -162,22 +162,28 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
     let Some(command) = argv.first() else {
         return Err(CliError::Usage(format!("missing subcommand\n\n{USAGE}")));
     };
+    let run: fn(&[String]) -> Result<String, CliError> = match command.as_str() {
+        "generate" => commands::generate::run,
+        "describe" => commands::describe::run,
+        "audit" => commands::audit::run,
+        "query" => commands::query::run,
+        "stream" => commands::stream::run,
+        "serve" => commands::serve::run,
+        "snapshot" => commands::snapshot::run,
+        "repair" => commands::repair::run,
+        "rerank" => commands::rerank::run,
+        "help" | "--help" | "-h" => return Ok(USAGE.to_string()),
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown subcommand `{other}`\n\n{USAGE}"
+            )))
+        }
+    };
     let rest = &argv[1..];
-    match command.as_str() {
-        "generate" => commands::generate::run(rest),
-        "describe" => commands::describe::run(rest),
-        "audit" => commands::audit::run(rest),
-        "query" => commands::query::run(rest),
-        "stream" => commands::stream::run(rest),
-        "serve" => commands::serve::run(rest),
-        "snapshot" => commands::snapshot::run(rest),
-        "repair" => commands::repair::run(rest),
-        "rerank" => commands::rerank::run(rest),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(CliError::Usage(format!(
-            "unknown subcommand `{other}`\n\n{USAGE}"
-        ))),
+    if rest.iter().any(|arg| arg == "--help") {
+        return Ok(USAGE.to_string());
     }
+    run(rest)
 }
 
 #[cfg(test)]
@@ -188,6 +194,12 @@ mod tests {
     fn help_prints_usage() {
         let out = dispatch(&["help".to_string()]).unwrap();
         assert!(out.contains("fairjob generate"));
+    }
+
+    #[test]
+    fn help_flag_on_a_subcommand_prints_usage() {
+        let out = dispatch(&["audit".to_string(), "--help".to_string()]).unwrap();
+        assert!(out.contains("fairjob audit"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::engine::EngineCaches;
 use crate::error::AuditError;
 use crate::partition::Partition;
-use crate::pool::WorkerPool;
+use crate::pool::{thread_budget, WorkerPool};
 use fairjob_hist::distance::Emd1d;
 use fairjob_hist::{BinSpec, Histogram, HistogramDistance};
 use fairjob_store::column::CodeColumn;
@@ -37,11 +37,12 @@ pub struct AuditConfig {
     /// The paper has no such floor (equivalent to 1); larger values are
     /// an extension that suppresses noise-driven micro-partitions.
     pub min_partition_size: usize,
-    /// Worker-thread count for the evaluation engine's parallel paths.
-    /// `None` (the default) lets the engine pick from the machine's
-    /// available parallelism. Results are bit-identical for every
-    /// thread count; this knob exists for reproducible benchmarking
-    /// and resource capping.
+    /// Worker-thread count for the evaluation engine's parallel paths
+    /// and the context's sharded kernels. `None` (the default) uses the
+    /// machine's available parallelism capped at 8, read once per
+    /// process — the count the process-wide worker pool is sized from.
+    /// Results are bit-identical for every thread count; this knob
+    /// exists for reproducible benchmarking and resource capping.
     pub threads: Option<usize>,
     /// Row-range sharding of the per-row kernels (classification and
     /// splits). [`ShardPolicy::Auto`] (the default) picks a shard count
@@ -224,7 +225,7 @@ impl<'a> AuditContext<'a> {
     ) -> Result<Self, AuditError> {
         let (spec, attributes) =
             Self::validate(table.schema(), table.len(), &[scores.len()], None, &config)?;
-        let parallelism = Self::parallelism_for(config.threads);
+        let parallelism = thread_budget(config.threads);
         let shard_plan = config.shards.plan(table.len(), parallelism);
         let shard_counters = ShardCounters::default();
         let bin_of = Self::classify(&spec, scores, &shard_plan, parallelism, &shard_counters)?;
@@ -284,19 +285,6 @@ impl<'a> AuditContext<'a> {
         let spec = BinSpec::equal_width(0.0, 1.0, config.bins)
             .map_err(|e| AuditError::Bins(e.to_string()))?;
         Ok((spec, Self::resolve_attributes_in(schema, config)?))
-    }
-
-    /// The thread budget the sharded kernels (and the auto shard
-    /// policy) work with — the same resolution [`crate::EvalEngine`]
-    /// applies to `config.threads`.
-    fn parallelism_for(threads: Option<usize>) -> usize {
-        threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map_or(1, |n| n.get())
-                    .min(8)
-            })
-            .max(1)
     }
 
     /// Classify every score through the chunked [`BinSpec::bin_indices`]
@@ -373,7 +361,7 @@ impl<'a> AuditContext<'a> {
         )?;
         let shard_plan = config
             .shards
-            .plan(table.len(), Self::parallelism_for(config.threads));
+            .plan(table.len(), thread_budget(config.threads));
         Ok(AuditContext {
             source: DataSource::Mem(table),
             scores: Some(scores),
@@ -436,7 +424,7 @@ impl<'a> AuditContext<'a> {
             Self::validate(store.schema(), rows, &[scores], live.as_ref(), &config)?;
         let shards = config
             .shards
-            .plan(rows, Self::parallelism_for(config.threads))
+            .plan(rows, thread_budget(config.threads))
             .shards();
         let shard_counters = ShardCounters::default();
         let bin_of = Self::classify_paged(store, &spec, live.as_ref(), &shard_counters)?;
@@ -755,7 +743,7 @@ impl<'a> AuditContext<'a> {
         let rows = &part.rows;
         self.shard_counters
             .note(self.shard_plan.shards(), rows.len());
-        let parallelism = Self::parallelism_for(self.threads);
+        let parallelism = thread_budget(self.threads);
         let groups = if rows.len() == self.rows() {
             index.split_root(&self.bin_of, bins)
         } else if rows.len() >= SHARD_DISPATCH_MIN_ROWS && parallelism > 1 {

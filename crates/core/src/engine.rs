@@ -71,7 +71,7 @@
 use crate::context::AuditContext;
 use crate::error::AuditError;
 use crate::partition::Partition;
-use crate::pool::WorkerPool;
+use crate::pool::{thread_budget, WorkerPool};
 use crate::scratch::with_scratch;
 use crate::unfairness::{DistanceOracle, PairwiseAverager, PAIR_CHUNK, PRUNE_MARGIN, UNKEYED_BIT};
 use fairjob_hist::{BinSpec, Histogram, ScratchStats};
@@ -79,6 +79,7 @@ use fairjob_store::{Predicate, RowSet};
 use std::borrow::Borrow;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// The shared children of one materialised split: the engine hands the
@@ -138,6 +139,65 @@ pub struct InvalidationReport {
     pub splits_retained: usize,
 }
 
+/// The hasher of the engine's fingerprint-keyed maps: one folded
+/// multiply per 64-bit half of every key word.
+///
+/// Every key these maps see is built from [`Predicate::fingerprint`]s
+/// (plus a schema attribute index), which are already 128-bit FNV mixes
+/// of schema attribute indexes and the dictionary codes the store
+/// assigns in first-seen order. No byte from outside the program
+/// reaches the hasher, so SipHash's resistance to crafted collisions
+/// buys nothing here, while its cost dominated warm memo lookups. Both
+/// halves of each word are mixed, so keys that differ in either half
+/// still spread over the buckets.
+#[derive(Debug, Clone, Copy)]
+struct FingerprintHasher(u64);
+
+impl Default for FingerprintHasher {
+    fn default() -> Self {
+        // A non-zero start (the first digits of pi), so an all-zero
+        // key word does not fold to zero.
+        FingerprintHasher(0x243f_6a88_85a3_08d3)
+    }
+}
+
+impl FingerprintHasher {
+    fn mix(&mut self, word: u64) {
+        // 2^64 / golden ratio; folding the 128-bit product's halves
+        // carries every input bit into the low bits that pick a bucket.
+        const K: u64 = 0x9e37_79b9_7f4a_7c15;
+        let product = u128::from(self.0 ^ word) * u128::from(K);
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
+impl Hasher for FingerprintHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.mix(word as u64);
+    }
+
+    fn write_u128(&mut self, word: u128) {
+        self.mix(word as u64);
+        self.mix((word >> 64) as u64);
+    }
+}
+
+/// The engine's one `BuildHasher`, for maps and sets keyed by
+/// predicate fingerprints only (see [`FingerprintHasher`]).
+type FingerprintBuild = BuildHasherDefault<FingerprintHasher>;
+
 /// Default cap on each cache's entry count.
 const DEFAULT_CACHE_CAPACITY: usize = 8_000_000;
 
@@ -159,14 +219,14 @@ const SPLIT_CHUNK: usize = 8;
 #[derive(Debug)]
 pub struct EngineCaches {
     /// Distance memo: ordered fingerprint pair → (distance, generation).
-    memo: HashMap<(u128, u128), (f64, u32)>,
+    memo: HashMap<(u128, u128), (f64, u32), FingerprintBuild>,
     /// Materialised splits: (parent fingerprint, attribute) →
     /// (children or `None` for non-viable, generation).
-    splits: HashMap<(u128, usize), (Option<SplitChildren>, u32)>,
+    splits: HashMap<(u128, usize), (Option<SplitChildren>, u32), FingerprintBuild>,
     /// Every fingerprint that may appear in a cache key, with the
     /// predicate it stands for. Fingerprints missing here are evicted
     /// conservatively on invalidation.
-    registry: HashMap<u128, Predicate>,
+    registry: HashMap<u128, Predicate, FingerprintBuild>,
     memo_generation: u32,
     split_generation: u32,
     capacity: usize,
@@ -175,7 +235,7 @@ pub struct EngineCaches {
 /// Drop stale generations from `map` once it reaches `capacity`.
 /// Returns the number of entries evicted.
 fn sweep<K: std::hash::Hash + Eq, V>(
-    map: &mut HashMap<K, (V, u32)>,
+    map: &mut HashMap<K, (V, u32), FingerprintBuild>,
     generation: &mut u32,
     capacity: usize,
 ) -> u64 {
@@ -211,9 +271,9 @@ impl EngineCaches {
     /// to ≥ 1).
     pub fn with_capacity(capacity: usize) -> Self {
         EngineCaches {
-            memo: HashMap::new(),
-            splits: HashMap::new(),
-            registry: HashMap::new(),
+            memo: HashMap::default(),
+            splits: HashMap::default(),
+            registry: HashMap::default(),
             memo_generation: 0,
             split_generation: 0,
             capacity: capacity.max(1),
@@ -284,7 +344,7 @@ impl EngineCaches {
         // 1. Dirty fingerprints: predicates matching any changed row's
         //    before- or after-state. The always-true predicate (the
         //    root) matches every change.
-        let mut dirty: HashSet<u128> = HashSet::new();
+        let mut dirty: HashSet<u128, FingerprintBuild> = HashSet::default();
         for (&fp, pred) in &self.registry {
             if changes.iter().any(|c| {
                 matches_facts(pred, c.before.as_ref()) || matches_facts(pred, c.after.as_ref())
@@ -659,19 +719,13 @@ impl Drop for EvalEngine<'_, '_> {
 impl<'c, 'a> EvalEngine<'c, 'a> {
     /// An engine over `ctx` with default tuning: parallel evaluation
     /// above 256 live partitions, worker threads from the context's
-    /// `threads` knob (default: up to 8, from the machine's available
-    /// parallelism), caches capped at 8 M entries each. When the
+    /// `threads` knob (default: the machine's available parallelism
+    /// capped at 8, read once per process, so building an engine makes
+    /// no system call), caches capped at 8 M entries each. When the
     /// context carries seeded caches ([`AuditContext::seed_engine_caches`])
     /// they are adopted warm and handed back when the engine drops.
     pub fn new(ctx: &'c AuditContext<'a>) -> Self {
-        let threads = ctx
-            .threads()
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map_or(1, |n| n.get())
-                    .min(8)
-            })
-            .max(1);
+        let threads = thread_budget(ctx.threads());
         let (caches, adopted) = match ctx.take_engine_caches() {
             Some(seeded) => (seeded, true),
             None => (EngineCaches::new(), false),
@@ -1740,5 +1794,50 @@ mod tests {
         assert_eq!(stats.cache_bypasses, 3);
         assert_eq!(stats.distances_computed, 3);
         assert_eq!(stats.cache_hits, 0);
+    }
+
+    /// The fingerprint hasher spreads the engine's real keys like a
+    /// uniform hash would. The keys are every memo key an
+    /// `all-attributes` audit of a 500-worker population inserts (the
+    /// `prepare_population` recipe of the bench harness), then the same
+    /// keys with the high or the low 64-bit half of each fingerprint
+    /// zeroed: a hasher that drops either half of a key word, or one of
+    /// the pair's two fingerprints, piles them into a few buckets.
+    #[test]
+    fn fingerprint_hasher_spreads_memo_keys_over_the_low_bits() {
+        use crate::algorithms::all_attributes::AllAttributes;
+        use fairjob_marketplace::scoring::{LinearScore, ScoringFunction};
+        use fairjob_marketplace::{bucketise_numeric_protected, generate_uniform};
+        use std::hash::BuildHasher;
+
+        let mut workers = generate_uniform(500, 2019);
+        bucketise_numeric_protected(&mut workers).unwrap();
+        let scores = LinearScore::alpha("f1", 0.5).score_all(&workers).unwrap();
+        let ctx = AuditContext::new(&workers, &scores, AuditConfig::default()).unwrap();
+        ctx.seed_engine_caches(EngineCaches::new());
+        AllAttributes.run(&ctx).unwrap();
+        let caches = ctx
+            .take_engine_caches()
+            .expect("the engine hands its caches back");
+        let keys: Vec<(u128, u128)> = caches.memo.keys().copied().collect();
+        assert!(keys.len() > 50_000, "only {} memo keys", keys.len());
+
+        const LOW: u128 = u64::MAX as u128;
+        let build = FingerprintBuild::default();
+        for (halves, mask) in [("both", !0), ("low", LOW), ("high", !LOW)] {
+            let mut buckets = vec![0u32; 1 << 16];
+            for &(a, b) in &keys {
+                let hash = build.hash_one((a & mask, b & mask));
+                buckets[(hash & 0xffff) as usize] += 1;
+            }
+            let mean = keys.len() as f64 / buckets.len() as f64;
+            let max = buckets.iter().copied().max().unwrap_or(0);
+            // A uniform hash puts at most ~10 of these keys in one
+            // bucket (Poisson with this mean); a broken one, hundreds.
+            assert!(
+                f64::from(max) <= 10.0 * mean,
+                "{halves} halves: fullest bucket holds {max} keys, mean {mean:.2}"
+            );
+        }
     }
 }

@@ -45,9 +45,32 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Ceiling on global pool workers; matches the engine's default thread
-/// cap so `available_parallelism` boxes never oversubscribe.
+/// Ceiling on global pool workers and on the default thread budget
+/// (`thread_budget`), so large boxes never oversubscribe.
 const MAX_GLOBAL_WORKERS: usize = 8;
+
+/// The machine's available parallelism, read once per process.
+///
+/// `std::thread::available_parallelism` reads the affinity mask and the
+/// cgroup CPU quota on every call — about 20 µs on Linux, ten times
+/// the cost of splitting a few hundred rows — so every default thread
+/// count in this crate comes from here. The global pool fixes
+/// its size from this value at first use, so the engine's and the
+/// context's defaults can never disagree with it.
+fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// The worker-thread budget of an audit: `threads` when configured,
+/// else [`available_cores`] capped at 8; never zero. The one resolution
+/// of [`crate::AuditConfig::threads`], shared by the context's sharded
+/// kernels and [`crate::EvalEngine`].
+pub(crate) fn thread_budget(threads: Option<usize>) -> usize {
+    threads
+        .unwrap_or_else(|| available_cores().min(MAX_GLOBAL_WORKERS))
+        .max(1)
+}
 
 /// One batch posted to the pool: a type-erased pointer to the caller's
 /// work closure plus the rendezvous state the caller blocks on.
@@ -166,15 +189,14 @@ impl WorkerPool {
     }
 
     /// The process-wide shared pool, sized to the machine (capped at
-    /// 8 workers, like the engine's default thread count). Workers are
-    /// only spawned once a batch actually asks for helpers.
+    /// 8 workers, like the default thread budget of an audit). Workers
+    /// are only spawned once a batch actually asks for helpers.
     pub fn global() -> &'static WorkerPool {
         static POOL: OnceLock<WorkerPool> = OnceLock::new();
         POOL.get_or_init(|| {
-            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
             // The submitting thread participates too, so keep one core
             // for it.
-            WorkerPool::new(cores.saturating_sub(1).min(MAX_GLOBAL_WORKERS))
+            WorkerPool::new(available_cores().saturating_sub(1).min(MAX_GLOBAL_WORKERS))
         })
     }
 

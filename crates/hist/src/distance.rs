@@ -163,7 +163,16 @@ fn frequencies(a: &Histogram, b: &Histogram) -> Result<(Vec<f64>, Vec<f64>), Dis
 pub struct Emd1d;
 
 impl HistogramDistance for Emd1d {
+    /// The closed form over each histogram's cached prefix CDF — the
+    /// value [`Emd1d::bounds`] returns, bit-identical to the closed form
+    /// over freshly normalised frequencies, with no per-pair allocation
+    /// or validation. A pair the CDFs cannot answer (mismatched specs,
+    /// an empty histogram, an invalid grid) takes the frequency path,
+    /// which names the error.
     fn distance(&self, a: &Histogram, b: &Histogram) -> Result<f64, DistanceError> {
+        if let Some(exact) = self.bounds(a, b) {
+            return Ok(exact.lower);
+        }
         let (fa, fb) = frequencies(a, b)?;
         let spec = a.spec();
         if spec.is_uniform() {
@@ -180,8 +189,9 @@ impl HistogramDistance for Emd1d {
     /// Exact bounds from the cached prefix CDFs: Vallender's identity
     /// makes the CDF-L1 closed form *equal* to the 1-D EMD, and
     /// [`Histogram::cdf_stats`] + [`bounds::cdf_l1_grid`] replicate the
-    /// floating-point operation order of the `distance` path, so the
-    /// returned value is bit-identical to it.
+    /// floating-point operation order of [`fairjob_emd::emd_1d_grid`]
+    /// over the histograms' frequencies, so the returned value is
+    /// bit-identical to it (and is what `distance` returns).
     fn bounds(&self, a: &Histogram, b: &Histogram) -> Option<DistanceBounds> {
         if a.spec() != b.spec() {
             return None;
@@ -695,24 +705,52 @@ mod tests {
 
     #[test]
     fn emd1d_bounds_are_exact_and_bit_identical() {
+        // The reference is the closed form over freshly normalised
+        // frequencies, independent of the cached CDFs that `bounds` and
+        // `distance` both read.
+        let reference = |a: &Histogram, b: &Histogram| {
+            let (fa, fb) = (a.frequencies().unwrap(), b.frequencies().unwrap());
+            let spec = a.spec();
+            if spec.is_uniform() {
+                fairjob_emd::emd_1d_grid(&fa, &fb, spec.lo(), spec.hi()).unwrap()
+            } else {
+                fairjob_emd::emd_1d_positions(&fa, &fb, &spec.centres()).unwrap()
+            }
+        };
         let a = h(&[0.12, 0.34, 0.55, 0.9]);
         let b = h(&[0.2, 0.21, 0.8]);
-        let bd = Emd1d.bounds(&a, &b).unwrap();
-        assert!(bd.exact);
-        let d = Emd1d.distance(&a, &b).unwrap();
-        assert_eq!(bd.lower.to_bits(), d.to_bits());
-        assert_eq!(bd.upper.to_bits(), d.to_bits());
-
         // Non-uniform specs get the positions closed form, still exact.
         let s = BinSpec::from_edges(vec![0.0, 0.5, 0.6, 1.0]).unwrap();
         let na = Histogram::from_values(s.clone(), [0.1, 0.55].iter().copied());
-        let nb = Histogram::from_values(s, [0.9, 0.55].iter().copied());
-        let bd = Emd1d.bounds(&na, &nb).unwrap();
-        assert!(bd.exact);
-        assert_eq!(
-            bd.lower.to_bits(),
-            Emd1d.distance(&na, &nb).unwrap().to_bits()
-        );
+        let nb = Histogram::from_values(s.clone(), [0.9, 0.55].iter().copied());
+        for (x, y) in [(&a, &b), (&na, &nb)] {
+            let want = reference(x, y).to_bits();
+            let bd = Emd1d.bounds(x, y).unwrap();
+            assert!(bd.exact);
+            assert_eq!(bd.lower.to_bits(), want);
+            assert_eq!(bd.upper.to_bits(), want);
+            assert_eq!(Emd1d.distance(x, y).unwrap().to_bits(), want);
+        }
+
+        // Pairs the CDFs cannot answer keep their typed errors, a
+        // layout mismatch before an empty side.
+        let empty = Histogram::empty(spec());
+        assert!(matches!(
+            Emd1d.distance(&empty, &empty),
+            Err(DistanceError::EmptyHistogram)
+        ));
+        assert!(matches!(
+            Emd1d.distance(&nb, &Histogram::empty(s)),
+            Err(DistanceError::EmptyHistogram)
+        ));
+        assert!(matches!(
+            Emd1d.distance(&a, &na),
+            Err(DistanceError::SpecMismatch)
+        ));
+        assert!(matches!(
+            Emd1d.distance(&empty, &nb),
+            Err(DistanceError::SpecMismatch)
+        ));
     }
 
     #[test]

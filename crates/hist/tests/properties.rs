@@ -82,13 +82,19 @@ proptest! {
 
     #[test]
     fn emd1d_bounds_are_bitwise_exact(a in values(48), b in values(48), n in 2usize..16) {
+        // `bounds` and `distance` both read the cached CDFs; the
+        // reference is the closed form over freshly normalised
+        // frequencies.
         let spec = BinSpec::equal_width(0.0, 1.0, n).unwrap();
         let (ha, hb) = (hist(&spec, &a), hist(&spec, &b));
+        let (fa, fb) = (ha.frequencies().unwrap(), hb.frequencies().unwrap());
+        let want = fairjob_emd::emd_1d_grid(&fa, &fb, 0.0, 1.0).unwrap();
         let bd = Emd1d.bounds(&ha, &hb).unwrap();
         let d = Emd1d.distance(&ha, &hb).unwrap();
         prop_assert!(bd.exact);
-        prop_assert_eq!(bd.lower.to_bits(), d.to_bits(), "lower={} d={}", bd.lower, d);
-        prop_assert_eq!(bd.upper.to_bits(), d.to_bits(), "upper={} d={}", bd.upper, d);
+        prop_assert_eq!(bd.lower.to_bits(), want.to_bits(), "lower={} want={}", bd.lower, want);
+        prop_assert_eq!(bd.upper.to_bits(), want.to_bits(), "upper={} want={}", bd.upper, want);
+        prop_assert_eq!(d.to_bits(), want.to_bits(), "distance={} want={}", d, want);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! `ERR <code> <detail>` response lines; transport failures
 //! ([`ServeError::Io`]) end the session or the accept loop.
 
-use crate::protocol::MAX_LINE_BYTES;
+use crate::protocol::{MAX_EPOCH_BYTES, MAX_LINE_BYTES};
 use fairjob_stream::StreamError;
 use std::fmt;
 
@@ -38,6 +38,10 @@ pub enum ServeError {
     /// [`MAX_LINE_BYTES`]. The framing is lost, so the server answers
     /// once and closes the session.
     LineTooLong,
+    /// An `EPOCH` payload whose records add up to more than
+    /// [`MAX_EPOCH_BYTES`]. The rest of the payload is never read, so
+    /// the server answers once and closes the session.
+    EpochTooLarge,
     /// A FairQL parse or analysis failure; `position` is the byte
     /// offset in the query text. Renders as
     /// `ERR parse <position> <message>`.
@@ -64,7 +68,9 @@ impl ServeError {
             ServeError::Overloaded { .. } => "overloaded",
             ServeError::WriterBusy { .. } => "writer-busy",
             ServeError::WriterPoisoned => "writer-poisoned",
-            ServeError::Protocol(_) | ServeError::LineTooLong => "usage",
+            ServeError::Protocol(_) | ServeError::LineTooLong | ServeError::EpochTooLarge => {
+                "usage"
+            }
             ServeError::Parse { .. } => "parse",
             ServeError::Query(_) => "query",
             ServeError::ShuttingDown => "shutting-down",
@@ -92,6 +98,12 @@ impl fmt::Display for ServeError {
             ServeError::Protocol(msg) => write!(f, "{msg}"),
             ServeError::LineTooLong => {
                 write!(f, "line longer than {MAX_LINE_BYTES} bytes; closing")
+            }
+            ServeError::EpochTooLarge => {
+                write!(
+                    f,
+                    "EPOCH payload longer than {MAX_EPOCH_BYTES} bytes; closing"
+                )
             }
             ServeError::Parse { position, message } => write!(f, "{position} {message}"),
             ServeError::Query(msg) => write!(f, "{msg}"),

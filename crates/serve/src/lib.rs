@@ -25,7 +25,8 @@
 //! - [`AdmissionGate`] bounds in-flight `QUERY`s, the verb that still
 //!   runs audits, with a typed `ERR overloaded` rejection instead of
 //!   unbounded queueing;
-//! - request lines are bounded by [`protocol::MAX_LINE_BYTES`];
+//! - request lines are bounded by [`protocol::MAX_LINE_BYTES`], and
+//!   the records of one `EPOCH` payload by [`protocol::MAX_EPOCH_BYTES`];
 //! - `METRICS`/`HEALTH` expose server counters and
 //!   [`fairjob_core::EngineStats`] totals of the writer's and
 //!   `QUERY`'s audits.

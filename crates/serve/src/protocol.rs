@@ -3,8 +3,10 @@
 //! Newline-framed text, versioned like `fairjob-events v1`: the server
 //! greets each connection with [`PROTOCOL_HEADER`], then answers every
 //! request line with exactly one response line — `OK key=value …` or
-//! `ERR <code> <detail>`. A line longer than [`MAX_LINE_BYTES`] gets
-//! `ERR usage …` and closes the session. Verbs:
+//! `ERR <code> <detail>`. A line longer than [`MAX_LINE_BYTES`], or an
+//! `EPOCH` payload whose records add up to more than
+//! [`MAX_EPOCH_BYTES`], gets `ERR usage …` and closes the session.
+//! Verbs:
 //!
 //! | request            | meaning                                              |
 //! |--------------------|------------------------------------------------------|
@@ -34,6 +36,12 @@ pub const PROTOCOL_HEADER: &str = "fairjob-serve v1";
 /// terminator excluded; a longer one gets `ERR usage` and closes the
 /// session.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Most bytes the records of one `EPOCH` payload may add up to,
+/// terminators excluded. The record that crosses it gets `ERR usage`
+/// and closes the session, so one request never makes the server
+/// buffer more than this, whatever count its `EPOCH` line promised.
+pub const MAX_EPOCH_BYTES: usize = 16 * 1024 * 1024;
 
 /// A parsed request line.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -24,9 +24,10 @@
 //! - **Admission control.** At most `max_inflight` queries run at
 //!   once; excess requests are rejected with `ERR overloaded`
 //!   immediately instead of queueing ([`AdmissionGate`]).
-//! - **Bounded lines.** A request line or `EPOCH` payload record longer
-//!   than [`protocol::MAX_LINE_BYTES`] gets `ERR usage` and closes the
-//!   session, since the framing is lost.
+//! - **Bounded input.** A request line or `EPOCH` payload record longer
+//!   than [`protocol::MAX_LINE_BYTES`], or an `EPOCH` payload whose
+//!   records add up to more than [`protocol::MAX_EPOCH_BYTES`], gets
+//!   `ERR usage` and closes the session, since the framing is lost.
 //! - **Clean shutdown.** `SHUTDOWN`, [`Server::shutdown`], or a
 //!   listener error set the drain flag; sessions notice within one
 //!   poll interval, finish their current request, and the accept loop
@@ -35,7 +36,7 @@
 
 use crate::admission::AdmissionGate;
 use crate::error::ServeError;
-use crate::protocol::{self, Request, MAX_LINE_BYTES, PROTOCOL_HEADER};
+use crate::protocol::{self, Request, MAX_EPOCH_BYTES, MAX_LINE_BYTES, PROTOCOL_HEADER};
 use fairjob_core::algorithms::Algorithm;
 use fairjob_core::pool::WorkerPool;
 use fairjob_core::{AuditConfig, EngineStats};
@@ -446,9 +447,9 @@ fn handle(
                 stats.epochs += 1;
                 (response, false)
             }
-            // An I/O failure or an overlong record while reading the
-            // payload leaves the stream mid-record: close the session.
-            Err(e @ (ServeError::Io(_) | ServeError::LineTooLong)) => {
+            // An I/O failure, an overlong record or an oversized payload
+            // leaves the stream mid-payload: close the session.
+            Err(e @ (ServeError::Io(_) | ServeError::LineTooLong | ServeError::EpochTooLarge)) => {
                 (err_line(shared, stats, &e), true)
             }
             Err(e) => (err_line(shared, stats, &e), false),
@@ -570,11 +571,19 @@ fn do_epoch(
     // before taking the writer lock also keeps a slow writer's payload
     // I/O from blocking the `writer-busy` answer to a rival session.
     // `count` is client-supplied: the payload grows only as lines
-    // arrive, never by reserving `count` slots up front.
+    // arrive, never by reserving `count` slots up front, and never past
+    // `MAX_EPOCH_BYTES` of records.
     let mut payload = Vec::new();
+    let mut bytes = 0;
     while payload.len() < count {
         match lines.next_line(|| false)? {
-            Some(line) => payload.push(line),
+            Some(line) => {
+                bytes += line.len();
+                if bytes > MAX_EPOCH_BYTES {
+                    return Err(ServeError::EpochTooLarge);
+                }
+                payload.push(line);
+            }
             None => {
                 return Err(ServeError::Protocol(format!(
                     "EPOCH payload truncated: got {} of {count} record lines",

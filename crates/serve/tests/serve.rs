@@ -1,7 +1,7 @@
 //! End-to-end tests of the resident daemon: protocol round trips,
 //! concurrent-reader determinism against offline cold audits,
 //! admission control, writer exclusivity/poisoning, bounded request
-//! lines, and clean drain.
+//! lines and epoch payloads, and clean drain.
 
 use fairjob_core::algorithms::balanced::Balanced;
 use fairjob_core::algorithms::{Algorithm, AttributeChoice};
@@ -482,6 +482,52 @@ fn overlong_line_gets_a_usage_error_and_closes_the_session() {
             "the session stayed open after an overlong line"
         );
     }
+
+    let mut other = ServeClient::connect(server.addr()).unwrap();
+    assert_eq!(other.request("PING").unwrap(), "OK pong");
+    other.quit();
+    server.shutdown();
+    server.join().unwrap();
+}
+
+/// An `EPOCH` whose records add up to more than `MAX_EPOCH_BYTES` gets
+/// `ERR usage` at the record that crosses the bound, and the session
+/// closes, whatever count the `EPOCH` line promised: the server never
+/// buffers the rest. Other sessions keep being served.
+#[test]
+fn oversized_epoch_payload_gets_a_usage_error_and_closes_the_session() {
+    let scn = scenario(30, 0, 61);
+    let server = start(&scn, ServeConfig::default());
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap(); // the greeting
+
+    // 17 MiB of 1 KiB records, each well inside `MAX_LINE_BYTES`.
+    let record = format!("{}\n", "x".repeat(1023));
+    let mut flood = b"EPOCH 1000000\n".to_vec();
+    for _ in 0..17 * 1024 {
+        flood.extend_from_slice(record.as_bytes());
+    }
+    assert!(flood.len() > protocol::MAX_EPOCH_BYTES + (1 << 20));
+    // The server closes mid-flood; the write may fail from then on.
+    let _ = stream.write_all(&flood);
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.starts_with("ERR usage EPOCH payload longer than"),
+        "got {} bytes: {:.200}",
+        line.len(),
+        line
+    );
+    let mut rest = Vec::new();
+    assert!(
+        matches!(reader.read_to_end(&mut rest), Ok(0) | Err(_)),
+        "the session stayed open after an oversized payload"
+    );
 
     let mut other = ServeClient::connect(server.addr()).unwrap();
     assert_eq!(other.request("PING").unwrap(), "OK pong");

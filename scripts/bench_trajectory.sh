@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Collect every machine-readable bench trajectory (BENCH_*.json at the
-# workspace root, one JSON object per file) into a single
-# results/trajectory.json array, stamped with the commit and date.
+# Append every machine-readable bench trajectory (BENCH_*.json at the
+# workspace root, one JSON object per file) to results/trajectory.jsonl
+# as one JSON line per run, stamped with the commit and date. Earlier
+# lines are kept, so the file is the history of every collected run.
 #
 # Usage: scripts/bench_trajectory.sh [--run]
 #   --run  first run every bench that emits a BENCH_*.json trajectory
@@ -37,7 +38,7 @@ stamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
         sep=","
     done
     printf ']}\n'
-} >results/trajectory.json
+} >>results/trajectory.jsonl
 
-echo "collected ${#files[@]} trajectories into results/trajectory.json:"
+echo "appended ${#files[@]} trajectories to results/trajectory.jsonl:"
 for f in "${files[@]}"; do echo "  - $f"; done
