@@ -6,8 +6,9 @@
 //!
 //! * **Value safety** — the arena path ([`HistogramDistance::distance_with`]
 //!   on a persistent [`SolveScratch`]) is bit-identical to the legacy
-//!   per-solve path for every pair, the flow and simplex backends agree
-//!   to 1e-9, and a warm-started solve is bit-identical to a cold one.
+//!   per-solve path for every pair, the transportation-simplex oracle
+//!   agrees to 1e-9, and a warm-started solve is bit-identical to a cold
+//!   one.
 //! * **Cache discipline** — after one primed warm-up, twenty repeated
 //!   batches cause **zero** new ground-matrix builds (at most one build
 //!   per bin grid per process) and every solve is a ground-cache hit;
@@ -29,7 +30,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use fairjob_bench::prepare_population;
 use fairjob_core::unfairness::{pairwise_emd_batch, BatchValue};
 use fairjob_core::{AuditConfig, AuditContext, Partition};
-use fairjob_emd::{GroundCache, Solver};
+use fairjob_emd::{simplex, GroundCache};
 use fairjob_hist::distance::EmdExact;
 use fairjob_hist::{BinSpec, Histogram, HistogramDistance, ScratchStats, SolveScratch};
 use fairjob_marketplace::scoring::{LinearScore, ScoringFunction};
@@ -56,7 +57,7 @@ mod seed {
         cost: f64,
     }
 
-    struct MinCostFlow {
+    struct ResidualGraph {
         edges: Vec<Edge>,
         adj: Vec<Vec<usize>>,
     }
@@ -84,9 +85,9 @@ mod seed {
         }
     }
 
-    impl MinCostFlow {
+    impl ResidualGraph {
         fn new(n: usize) -> Self {
-            MinCostFlow {
+            ResidualGraph {
                 edges: Vec::new(),
                 adj: vec![Vec::new(); n],
             }
@@ -181,7 +182,7 @@ mod seed {
         let dsts: Vec<usize> = (0..fb.len()).filter(|&j| fb[j] > MASS_EPS).collect();
         let (m, n) = (srcs.len(), dsts.len());
         let supply: f64 = srcs.iter().map(|&i| fa[i]).sum();
-        let mut g = MinCostFlow::new(m + n + 2);
+        let mut g = ResidualGraph::new(m + n + 2);
         let (source, sink) = (m + n, m + n + 1);
         for (si, &i) in srcs.iter().enumerate() {
             g.add_edge(source, si, fa[i], 0.0);
@@ -236,15 +237,25 @@ fn dense_hists(n: usize) -> Vec<Histogram> {
         .collect()
 }
 
-/// Bit-identity of arena vs legacy per pair, flow/simplex agreement,
-/// and warm-vs-cold bit-identity on the audit histograms.
+/// The transportation-simplex oracle's EMD on the full matrix of
+/// distances between bin centres.
+fn simplex_oracle(a: &Histogram, b: &Histogram) -> f64 {
+    let fa = a.frequencies().expect("non-empty histogram");
+    let fb = b.frequencies().expect("non-empty histogram");
+    let centres = a.spec().centres();
+    let costs: Vec<Vec<f64>> = centres
+        .iter()
+        .map(|x| centres.iter().map(|y| (x - y).abs()).collect())
+        .collect();
+    simplex::solve(&fa, &fb, &costs)
+        .expect("simplex solve")
+        .cost
+}
+
+/// Bit-identity of arena vs legacy per pair, agreement with the simplex
+/// oracle, and warm-vs-cold bit-identity on the audit histograms.
 fn assert_value_safety(hists: &[&Histogram]) {
-    let flow = EmdExact {
-        solver: Solver::Flow,
-    };
-    let simplex = EmdExact {
-        solver: Solver::Simplex,
-    };
+    let flow = EmdExact;
     let mut scratch = SolveScratch::new();
     scratch.begin_chunk();
     let mut checked = 0usize;
@@ -267,25 +278,21 @@ fn assert_value_safety(hists: &[&Histogram]) {
                 cold.to_bits(),
                 "warm-started solve diverged from cold: {arena} vs {cold}"
             );
-            let sx = simplex
-                .distance_with(a, b, &mut scratch)
-                .expect("simplex solve");
+            let sx = simplex_oracle(a, b);
             assert!(
                 (sx - legacy).abs() <= 1e-9,
-                "simplex diverged from flow: {sx} vs {legacy}"
+                "simplex oracle diverged from the kernel: {sx} vs {legacy}"
             );
             checked += 1;
         }
     }
-    println!("value safety: {checked} pairs bit-identical (arena vs legacy, warm vs cold), flow vs simplex within 1e-9");
+    println!("value safety: {checked} pairs bit-identical (arena vs legacy, warm vs cold), kernel vs simplex oracle within 1e-9");
 }
 
 /// Ground-cache and allocation discipline: one build per grid, zero
 /// builds and zero footprint growth over twenty steady-state sweeps.
 fn assert_cache_discipline(hists: &[&Histogram]) {
-    let flow = EmdExact {
-        solver: Solver::Flow,
-    };
+    let flow = EmdExact;
     let cache = GroundCache::global();
     let mut scratch = SolveScratch::new();
     // `begin_chunk` zeroes the per-chunk counters, so fold each sweep's
@@ -339,9 +346,7 @@ fn assert_cache_discipline(hists: &[&Histogram]) {
 /// scratches are reused, and value + every counter are identical for
 /// every thread count.
 fn assert_batch_counters(dense: &[Histogram]) {
-    let flow = EmdExact {
-        solver: Solver::Flow,
-    };
+    let flow = EmdExact;
     let hists: Vec<&Histogram> = dense.iter().collect();
     let pairs = (hists.len() * (hists.len() - 1) / 2) as u64;
     let base = pairwise_emd_batch(&hists, &flow, 1, None).expect("serial batch");
@@ -393,9 +398,7 @@ fn min_of_3(mut f: impl FnMut()) -> Duration {
 /// partitions): a pairwise sweep on the shared scratch must beat the
 /// seed's allocate-per-solve sweep by at least 2×.
 fn assert_speedup(survivors: &[&Histogram]) {
-    let flow = EmdExact {
-        solver: Solver::Flow,
-    };
+    let flow = EmdExact;
     let mut scratch = SolveScratch::new();
     // Value-check the vendored seed path against the arena path before
     // trusting its timings, and warm both (ground cache, scratch
@@ -460,7 +463,7 @@ fn bench_exact_solver(c: &mut Criterion) {
         .map(|p| &p.histogram)
         .filter(|h| !h.is_empty())
         .collect();
-    // The O(pairs) correctness assertions run three solvers per pair;
+    // The O(pairs) correctness assertions run four solves per pair;
     // a 40-histogram slice keeps them fast without losing coverage.
     let sample: Vec<&Histogram> = all.iter().copied().take(40).collect();
     // The exact-survivor profile: sparse deep partitions, the shape the
@@ -486,9 +489,7 @@ fn bench_exact_solver(c: &mut Criterion) {
     assert_batch_counters(&dense);
     assert_speedup(&survivors);
 
-    let flow = EmdExact {
-        solver: Solver::Flow,
-    };
+    let flow = EmdExact;
     let mut group = c.benchmark_group("exact_solver");
     group.sample_size(10);
     group.bench_function("seed_per_solve", |b| {

@@ -26,10 +26,9 @@ use fairjob_core::algorithms::{
 };
 use fairjob_core::unfairness::{average_pairwise, average_pairwise_parallel};
 use fairjob_core::{AuditConfig, AuditContext};
-use fairjob_hist::distance::all_symmetric_distances;
+use fairjob_hist::distance::{all_symmetric_distances, by_name};
 use fairjob_hist::Histogram;
 use fairjob_marketplace::scoring::{LinearScore, RuleBasedScore, ScoringFunction};
-use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -69,10 +68,10 @@ fn main() {
     println!("=== Ablation 2: distance metric (balanced, 500 workers) ===\n");
     let mut rows = Vec::new();
     for dist in all_symmetric_distances() {
-        let name = dist.name().to_string();
-        let mut row = vec![name];
+        let name = dist.name();
+        let mut row = vec![name.to_string()];
         for scores in [&f1_scores, &f6_scores] {
-            let cfg = AuditConfig::with_distance(Arc::from(dist_clone(&*dist)));
+            let cfg = AuditConfig::with_distance(by_name(name).expect("registered metric"));
             let ctx = AuditContext::new(&workers, scores, cfg).expect("ctx");
             let r = Balanced::new(AttributeChoice::Worst)
                 .run(&ctx)
@@ -292,19 +291,4 @@ fn main() {
             ]
         )
     );
-}
-
-/// Clone a boxed distance by name (the trait objects are zero-sized
-/// unit structs, so reconstructing by name is exact).
-fn dist_clone(d: &dyn fairjob_hist::HistogramDistance) -> Box<dyn fairjob_hist::HistogramDistance> {
-    use fairjob_hist::distance as dd;
-    match d.name() {
-        "emd" => Box::new(dd::Emd1d),
-        "total-variation" => Box::new(dd::TotalVariation),
-        "kolmogorov-smirnov" => Box::new(dd::KolmogorovSmirnov),
-        "jensen-shannon" => Box::new(dd::JensenShannon),
-        "hellinger" => Box::new(dd::Hellinger),
-        "chi-square" => Box::new(dd::ChiSquare),
-        other => unreachable!("unknown distance {other}"),
-    }
 }

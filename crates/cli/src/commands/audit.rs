@@ -195,7 +195,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("unbalanced"));
-        assert!(out.contains("total-variation"));
+        assert!(out.contains("(avg pairwise tv)"), "{out}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `std::thread::scope` spawns, once per call, thousands of times per
 //! audit and again every streaming epoch. The pool here is spawned once
 //! (lazily, on the first parallel batch), parks between batches, and is
-//! shared by every engine and every [`fairjob-stream`] epoch in the
+//! shared by every engine and every `fairjob-stream` epoch in the
 //! process; [`WorkerPool::threads_spawned`] counts lifetime spawns so CI
 //! can assert the "no per-call spawns" contract with a real counter.
 //!
@@ -28,7 +28,7 @@
 //! the long-lived workers.
 //!
 //! Completion signalling is unwind-proof: each claimed invocation holds
-//! a [`TicketGuard`] whose `Drop` marks the ticket finished and wakes
+//! a `TicketGuard` whose `Drop` marks the ticket finished and wakes
 //! the submitter, so a panic anywhere on the worker's execution path —
 //! the closure itself, a poisoned lock, even a panic payload whose own
 //! `Drop` panics — can never leave [`WorkerPool::run`] waiting forever

@@ -1,30 +1,28 @@
 //! Per-worker solve workspaces for the exact EMD path.
 //!
-//! [`SolveScratch`] owns every buffer the exact solvers need: the
+//! [`SolveScratch`] owns every buffer the exact solve needs: the
 //! support-compaction index (`srcs`/`dsts` plus compacted
 //! supplies/demands), the flat row-major compacted cost view, the
-//! min-cost-flow network with its Dijkstra scratch, the transportation
-//! simplex tableau scratch, the cached round-1 Dijkstra for warm starts,
-//! and a scratch-local tier of the process-wide [`GroundCache`]. A
-//! worker that keeps one scratch for its lifetime solves an arbitrary
-//! stream of same-sized instances without touching the allocator.
+//! transport kernel with its Dijkstra scratch and cached round-1
+//! Dijkstra for warm starts, and a scratch-local tier of the
+//! process-wide [`GroundCache`]. A worker that keeps one scratch for its
+//! lifetime solves an arbitrary stream of same-sized instances without
+//! touching the allocator.
 //!
 //! # Warm starts and determinism
 //!
 //! Within a batch chunk, consecutive pairs that share a support set (and
 //! therefore a compacted cost matrix) replay the previous solve's
-//! round-1 Dijkstra instead of recomputing it — see
-//! [`crate::flow::Round1`] for why the replay is bit-identical to a cold
-//! solve while seeding *final* duals would not be. Callers that need
+//! round-1 Dijkstra instead of recomputing it; the kernel's module
+//! documentation says why the replay is bit-identical to a cold solve
+//! while seeding *final* duals would not be. Callers that need
 //! counters independent of thread count call [`SolveScratch::begin_chunk`]
 //! at deterministic chunk boundaries: it invalidates the warm state and
 //! zeroes the per-chunk [`ScratchStats`], making both pure functions of
 //! the chunk's contents.
 
 use crate::bipartite::BipartiteFlow;
-use crate::flow::MinCostFlow;
 use crate::ground::{GroundCache, GroundMatrix};
-use crate::simplex::SimplexScratch;
 use crate::EmdError;
 
 /// Counters a scratch accumulates between [`SolveScratch::take_stats`]
@@ -37,7 +35,7 @@ pub struct ScratchStats {
     /// Solves beyond the first since the last `begin_chunk` — each one
     /// reused the workspace instead of allocating a fresh solver.
     pub scratch_reuses: u64,
-    /// Flow solves that replayed the previous pair's round-1 Dijkstra.
+    /// Solves that replayed the previous pair's round-1 Dijkstra.
     pub warm_starts: u64,
 }
 
@@ -50,17 +48,11 @@ impl ScratchStats {
     }
 }
 
-/// A reusable workspace owning every buffer the exact solvers need.
+/// A reusable workspace owning every buffer the exact solve needs.
 #[derive(Debug, Clone, Default)]
 pub struct SolveScratch {
-    /// General min-cost-flow network for [`crate::TransportProblem`]
-    /// instances (edges, adjacency, Dijkstra buffers).
-    pub(crate) flow: MinCostFlow,
-    /// Transport-specialised kernel for compacted EMD solves, including
-    /// its cached round-1 Dijkstra.
+    /// The transport kernel, including its cached round-1 Dijkstra.
     pub(crate) bip: BipartiteFlow,
-    /// Transportation-simplex tableau scratch.
-    pub(crate) simplex: SimplexScratch,
     /// Support-compaction index: original bin indices of non-empty bins.
     pub(crate) srcs: Vec<usize>,
     pub(crate) dsts: Vec<usize>,
@@ -74,13 +66,10 @@ pub struct SolveScratch {
     pub(crate) prev_dsts: Vec<usize>,
     pub(crate) prev_costs: Vec<f64>,
     /// Whether `prev_*` + the kernel's round-1 cache describe the last
-    /// *flow* solve.
+    /// solve.
     pub(crate) warm_valid: bool,
     /// Whether any solve ran since the last `begin_chunk`.
     pub(crate) used: bool,
-    /// Edge-id remap buffer for general [`crate::TransportProblem`]
-    /// instances (which may contain zero-mass rows).
-    pub(crate) edge_ids: Vec<(usize, usize, usize)>,
     /// Signature of the scratch-local ground matrix.
     ground_sig: Vec<u64>,
     sig_tmp: Vec<u64>,
@@ -160,9 +149,7 @@ impl SolveScratch {
     /// same-sized solves must be equal, or the zero-allocation contract
     /// is broken.
     pub fn footprint(&self) -> usize {
-        self.flow.footprint()
-            + self.bip.footprint()
-            + self.simplex.footprint()
+        self.bip.footprint()
             + self.srcs.capacity()
             + self.dsts.capacity()
             + self.supplies.capacity()
@@ -171,7 +158,6 @@ impl SolveScratch {
             + self.prev_srcs.capacity()
             + self.prev_dsts.capacity()
             + self.prev_costs.capacity()
-            + self.edge_ids.capacity()
             + self.ground_sig.capacity()
             + self.sig_tmp.capacity()
     }

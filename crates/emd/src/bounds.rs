@@ -112,7 +112,7 @@ impl PrefixCdf {
 
     /// Mass-weighted mean position, given one position per bin.
     ///
-    /// Accumulated in [`LANES`] independent lanes (see the module note
+    /// Accumulated in `LANES` independent lanes (see the module note
     /// on lane-restructured reductions): deterministic for a given
     /// input, but *not* bit-identical to a serial left-to-right sum.
     /// Feeds only the projection *bound*, never an exact distance.
@@ -216,7 +216,7 @@ pub fn cdf_l1_positions(a: &PrefixCdf, b: &PrefixCdf, positions: &[f64]) -> Resu
 /// Total variation distance `0.5 * sum_i |a_i - b_i|` between two
 /// normalised mass vectors.
 ///
-/// Lane-restructured (see [`lane_sum`]): deterministic but not
+/// Lane-restructured (see `lane_sum`): deterministic but not
 /// order-identical to a serial sum. TV feeds only the sandwich
 /// *bounds*; screening decisions downstream carry an explicit pruning
 /// margin, so a last-ulp difference in a bound never changes which

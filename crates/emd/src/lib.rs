@@ -5,21 +5,23 @@
 //! average pairwise EMD between per-group score histograms, so everything
 //! above this crate ultimately calls into it.
 //!
-//! Three independent solver families are provided and cross-checked
-//! against each other in the test suite:
+//! There are two ways to a distance, cross-checked in the test suite
+//! against each other and against an independent oracle:
 //!
 //! * [`d1`] — closed-form one-dimensional EMD. For histograms whose bins
 //!   live on a line with an L1 ground distance the EMD equals the L1
 //!   distance between the cumulative distributions, which is computable in
 //!   a single pass. This is the fast path used by the auditing algorithms.
-//! * [`flow`] + [`transport`] — a general minimum-cost-flow formulation
-//!   solved with successive shortest paths and Johnson potentials. Handles
-//!   arbitrary ground-distance matrices (multi-dimensional embeddings,
-//!   thresholded distances).
-//! * [`simplex`] — the classical transportation simplex (north-west-corner
-//!   start + MODI pivoting). Slower in the worst case but an entirely
-//!   separate code path, which makes it a strong differential-testing
-//!   oracle for the flow solver.
+//! * [`transport`] — the one exact solver, for arbitrary ground-distance
+//!   matrices (multi-dimensional embeddings, thresholded distances,
+//!   unsorted positions) and unequal-mass [`signature`]s. Every solve
+//!   compacts both sides onto their non-empty supports and runs a
+//!   successive-shortest-paths kernel specialised to the transportation
+//!   problem, optionally on a reusable [`arena::SolveScratch`].
+//!
+//! [`simplex`] — the classical transportation simplex (north-west-corner
+//! start + MODI pivoting) — is an entirely separate code path kept only
+//! as the differential-testing oracle for the exact solver.
 //!
 //! [`bounds`] complements the solvers with cheap lower/upper bounds
 //! (projection, total-variation sandwich) and reusable prefix CDFs whose
@@ -32,18 +34,18 @@
 //!
 //! # Conventions
 //!
-//! * Mass vectors are non-negative `f64` slices. Unless stated otherwise,
-//!   the two sides of a comparison are normalised to unit total mass, so
-//!   the EMD is a true metric on distributions (given a metric ground
-//!   distance).
+//! * Mass vectors are non-negative `f64` slices. [`emd_between`]
+//!   normalises both sides to unit total mass, so the EMD is a true
+//!   metric on distributions (given a metric ground distance); the raw
+//!   transport entry points expect balanced inputs.
 //! * Positions are points on the real line for the 1-D fast path, or
 //!   arbitrary indices resolved through a ground-distance matrix for the
-//!   general solvers.
+//!   exact solver.
 //!
 //! # Example
 //!
 //! ```
-//! use fairjob_emd::{emd_1d_grid, EmdConfig, emd_between};
+//! use fairjob_emd::{emd_1d_grid, emd_between, EmdConfig, GridL1, GroundDistance};
 //!
 //! // Two 4-bin histograms on the unit interval (bin centres 0.125 ... 0.875).
 //! let a = [1.0, 0.0, 0.0, 0.0];
@@ -51,8 +53,11 @@
 //! let d = emd_1d_grid(&a, &b, 0.0, 1.0).unwrap();
 //! assert!((d - 0.75).abs() < 1e-12); // |0.125 - 0.875|
 //!
-//! // The general solver agrees.
-//! let d2 = emd_between(&a, &b, &EmdConfig::grid_l1(0.0, 1.0)).unwrap();
+//! // The exact solver agrees on the same ground given as a matrix (a
+//! // grid config would take the closed form again).
+//! let g = GridL1::new(0.0, 1.0, 4).unwrap();
+//! let m = (0..4).map(|i| (0..4).map(|j| g.cost(i, j)).collect()).collect();
+//! let d2 = emd_between(&a, &b, &EmdConfig::matrix(m)).unwrap();
 //! assert!((d - d2).abs() < 1e-9);
 //! ```
 
@@ -61,7 +66,6 @@ mod bipartite;
 pub mod bounds;
 pub mod d1;
 pub mod error;
-pub mod flow;
 pub mod ground;
 pub mod signature;
 pub mod simplex;
@@ -74,9 +78,7 @@ pub use error::EmdError;
 pub use ground::{
     GridL1, GroundCache, GroundDistance, GroundKey, GroundMatrix, Matrix, PositionsL1, Thresholded,
 };
-pub use transport::{
-    emd_cost_in, solve_emd, solve_emd_in, Solver, TransportProblem, TransportSolution,
-};
+pub use transport::{emd_cost_in, solve_emd, solve_emd_in, TransportProblem, TransportSolution};
 
 /// Tolerance used throughout when comparing floating-point masses.
 pub const MASS_EPS: f64 = 1e-9;
@@ -86,10 +88,6 @@ pub const MASS_EPS: f64 = 1e-9;
 pub struct EmdConfig {
     /// Ground distance between bin indices.
     pub ground: GroundKind,
-    /// Which exact solver to use when the closed form does not apply.
-    pub solver: Solver,
-    /// Normalise both inputs to unit mass before solving.
-    pub normalise: bool,
 }
 
 /// Ground-distance selection for [`EmdConfig`].
@@ -113,8 +111,6 @@ impl EmdConfig {
     pub fn grid_l1(lo: f64, hi: f64) -> Self {
         EmdConfig {
             ground: GroundKind::GridL1 { lo, hi },
-            solver: Solver::Flow,
-            normalise: true,
         }
     }
 
@@ -122,8 +118,6 @@ impl EmdConfig {
     pub fn positions_l1(positions: Vec<f64>) -> Self {
         EmdConfig {
             ground: GroundKind::PositionsL1(positions),
-            solver: Solver::Flow,
-            normalise: true,
         }
     }
 
@@ -131,8 +125,6 @@ impl EmdConfig {
     pub fn matrix(m: Vec<Vec<f64>>) -> Self {
         EmdConfig {
             ground: GroundKind::Matrix(m),
-            solver: Solver::Flow,
-            normalise: true,
         }
     }
 
@@ -140,28 +132,22 @@ impl EmdConfig {
     pub fn thresholded_grid(lo: f64, hi: f64, threshold: f64) -> Self {
         EmdConfig {
             ground: GroundKind::ThresholdedGridL1 { lo, hi, threshold },
-            solver: Solver::Flow,
-            normalise: true,
         }
-    }
-
-    /// Use a specific exact solver when the closed form does not apply.
-    pub fn with_solver(mut self, solver: Solver) -> Self {
-        self.solver = solver;
-        self
     }
 }
 
-/// Compute the EMD between two mass vectors under `config`.
+/// Compute the EMD between two mass vectors under `config`, after
+/// normalising both to unit total mass.
 ///
 /// Dispatches to the closed-form 1-D algorithm when the ground distance is
 /// an (unthresholded) L1 distance on the line, otherwise builds and solves
-/// a transportation problem with the configured exact solver.
+/// a transportation problem with the exact solver. Either way the answer
+/// depends only on the two distributions and the ground costs.
 ///
 /// # Errors
 ///
 /// Returns [`EmdError`] when the inputs have mismatched lengths, negative
-/// or non-finite mass, or (when `normalise` is off) unequal totals.
+/// or non-finite mass, or a total that is zero or overflows.
 pub fn emd_between(a: &[f64], b: &[f64], config: &EmdConfig) -> Result<f64, EmdError> {
     validate_masses(a)?;
     validate_masses(b)?;
@@ -174,21 +160,7 @@ pub fn emd_between(a: &[f64], b: &[f64], config: &EmdConfig) -> Result<f64, EmdE
     if a.is_empty() {
         return Err(EmdError::Empty);
     }
-    let (na, nb);
-    let (a, b): (&[f64], &[f64]) = if config.normalise {
-        na = normalise(a)?;
-        nb = normalise(b)?;
-        (&na, &nb)
-    } else {
-        let (ta, tb) = (total(a), total(b));
-        if (ta - tb).abs() > MASS_EPS * ta.max(tb).max(1.0) {
-            return Err(EmdError::MassMismatch {
-                left: ta,
-                right: tb,
-            });
-        }
-        (a, b)
-    };
+    let (a, b) = (&normalise(a)?, &normalise(b)?);
 
     match &config.ground {
         GroundKind::GridL1 { lo, hi } => d1::emd_1d_grid(a, b, *lo, *hi),
@@ -203,7 +175,7 @@ pub fn emd_between(a: &[f64], b: &[f64], config: &EmdConfig) -> Result<f64, EmdE
                 d1::emd_1d_positions(a, b, pos)
             } else {
                 let g = PositionsL1::new(pos.clone());
-                transport::solve_emd(a, b, &g, config.solver).map(|s| s.cost)
+                transport::solve_emd(a, b, &g).map(|s| s.cost)
             }
         }
         GroundKind::Matrix(m) => {
@@ -214,11 +186,11 @@ pub fn emd_between(a: &[f64], b: &[f64], config: &EmdConfig) -> Result<f64, EmdE
                     right: a.len(),
                 });
             }
-            transport::solve_emd(a, b, &g, config.solver).map(|s| s.cost)
+            transport::solve_emd(a, b, &g).map(|s| s.cost)
         }
         GroundKind::ThresholdedGridL1 { lo, hi, threshold } => {
             let g = Thresholded::new(GridL1::new(*lo, *hi, a.len())?, *threshold);
-            transport::solve_emd(a, b, &g, config.solver).map(|s| s.cost)
+            transport::solve_emd(a, b, &g).map(|s| s.cost)
         }
     }
 }
@@ -287,14 +259,19 @@ mod tests {
         let b = [0.0, 8.0];
         let d = emd_between(&a, &b, &EmdConfig::grid_l1(0.0, 1.0)).unwrap();
         assert!((d - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unnormalised_mass_mismatch_is_an_error() {
-        let mut cfg = EmdConfig::grid_l1(0.0, 1.0);
-        cfg.normalise = false;
-        let err = emd_between(&[1.0, 0.0], &[0.0, 2.0], &cfg).unwrap_err();
-        assert!(matches!(err, EmdError::MassMismatch { .. }));
+        // The same two-point ground in every spelling: the closed forms
+        // and the exact solver all see unit-mass inputs.
+        let configs = [
+            EmdConfig::grid_l1(0.0, 1.0),
+            EmdConfig::positions_l1(vec![0.25, 0.75]),
+            EmdConfig::matrix(vec![vec![0.0, 0.5], vec![0.5, 0.0]]),
+            EmdConfig::thresholded_grid(0.0, 1.0, 1.0),
+            EmdConfig::positions_l1(vec![0.75, 0.25]),
+        ];
+        for cfg in &configs {
+            let d = emd_between(&[2.0, 0.0], &[0.0, 2.0], cfg).unwrap();
+            assert!((d - 0.5).abs() < 1e-12, "{:?}: {d}", cfg.ground);
+        }
     }
 
     #[test]

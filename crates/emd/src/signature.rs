@@ -14,7 +14,7 @@
 //! difference — e.g. "how much work would it take to turn group A's
 //! score mass into group B's".
 
-use crate::transport::{Solver, TransportProblem};
+use crate::transport::TransportProblem;
 use crate::{EmdError, MASS_EPS};
 
 /// A weighted point set on the real line.
@@ -122,7 +122,7 @@ pub fn emd_signatures(a: &Signature, b: &Signature) -> Result<f64, EmdError> {
         demands,
         costs,
     };
-    let solution = problem.solve(Solver::Flow)?;
+    let solution = problem.solve()?;
     Ok(solution.cost / moved)
 }
 
@@ -168,7 +168,7 @@ pub fn emd_hat(a: &Signature, b: &Signature, penalty_per_unit: f64) -> Result<f6
         demands,
         costs,
     };
-    let solution = problem.solve(Solver::Flow)?;
+    let solution = problem.solve()?;
     Ok(solution.cost + penalty_per_unit * surplus)
 }
 

@@ -1,14 +1,30 @@
-//! Property-based tests: the EMD solvers agree with each other and the
-//! closed form, and EMD is a metric on normalised histograms.
+//! Property-based tests: the exact solver agrees with the closed form
+//! and with the transportation-simplex oracle, and EMD is a metric on
+//! normalised histograms.
 
 use fairjob_emd::bounds::{
     cdf_l1_grid, cdf_l1_positions, projection_lower, tv_lower, tv_upper, PrefixCdf,
 };
 use fairjob_emd::{
-    emd_1d_grid, emd_1d_samples, emd_between, emd_cost_in, normalise, solve_emd, solve_emd_in,
-    EmdConfig, GridL1, GroundDistance, PositionsL1, SolveScratch, Solver, TransportProblem,
+    emd_1d_grid, emd_1d_samples, emd_between, emd_cost_in, normalise, simplex, solve_emd,
+    solve_emd_in, EmdConfig, GridL1, GroundDistance, PositionsL1, SolveScratch, TransportProblem,
 };
 use proptest::prelude::*;
+
+/// The dense `n × n` cost matrix of `g`.
+fn cost_matrix(g: &impl GroundDistance) -> Vec<Vec<f64>> {
+    let n = g.size();
+    (0..n)
+        .map(|i| (0..n).map(|j| g.cost(i, j)).collect())
+        .collect()
+}
+
+/// The transportation-simplex oracle's EMD between `a` and `b`, each
+/// normalised to unit mass, on the full (uncompacted) cost matrix.
+fn oracle(a: &[f64], b: &[f64], costs: &[Vec<f64>]) -> f64 {
+    let (na, nb) = (normalise(a).unwrap(), normalise(b).unwrap());
+    simplex::solve(&na, &nb, costs).unwrap().cost
+}
 
 /// Strategy: a mass vector of length `n` with at least one positive entry.
 fn masses(n: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -18,9 +34,10 @@ fn masses(n: usize) -> impl Strategy<Value = Vec<f64>> {
 
 /// Strategy: a sparse mass vector — each bin is either exactly empty or
 /// substantial, so support compaction and degenerate (zero-mass-row)
-/// handling both get exercised, including single-bin instances.
-fn sparse_masses(n: usize) -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec((0.0f64..1.0, 0.5f64..10.0), n)
+/// handling both get exercised, including single-bin instances. `len` is
+/// a length or a range of lengths.
+fn sparse_masses(len: impl Into<prop::collection::SizeRange>) -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec((0.0f64..1.0, 0.5f64..10.0), len)
         .prop_map(|v| {
             v.into_iter()
                 .map(|(gate, x)| if gate < 0.6 { 0.0 } else { x })
@@ -35,21 +52,17 @@ proptest! {
     #[test]
     fn closed_form_matches_flow_solver(a in masses(8), b in masses(8)) {
         let exact = emd_1d_grid(&a, &b, 0.0, 1.0).unwrap();
-        let flow = emd_between(&a, &b, &EmdConfig::grid_l1(0.0, 1.0).with_solver(Solver::Flow))
-            .unwrap();
+        // A matrix ground takes the exact solver; a grid config would
+        // take the closed form and compare it with itself.
+        let m = cost_matrix(&GridL1::new(0.0, 1.0, 8).unwrap());
+        let flow = emd_between(&a, &b, &EmdConfig::matrix(m)).unwrap();
         prop_assert!((exact - flow).abs() < 1e-7, "closed={exact} flow={flow}");
     }
 
     #[test]
     fn closed_form_matches_simplex_solver(a in masses(6), b in masses(6)) {
         let exact = emd_1d_grid(&a, &b, 0.0, 1.0).unwrap();
-        // Force the exact solver by going through an explicit matrix ground.
-        let g = GridL1::new(0.0, 1.0, 6).unwrap();
-        let m: Vec<Vec<f64>> = (0..6)
-            .map(|i| (0..6).map(|j| fairjob_emd::GroundDistance::cost(&g, i, j)).collect())
-            .collect();
-        let simplex = emd_between(&a, &b, &EmdConfig::matrix(m).with_solver(Solver::Simplex))
-            .unwrap();
+        let simplex = oracle(&a, &b, &cost_matrix(&GridL1::new(0.0, 1.0, 6).unwrap()));
         prop_assert!((exact - simplex).abs() < 1e-7, "closed={exact} simplex={simplex}");
     }
 
@@ -63,10 +76,8 @@ proptest! {
         let m: Vec<Vec<f64>> = (0..5)
             .map(|i| (0..5).map(|j| (pos[i] - pos[j]).abs()).collect())
             .collect();
-        let flow = emd_between(&a, &b, &EmdConfig::matrix(m.clone()).with_solver(Solver::Flow))
-            .unwrap();
-        let simplex = emd_between(&a, &b, &EmdConfig::matrix(m).with_solver(Solver::Simplex))
-            .unwrap();
+        let flow = emd_between(&a, &b, &EmdConfig::matrix(m.clone())).unwrap();
+        let simplex = oracle(&a, &b, &m);
         prop_assert!((flow - simplex).abs() < 1e-7, "flow={flow} simplex={simplex}");
     }
 
@@ -263,9 +274,9 @@ proptest! {
         let g = PositionsL1::new(pos);
         let na = normalise(&a).unwrap();
         let nb = normalise(&b).unwrap();
-        let f = solve_emd(&na, &nb, &g, Solver::Flow).unwrap();
-        let s = solve_emd(&na, &nb, &g, Solver::Simplex).unwrap();
-        prop_assert!((f.cost - s.cost).abs() < 1e-9, "flow={} simplex={}", f.cost, s.cost);
+        let f = solve_emd(&na, &nb, &g).unwrap();
+        let s = oracle(&a, &b, &cost_matrix(&g));
+        prop_assert!((f.cost - s).abs() < 1e-9, "flow={} simplex={s}", f.cost);
     }
 
     #[test]
@@ -274,25 +285,54 @@ proptest! {
         b in sparse_masses(6),
     ) {
         // solve_emd compacts onto the non-empty supports; a raw
-        // TransportProblem keeps the zero-mass rows/columns. The optimum
-        // must not depend on which formulation ran.
+        // TransportProblem keeps the zero-mass rows/columns until its own
+        // solve compacts them, and the oracle never drops them. The
+        // optimum must not depend on which formulation ran.
         let na = normalise(&a).unwrap();
         let nb = normalise(&b).unwrap();
         let g = GridL1::new(0.0, 1.0, 6).unwrap();
         let p = TransportProblem {
             supplies: na.clone(),
             demands: nb.clone(),
-            costs: (0..6)
-                .map(|i| (0..6).map(|j| g.cost(i, j)).collect())
-                .collect(),
+            costs: cost_matrix(&g),
         };
-        for solver in [Solver::Flow, Solver::Simplex] {
-            let compacted = solve_emd(&na, &nb, &g, solver).unwrap();
-            let full = p.solve(solver).unwrap();
-            prop_assert!(
-                (compacted.cost - full.cost).abs() < 1e-9,
-                "{solver:?}: compacted={} full={}", compacted.cost, full.cost
-            );
+        let compacted = solve_emd(&na, &nb, &g).unwrap();
+        let full = p.solve().unwrap();
+        prop_assert_eq!(compacted.cost.to_bits(), full.cost.to_bits(),
+            "compacted={} full={}", compacted.cost, full.cost);
+        prop_assert_eq!(&compacted.flows, &full.flows);
+        let s = simplex::solve(&p.supplies, &p.demands, &p.costs).unwrap().cost;
+        prop_assert!((compacted.cost - s).abs() < 1e-9, "compacted={} simplex={s}", compacted.cost);
+    }
+
+    #[test]
+    fn rectangular_problems_with_empty_rows_match_the_oracle(
+        sup in sparse_masses(1..7),
+        dem in sparse_masses(1..7),
+        grid in prop::collection::vec(0.0f64..10.0, 36),
+    ) {
+        // Arbitrary m × n instances (m ≠ n included) whose zero rows and
+        // columns the solve must compact away.
+        let supplies = normalise(&sup).unwrap();
+        let demands = normalise(&dem).unwrap();
+        let costs: Vec<Vec<f64>> = (0..supplies.len())
+            .map(|i| (0..demands.len()).map(|j| grid[i * 6 + j]).collect())
+            .collect();
+        let p = TransportProblem { supplies, demands, costs };
+        let sol = p.solve().unwrap();
+        let s = simplex::solve(&p.supplies, &p.demands, &p.costs).unwrap().cost;
+        prop_assert!((sol.cost - s).abs() < 1e-9, "kernel={} simplex={s}", sol.cost);
+        let mut out = vec![0.0; p.supplies.len()];
+        let mut inn = vec![0.0; p.demands.len()];
+        for &(i, j, f) in &sol.flows {
+            out[i] += f;
+            inn[j] += f;
+        }
+        for (i, (&got, &want)) in out.iter().zip(&p.supplies).enumerate() {
+            prop_assert!((got - want).abs() < 1e-9, "supply {i}: shipped {got} of {want}");
+        }
+        for (j, (&got, &want)) in inn.iter().zip(&p.demands).enumerate() {
+            prop_assert!((got - want).abs() < 1e-9, "demand {j}: received {got} of {want}");
         }
     }
 
@@ -300,20 +340,18 @@ proptest! {
     fn arena_scratch_is_bit_identical_to_legacy_path(
         pairs in prop::collection::vec((sparse_masses(6), sparse_masses(6)), 1..5),
     ) {
-        // One long-lived scratch across pairs and solver switches must
-        // reproduce the fresh-scratch path bit for bit, flows included.
+        // One long-lived scratch across pairs must reproduce the
+        // fresh-scratch path bit for bit, flows included.
         let g = GridL1::new(0.0, 1.0, 6).unwrap();
         let mut scratch = SolveScratch::new();
         for (a, b) in &pairs {
             let na = normalise(a).unwrap();
             let nb = normalise(b).unwrap();
-            for solver in [Solver::Flow, Solver::Simplex] {
-                let fresh = solve_emd(&na, &nb, &g, solver).unwrap();
-                let reused = solve_emd_in(&mut scratch, &na, &nb, &g, solver).unwrap();
-                prop_assert_eq!(fresh.cost.to_bits(), reused.cost.to_bits(),
-                    "{:?}: fresh={} reused={}", solver, fresh.cost, reused.cost);
-                prop_assert_eq!(&fresh.flows, &reused.flows);
-            }
+            let fresh = solve_emd(&na, &nb, &g).unwrap();
+            let reused = solve_emd_in(&mut scratch, &na, &nb, &g).unwrap();
+            prop_assert_eq!(fresh.cost.to_bits(), reused.cost.to_bits(),
+                "fresh={} reused={}", fresh.cost, reused.cost);
+            prop_assert_eq!(&fresh.flows, &reused.flows);
         }
     }
 
@@ -342,9 +380,8 @@ proptest! {
         let mut warm = SolveScratch::new();
         warm.begin_chunk();
         for w in hists.windows(2) {
-            let hot = emd_cost_in(&mut warm, &w[0], &w[1], &g, Solver::Flow).unwrap();
-            let cold = emd_cost_in(&mut SolveScratch::new(), &w[0], &w[1], &g, Solver::Flow)
-                .unwrap();
+            let hot = emd_cost_in(&mut warm, &w[0], &w[1], &g).unwrap();
+            let cold = emd_cost_in(&mut SolveScratch::new(), &w[0], &w[1], &g).unwrap();
             prop_assert_eq!(hot.to_bits(), cold.to_bits(), "hot={} cold={}", hot, cold);
         }
         // Solves 2..k share supports and costs with their predecessor.

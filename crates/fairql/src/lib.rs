@@ -12,7 +12,7 @@
 //! EXPLAIN ANALYZE AUDIT workers;
 //! ```
 //!
-//! The classic pipeline runs in full: [`lex`] → [`ast`] → [`parse`] →
+//! The classic pipeline runs in full: [`lex`] → [`ast`] → [`mod@parse`] →
 //! [`analyze`] (name/type resolution against the store schema,
 //! protected-attribute validation) → [`logical`] plan → [`physical`]
 //! plan → execution via a [`Session`]. The physical planner compiles

@@ -5,7 +5,7 @@
 //! execution routes through the exact same [`AuditContext`] entry
 //! points as a direct `fairjob audit` / serve `AUDIT` run, so an
 //! unfiltered `AUDIT workers` is **bit-identical** to the direct run —
-//! same `unfairness` bits, same [`EngineStats`] counters.
+//! same `unfairness` bits, same [`EngineStats`](fairjob_core::EngineStats) counters.
 //!
 //! Between statements the session keeps the engine's caches warm: a
 //! repeated audit shape (same source epoch, same `WHERE`, same bins,
@@ -15,7 +15,7 @@
 //! The caches are keyed by partition-predicate fingerprints, which do
 //! not encode the population — reusing them across a *different*
 //! filter or epoch would alias, so the warm hand-off is gated on an
-//! exact [`CacheKey`] match and dropped otherwise.
+//! exact `CacheKey` match and dropped otherwise.
 
 use crate::analyze::{analyze, Analyzed, AnalyzedAudit, AnalyzedSelect, OutItem};
 use crate::error::QueryError;
@@ -132,7 +132,7 @@ pub struct Defaults {
     pub min_partition_size: usize,
     /// Shard layout for the context's split/classify kernels. Results
     /// are bit-identical under every policy, so — like `threads` — it
-    /// is not part of [`CacheKey`].
+    /// is not part of the warm-cache key.
     pub shards: ShardPolicy,
 }
 

@@ -137,6 +137,61 @@ fn repeated_audit_reuses_warm_caches() {
 }
 
 #[test]
+fn session_default_metric_plans_and_caches_like_its_metric_clause() {
+    // A session whose default metric is `emd-exact` must plan an audit
+    // exactly as an explicit `METRIC emd-exact` clause does, and the
+    // warm cache, which is keyed on the metric's name, must serve one
+    // from the other.
+    let (table, scores) = population(200);
+    let defaults = Defaults {
+        metric: fairjob_hist::distance::by_name("emd-exact").unwrap(),
+        ..Defaults::default()
+    };
+    let mut session = Session::new(
+        Source::Batch {
+            table: &table,
+            scores: &scores,
+        },
+        defaults,
+    )
+    .unwrap();
+    let mut plan_line = |query: &str| {
+        let outputs = session.execute(query).unwrap();
+        let QueryOutput::Explain { text } = &outputs[0] else {
+            panic!("not an explain output")
+        };
+        text.lines()
+            .find(|l| l.trim_start().starts_with("Audit "))
+            .unwrap_or_else(|| panic!("no audit node in:\n{text}"))
+            .to_string()
+    };
+    let implicit = plan_line("EXPLAIN AUDIT workers");
+    let explicit = plan_line("EXPLAIN AUDIT workers METRIC emd-exact");
+    assert_eq!(implicit, explicit);
+    assert!(implicit.contains("metric=emd-exact"), "{implicit}");
+
+    let outputs = session
+        .execute("AUDIT workers; AUDIT workers METRIC emd-exact")
+        .unwrap();
+    let (
+        QueryOutput::Audit { summary: first, .. },
+        QueryOutput::Audit {
+            summary: second, ..
+        },
+    ) = (&outputs[0], &outputs[1])
+    else {
+        panic!("not audit outputs")
+    };
+    assert_eq!(first.unfairness_bits(), second.unfairness_bits());
+    assert!(first.engine.distances_computed > 0);
+    assert_eq!(
+        second.engine.distances_computed, 0,
+        "second audit recomputed distances"
+    );
+    assert_eq!(second.engine.splits_computed, 0, "second audit re-split");
+}
+
+#[test]
 fn changing_the_filter_invalidates_warm_caches() {
     let (table, scores) = population(400);
     let mut session = session(&table, &scores);

@@ -10,7 +10,7 @@
 use crate::histogram::Histogram;
 use fairjob_emd::bounds;
 use fairjob_emd::{
-    EmdError, GridL1, GroundCache, GroundMatrix, PositionsL1, SolveScratch, Solver, Thresholded,
+    EmdError, GridL1, GroundCache, GroundMatrix, PositionsL1, SolveScratch, Thresholded,
 };
 use std::fmt;
 
@@ -70,7 +70,10 @@ pub trait HistogramDistance: Send + Sync {
     /// [`DistanceError::EmptyHistogram`] when either side has no mass.
     fn distance(&self, a: &Histogram, b: &Histogram) -> Result<f64, DistanceError>;
 
-    /// Short stable identifier for reports and benchmarks.
+    /// Short stable identifier for reports and benchmarks. For every
+    /// metric [`by_name`] accepts this is the key it accepts, so a
+    /// metric reads the same in a report, a query plan and a cache key
+    /// however it was chosen.
     fn name(&self) -> &'static str;
 
     /// Cheap provable bounds on `distance(a, b)`, or `None` when this
@@ -86,8 +89,8 @@ pub trait HistogramDistance: Send + Sync {
     /// [`HistogramDistance::distance`] on a caller-owned solver
     /// workspace. The default ignores the scratch; the exact-EMD
     /// implementations override it to reuse solver buffers, the shared
-    /// ground-matrix cache, and warm-started duals. The returned value is
-    /// always bit-identical to `distance`.
+    /// ground-matrix cache, and the replayed first Dijkstra round. The
+    /// returned value is always bit-identical to `distance`.
     fn distance_with(
         &self,
         a: &Histogram,
@@ -99,7 +102,7 @@ pub trait HistogramDistance: Send + Sync {
     }
 
     /// Pre-build any process-wide cached state for histograms laid out
-    /// like `h` (the exact solvers' ground matrix), so that workers
+    /// like `h` (the exact solver's ground matrix), so that workers
     /// solving afterwards — possibly in parallel — only ever hit the
     /// cache. The default does nothing.
     ///
@@ -211,33 +214,25 @@ impl HistogramDistance for Emd1d {
     }
 }
 
-/// EMD via an exact transportation solver (flow or simplex). Numerically
-/// identical to [`Emd1d`] on 1-D grounds; exists for differential testing
-/// and for callers that want the simplex backend.
-#[derive(Debug, Clone, Copy)]
-pub struct EmdExact {
-    /// Which exact backend to use.
-    pub solver: Solver,
-}
+/// EMD via the exact transportation solver. Numerically identical to
+/// [`Emd1d`] on 1-D grounds (to ~1e-9); exists for differential testing
+/// and as the exact baseline the bound screen is measured against.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EmdExact;
 
 impl HistogramDistance for EmdExact {
+    /// [`HistogramDistance::distance_with`] on a fresh workspace.
     fn distance(&self, a: &Histogram, b: &Histogram) -> Result<f64, DistanceError> {
-        let (fa, fb) = frequencies(a, b)?;
-        let spec = a.spec();
-        let ground = fairjob_emd::PositionsL1::new(spec.centres());
-        Ok(fairjob_emd::transport::solve_emd(&fa, &fb, &ground, self.solver)?.cost)
+        self.distance_with(a, b, &mut SolveScratch::new())
     }
 
     fn name(&self) -> &'static str {
-        match self.solver {
-            Solver::Flow => "emd-flow",
-            Solver::Simplex => "emd-simplex",
-        }
+        "emd-exact"
     }
 
     /// Projection lower bound and total-variation upper bound around the
-    /// transportation solvers. Not exact (the solvers take a different
-    /// numeric path), but valid for the L1-on-centres ground they use.
+    /// transportation solver. Not exact (the solver takes a different
+    /// numeric path), but valid for the L1-on-centres ground it uses.
     fn bounds(&self, a: &Histogram, b: &Histogram) -> Option<DistanceBounds> {
         if a.spec() != b.spec() {
             return None;
@@ -253,9 +248,9 @@ impl HistogramDistance for EmdExact {
     }
 
     /// Solve on the workspace: cached ground matrix (no per-pair centre
-    /// walk or validation), reused solver buffers, and — for the flow
-    /// backend — warm-started duals between consecutive pairs sharing a
-    /// support set. Bit-identical to `distance`.
+    /// walk or validation), reused solver buffers, and a replayed first
+    /// Dijkstra round between consecutive pairs sharing a support set.
+    /// Bit-identical to a solve on a fresh workspace.
     fn distance_with(
         &self,
         a: &Histogram,
@@ -268,13 +263,7 @@ impl HistogramDistance for EmdExact {
             |sig| positions_sig(spec, sig),
             || GroundMatrix::build(&PositionsL1::new(spec.centres())),
         )?;
-        Ok(fairjob_emd::emd_cost_in(
-            scratch,
-            &fa,
-            &fb,
-            &ground,
-            self.solver,
-        )?)
+        Ok(fairjob_emd::emd_cost_in(scratch, &fa, &fb, &ground)?)
     }
 
     fn prime(&self, h: &Histogram) -> Result<(), DistanceError> {
@@ -298,23 +287,9 @@ pub struct EmdThresholded {
 }
 
 impl HistogramDistance for EmdThresholded {
+    /// [`HistogramDistance::distance_with`] on a fresh workspace.
     fn distance(&self, a: &Histogram, b: &Histogram) -> Result<f64, DistanceError> {
-        let (fa, fb) = frequencies(a, b)?;
-        let spec = a.spec();
-        let ground = if spec.is_uniform() {
-            Thresholded::new(
-                GridL1::new(spec.lo(), spec.hi(), spec.len())?,
-                self.threshold,
-            )
-        } else {
-            // Build from centres via the grid-equivalent positions.
-            return {
-                let pos = fairjob_emd::PositionsL1::new(spec.centres());
-                let t = Thresholded::new(pos, self.threshold);
-                Ok(fairjob_emd::transport::solve_emd(&fa, &fb, &t, Solver::Flow)?.cost)
-            };
-        };
-        Ok(fairjob_emd::transport::solve_emd(&fa, &fb, &ground, Solver::Flow)?.cost)
+        self.distance_with(a, b, &mut SolveScratch::new())
     }
 
     fn name(&self) -> &'static str {
@@ -361,13 +336,7 @@ impl HistogramDistance for EmdThresholded {
             |sig| thresholded_sig(spec, threshold, sig),
             || build_thresholded_matrix(spec, threshold),
         )?;
-        Ok(fairjob_emd::emd_cost_in(
-            scratch,
-            &fa,
-            &fb,
-            &ground,
-            Solver::Flow,
-        )?)
+        Ok(fairjob_emd::emd_cost_in(scratch, &fa, &fb, &ground)?)
     }
 
     fn prime(&self, h: &Histogram) -> Result<(), DistanceError> {
@@ -380,8 +349,9 @@ impl HistogramDistance for EmdThresholded {
     }
 }
 
-/// Snapshot the thresholded ground for `spec` into a validated matrix,
-/// mirroring the ground construction in [`EmdThresholded::distance`].
+/// Snapshot the thresholded ground for `spec` into a validated matrix:
+/// the grid distance for uniform layouts, distances between bin centres
+/// otherwise, each saturated at `threshold`.
 fn build_thresholded_matrix(
     spec: &crate::bins::BinSpec,
     threshold: f64,
@@ -409,7 +379,7 @@ impl HistogramDistance for TotalVariation {
     }
 
     fn name(&self) -> &'static str {
-        "total-variation"
+        "tv"
     }
 }
 
@@ -432,7 +402,7 @@ impl HistogramDistance for KolmogorovSmirnov {
     }
 
     fn name(&self) -> &'static str {
-        "kolmogorov-smirnov"
+        "ks"
     }
 }
 
@@ -458,7 +428,7 @@ impl HistogramDistance for JensenShannon {
     }
 
     fn name(&self) -> &'static str {
-        "jensen-shannon"
+        "jsd"
     }
 }
 
@@ -529,19 +499,17 @@ impl HistogramDistance for ChiSquare {
     }
 
     fn name(&self) -> &'static str {
-        "chi-square"
+        "chi2"
     }
 }
 
-/// Resolve a metric by its short CLI/query name. These are the stable
-/// user-facing spellings (`tv`, not `total-variation`); `None` means the
-/// name is unknown. The accepted set matches `fairjob audit --metric`.
+/// Resolve a metric by its short CLI/query name, which is also the
+/// metric's [`HistogramDistance::name`]; `None` means the name is
+/// unknown. The accepted set matches `fairjob audit --metric`.
 pub fn by_name(name: &str) -> Option<std::sync::Arc<dyn HistogramDistance>> {
     Some(match name {
         "emd" => std::sync::Arc::new(Emd1d),
-        "emd-exact" => std::sync::Arc::new(EmdExact {
-            solver: Solver::Flow,
-        }),
+        "emd-exact" => std::sync::Arc::new(EmdExact),
         "tv" => std::sync::Arc::new(TotalVariation),
         "ks" => std::sync::Arc::new(KolmogorovSmirnov),
         "jsd" => std::sync::Arc::new(JensenShannon),
@@ -577,6 +545,18 @@ mod tests {
 
     fn h(values: &[f64]) -> Histogram {
         Histogram::from_values(spec(), values.iter().copied())
+    }
+
+    /// The transportation-simplex oracle's EMD between `a` and `b` on the
+    /// full matrix of distances between bin centres.
+    fn simplex_oracle(a: &Histogram, b: &Histogram) -> f64 {
+        let (fa, fb) = (a.frequencies().unwrap(), b.frequencies().unwrap());
+        let centres = a.spec().centres();
+        let costs: Vec<Vec<f64>> = centres
+            .iter()
+            .map(|x| centres.iter().map(|y| (x - y).abs()).collect())
+            .collect();
+        fairjob_emd::simplex::solve(&fa, &fb, &costs).unwrap().cost
     }
 
     #[test]
@@ -680,10 +660,10 @@ mod tests {
         let a = h(&[0.12, 0.34, 0.55, 0.9]);
         let b = h(&[0.2, 0.21, 0.8]);
         let closed = Emd1d.distance(&a, &b).unwrap();
-        for solver in [Solver::Flow, Solver::Simplex] {
-            let exact = EmdExact { solver }.distance(&a, &b).unwrap();
-            assert!((closed - exact).abs() < 1e-9, "{solver:?}");
-        }
+        let exact = EmdExact.distance(&a, &b).unwrap();
+        assert!((closed - exact).abs() < 1e-9, "kernel: {exact}");
+        let oracle = simplex_oracle(&a, &b);
+        assert!((closed - oracle).abs() < 1e-9, "simplex: {oracle}");
     }
 
     #[test]
@@ -757,13 +737,10 @@ mod tests {
     fn solver_bounds_sandwich_the_distance() {
         let a = h(&[0.05, 0.1, 0.4]);
         let b = h(&[0.6, 0.95]);
-        for solver in [Solver::Flow, Solver::Simplex] {
-            let dist = EmdExact { solver };
-            let bd = dist.bounds(&a, &b).unwrap();
-            assert!(!bd.exact);
-            let d = dist.distance(&a, &b).unwrap();
-            assert!(bd.lower <= d + 1e-9 && d <= bd.upper + 1e-9);
-        }
+        let bd = EmdExact.bounds(&a, &b).unwrap();
+        assert!(!bd.exact);
+        let d = EmdExact.distance(&a, &b).unwrap();
+        assert!(bd.lower <= d + 1e-9 && d <= bd.upper + 1e-9);
         let dist = EmdThresholded { threshold: 0.25 };
         let bd = dist.bounds(&a, &b).unwrap();
         let d = dist.distance(&a, &b).unwrap();
@@ -787,19 +764,12 @@ mod tests {
             h(&[0.2, 0.21, 0.8]),
             h(&[0.05, 0.5, 0.95]),
         ];
-        let exact_flow = EmdExact {
-            solver: Solver::Flow,
-        };
-        let exact_simplex = EmdExact {
-            solver: Solver::Simplex,
-        };
         let thresholded = EmdThresholded { threshold: 0.25 };
         let mut scratch = SolveScratch::new();
         for a in &hists {
             for b in &hists {
                 for dist in [
-                    &exact_flow as &dyn HistogramDistance,
-                    &exact_simplex,
+                    &EmdExact as &dyn HistogramDistance,
                     &thresholded,
                     &Emd1d, // default impl must also agree
                 ] {
@@ -822,9 +792,7 @@ mod tests {
         let s = BinSpec::equal_width(0.0, 0.731, 9).unwrap();
         let a = Histogram::from_values(s.clone(), [0.1, 0.3].iter().copied());
         let b = Histogram::from_values(s, [0.5, 0.7].iter().copied());
-        let dist = EmdExact {
-            solver: Solver::Flow,
-        };
+        let dist = EmdExact;
         dist.prime(&a).unwrap();
         let mut scratch = SolveScratch::new();
         scratch.begin_chunk();
@@ -843,9 +811,7 @@ mod tests {
         let a = mk(&[0.1, 0.1, 0.4, 0.9]);
         let b = mk(&[0.1, 0.4, 0.4, 0.9]);
         let c = mk(&[0.1, 0.4, 0.9, 0.9]);
-        let dist = EmdExact {
-            solver: Solver::Flow,
-        };
+        let dist = EmdExact;
         let mut scratch = SolveScratch::new();
         scratch.begin_chunk();
         let d1 = dist.distance_with(&a, &b, &mut scratch).unwrap();
@@ -859,19 +825,13 @@ mod tests {
     #[test]
     fn names_are_stable() {
         assert_eq!(Emd1d.name(), "emd");
-        assert_eq!(
-            EmdExact {
-                solver: Solver::Flow
-            }
-            .name(),
-            "emd-flow"
-        );
-        assert_eq!(
-            EmdExact {
-                solver: Solver::Simplex
-            }
-            .name(),
-            "emd-simplex"
-        );
+        assert_eq!(EmdExact.name(), "emd-exact");
+        // Every metric `by_name` accepts reports the key it was found by.
+        for &key in METRIC_NAMES {
+            assert_eq!(by_name(key).unwrap().name(), key);
+        }
+        for dist in all_symmetric_distances() {
+            assert_eq!(by_name(dist.name()).unwrap().name(), dist.name());
+        }
     }
 }

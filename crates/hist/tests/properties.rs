@@ -50,7 +50,7 @@ proptest! {
             // sqrt in Hellinger amplifies 1e-16 rounding to ~1e-8.
             prop_assert!(daa.abs() < 1e-7, "{} self-distance {daa}", dist.name());
             // Triangle inequality for the true metrics (EMD, TV, Hellinger, KS).
-            if matches!(dist.name(), "emd" | "total-variation" | "hellinger" | "kolmogorov-smirnov") {
+            if matches!(dist.name(), "emd" | "tv" | "hellinger" | "ks") {
                 let dbc = dist.distance(&hb, &hc).unwrap();
                 let dac = dist.distance(&ha, &hc).unwrap();
                 prop_assert!(dac <= dab + dbc + 1e-9, "{} triangle violated", dist.name());
@@ -63,10 +63,18 @@ proptest! {
         let spec = BinSpec::equal_width(0.0, 1.0, 8).unwrap();
         let (ha, hb) = (hist(&spec, &a), hist(&spec, &b));
         let closed = Emd1d.distance(&ha, &hb).unwrap();
-        for solver in [fairjob_emd::Solver::Flow, fairjob_emd::Solver::Simplex] {
-            let exact = EmdExact { solver }.distance(&ha, &hb).unwrap();
-            prop_assert!((closed - exact).abs() < 1e-8, "{solver:?}: {closed} vs {exact}");
-        }
+        let exact = EmdExact.distance(&ha, &hb).unwrap();
+        prop_assert!((closed - exact).abs() < 1e-8, "kernel: {closed} vs {exact}");
+        // The transportation-simplex oracle on the full centre-distance
+        // matrix.
+        let (fa, fb) = (ha.frequencies().unwrap(), hb.frequencies().unwrap());
+        let centres = spec.centres();
+        let costs: Vec<Vec<f64>> = centres
+            .iter()
+            .map(|x| centres.iter().map(|y| (x - y).abs()).collect())
+            .collect();
+        let oracle = fairjob_emd::simplex::solve(&fa, &fb, &costs).unwrap().cost;
+        prop_assert!((closed - oracle).abs() < 1e-8, "simplex: {closed} vs {oracle}");
     }
 
     #[test]
@@ -107,8 +115,7 @@ proptest! {
         let (ha, hb) = (hist(&spec, &a), hist(&spec, &b));
         let dists: Vec<Box<dyn HistogramDistance>> = vec![
             Box::new(Emd1d),
-            Box::new(EmdExact { solver: fairjob_emd::Solver::Flow }),
-            Box::new(EmdExact { solver: fairjob_emd::Solver::Simplex }),
+            Box::new(EmdExact),
             Box::new(EmdThresholded { threshold: t }),
         ];
         for dist in dists {

@@ -6,7 +6,7 @@
 //!
 //! * the [`proptest!`] macro (with `#![proptest_config(...)]`),
 //! * numeric range strategies, tuple strategies, [`prop::collection::vec`],
-//! * [`Strategy::prop_map`] / [`Strategy::prop_filter`],
+//! * [`strategy::Strategy::prop_map`] / [`strategy::Strategy::prop_filter`],
 //! * [`prop_assert!`] / [`prop_assert_eq!`].
 //!
 //! Differences from real proptest, by design:
@@ -205,7 +205,7 @@ pub mod prop {
         use crate::test_runner::TestRng;
         use rand::Rng;
 
-        /// Element-count specification for [`vec`]: an exact length or a
+        /// Element-count specification for [`vec()`]: an exact length or a
         /// (half-open / inclusive) length range.
         #[derive(Debug, Clone, Copy)]
         pub struct SizeRange {
@@ -250,7 +250,7 @@ pub mod prop {
             }
         }
 
-        /// See [`vec`].
+        /// See [`vec()`].
         #[derive(Debug, Clone)]
         pub struct VecStrategy<S> {
             element: S,

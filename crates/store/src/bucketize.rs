@@ -195,15 +195,15 @@ fn bucket_of(v: f64, edges: &[f64]) -> usize {
 /// inner loop stays in cache and autovectorizes.
 const CLASSIFY_CHUNK: usize = 4096;
 
-/// Bulk form of [`bucket_of`]: classify every value against `edges`
+/// Bulk form of `bucket_of`: classify every value against `edges`
 /// (`edges.len() >= 2`, strictly increasing) in one chunked, branchless
 /// pass. The bucket of `v` is the clamped count of interior-or-upper
 /// edges `<= v` — a pure compare-and-add over a handful of edges, which
 /// the compiler vectorizes, unlike the per-value binary search.
 ///
-/// Agrees with [`bucket_of`] for every finite `v` and at every edge
+/// Agrees with `bucket_of` for every finite `v` and at every edge
 /// (ties go right, both ends clamped, final bucket closed above). The
-/// only divergence is `NaN`, where [`bucket_of`] panics and this kernel
+/// only divergence is `NaN`, where `bucket_of` panics and this kernel
 /// classifies into bucket 0 — table columns are range-validated on
 /// insert, so `NaN` never reaches either path in practice.
 pub fn bucket_codes(values: &[f64], edges: &[f64]) -> Vec<u32> {

@@ -101,7 +101,7 @@ impl RowSet {
     const GALLOP_FACTOR: usize = 16;
 
     /// Set intersection. Linear merge for similar sizes; when one side is
-    /// more than [`Self::GALLOP_FACTOR`]× larger, the smaller side is
+    /// more than `GALLOP_FACTOR`× larger, the smaller side is
     /// galloped (exponential probe + binary search) through the larger.
     pub fn intersect(&self, other: &RowSet) -> RowSet {
         if self.len().saturating_mul(Self::GALLOP_FACTOR) < other.len() {
