@@ -22,7 +22,12 @@
 //!   value;
 //! * the branch-and-bound candidate search actually prunes on this
 //!   workload (engine `bounds_screened > 0`) and matches the unpruned
-//!   value bit for bit;
+//!   value bit for bit. It runs on `PairwiseEmd`, `Emd1d` without its
+//!   L1 form, because `Emd1d` itself chooses `balanced`'s attributes by
+//!   the column screen, which needs no bound;
+//! * that column-screened `Emd1d` search gives the pairwise search's
+//!   bits and partitioning with zero pairs bound-screened, every
+//!   candidate round decided by columns, and no tie;
 //! * repeated batches spawn no new pool threads — workers are spawned
 //!   once and reused, never per call.
 
@@ -31,9 +36,9 @@ use fairjob_bench::prepare_population;
 use fairjob_core::algorithms::{balanced::Balanced, Algorithm, AttributeChoice};
 use fairjob_core::pool::WorkerPool;
 use fairjob_core::unfairness::{average_pairwise, pairwise_emd_batch, BatchValue};
-use fairjob_core::{AuditConfig, AuditContext, Partition};
+use fairjob_core::{AuditConfig, AuditContext, AuditResult, Partition};
 use fairjob_hist::distance::Emd1d;
-use fairjob_hist::{DistanceError, Histogram, HistogramDistance};
+use fairjob_hist::{DistanceBounds, DistanceError, Histogram, HistogramDistance};
 use fairjob_marketplace::scoring::{LinearScore, ScoringFunction};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -49,6 +54,24 @@ impl HistogramDistance for NoBounds {
     }
     fn name(&self) -> &'static str {
         "emd-no-bounds"
+    }
+}
+
+/// `Emd1d` without its L1 form: the same distances and exact bounds,
+/// so `balanced` scores its candidates pairwise through the memo and
+/// the bound screen instead of from sorted columns.
+#[derive(Debug)]
+struct PairwiseEmd;
+
+impl HistogramDistance for PairwiseEmd {
+    fn distance(&self, a: &Histogram, b: &Histogram) -> Result<f64, DistanceError> {
+        Emd1d.distance(a, b)
+    }
+    fn bounds(&self, a: &Histogram, b: &Histogram) -> Option<DistanceBounds> {
+        Emd1d.bounds(a, b)
+    }
+    fn name(&self) -> &'static str {
+        "emd-pairwise"
     }
 }
 
@@ -137,8 +160,9 @@ fn assert_kernel_contract(hists: &[&Histogram]) {
 
 /// The branch-and-bound search contract: with bounds available the
 /// Worst-attribute search prunes candidates (real counter, not timing)
-/// and still returns the unpruned result bit for bit.
-fn assert_search_prunes(ctx: &AuditContext<'_>, unpruned_ctx: &AuditContext<'_>) {
+/// and still returns the unpruned result bit for bit. Returns the
+/// pruned run.
+fn assert_search_prunes(ctx: &AuditContext<'_>, unpruned_ctx: &AuditContext<'_>) -> AuditResult {
     let pruned = Balanced::new(AttributeChoice::Worst)
         .run(ctx)
         .expect("pruned search");
@@ -164,6 +188,45 @@ fn assert_search_prunes(ctx: &AuditContext<'_>, unpruned_ctx: &AuditContext<'_>)
         pruned.engine.exact_solves,
         pruned.engine.distances_computed,
         unpruned.engine.distances_computed,
+    );
+    pruned
+}
+
+/// The column-screen contract: `Emd1d`'s `balanced` chooses every
+/// attribute from sorted L1 columns and lands on the pairwise search's
+/// answer bit for bit, without bounding a single pair.
+fn assert_column_screen(ctx: &AuditContext<'_>, pairwise: &AuditResult) {
+    let screened = Balanced::new(AttributeChoice::Worst)
+        .run(ctx)
+        .expect("column-screened search");
+    assert_eq!(
+        screened.unfairness.to_bits(),
+        pairwise.unfairness.to_bits(),
+        "the column screen changed the search result: {} vs {}",
+        screened.unfairness,
+        pairwise.unfairness
+    );
+    assert_eq!(
+        screened.partitioning.partitions(),
+        pairwise.partitioning.partitions(),
+        "the column screen changed the partitioning"
+    );
+    assert_eq!(screened.engine.bounds_screened, 0);
+    assert!(
+        screened.engine.column_scored > 0,
+        "no candidate was scored from columns"
+    );
+    assert_eq!(
+        screened.engine.column_ties, 0,
+        "a candidate round fell back to exact scoring"
+    );
+    println!(
+        "column contract: {} candidates scored from columns, {} ties, {} distances computed; balanced took {:?} on columns, {:?} pairwise",
+        screened.engine.column_scored,
+        screened.engine.column_ties,
+        screened.engine.distances_computed,
+        screened.elapsed,
+        pairwise.elapsed,
     );
 }
 
@@ -199,6 +262,12 @@ fn bench_pairwise_kernel(c: &mut Criterion) {
         .score_all(&workers)
         .expect("scores");
     let ctx = AuditContext::new(&workers, &scores, AuditConfig::default()).expect("audit context");
+    let pairwise_ctx = AuditContext::new(
+        &workers,
+        &scores,
+        AuditConfig::with_distance(Arc::new(PairwiseEmd)),
+    )
+    .expect("pairwise context");
     let unpruned_ctx = AuditContext::new(
         &workers,
         &scores,
@@ -213,7 +282,8 @@ fn bench_pairwise_kernel(c: &mut Criterion) {
         .collect();
 
     assert_kernel_contract(&hists);
-    assert_search_prunes(&ctx, &unpruned_ctx);
+    let pairwise = assert_search_prunes(&pairwise_ctx, &unpruned_ctx);
+    assert_column_screen(&ctx, &pairwise);
     assert_pool_persistence(&hists);
 
     let mut group = c.benchmark_group("pairwise_kernel");

@@ -65,8 +65,10 @@ impl Algorithm for Balanced {
             remaining.retain(|&x| x != chosen.attr);
             current = chosen.parts;
         }
-        // Candidate scoring above already cached every pair distance, so
-        // this full evaluation is pure cache hits.
+        // Reported values come from full evaluations through the memo.
+        // Their pairs are cached when delta scoring chose the attribute;
+        // when the column screen or a lone candidate decided, they are
+        // computed here and cached for later rounds and warm epochs.
         let mut current_avg = engine.unfairness(&current)?;
         evaluations += 1;
 

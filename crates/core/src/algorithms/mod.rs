@@ -13,7 +13,7 @@ pub mod lookahead;
 pub mod subsets;
 pub mod unbalanced;
 
-use crate::engine::{CandidateScore, EvalEngine, IncrementalEval, SplitChildren};
+use crate::engine::{CandidateScore, EvalEngine, IncrementalEval, Replacements, SplitChildren};
 use crate::error::AuditError;
 use crate::report::AuditResult;
 use crate::AuditContext;
@@ -131,19 +131,33 @@ pub(crate) struct ChosenSplit {
 /// [`EvalEngine::split_batch`] over `remaining × parts`: splits seen in
 /// an earlier round come straight from the split cache, the rest run the
 /// single-pass kernel on worker threads, and losing candidates stay
-/// cached for the next round. For [`AttributeChoice::Worst`] the
-/// candidates are then scored by delta evaluation ([`IncrementalEval`]
-/// seeded once with `parts`): replacing the split partitions by their
-/// children costs O(k · changed) distance lookups per candidate instead
-/// of the O(k²) full matrix, and every distance goes through `engine`'s
-/// memo cache. The attribute with the highest average pairwise distance
-/// wins (ties: first). Scoring is branch-and-bound: each candidate after
-/// the first is screened against the best value so far
-/// ([`IncrementalEval::score_replacements_bounded`]) and abandoned
-/// before any exact distance solve when its upper bound shows it cannot
-/// win — the winner and its value are bit-identical to the unpruned
-/// search. `evaluations` is incremented once per candidate considered,
-/// pruned or not.
+/// cached for the next round.
+///
+/// For [`AttributeChoice::Worst`] the attribute whose split yields the
+/// highest average pairwise distance wins (ties: first), decided in up
+/// to three steps, each giving the winner of the one before:
+///
+/// 1. **One viable candidate** wins unscored, whatever the metric.
+/// 2. **Column screen** — when the distance has an L1 form
+///    ([`fairjob_hist::HistogramDistance::l1_form`]: `emd`, `tv`), every
+///    candidate partitioning is scored from sorted per-bin columns
+///    ([`EvalEngine::column_winner`]) with no pair distance, memo lookup
+///    or bound; a candidate within [`crate::unfairness::PRUNE_MARGIN`]
+///    of the best alone wins outright.
+/// 3. **Exact delta scoring** — otherwise (no L1 form, or two or more
+///    candidates that close) the candidates are scored in order by
+///    [`IncrementalEval`] seeded once with `parts`: replacing the split
+///    partitions by their children costs O(k · changed) distance lookups
+///    per candidate through `engine`'s memo. Scoring is branch-and-bound:
+///    each candidate after the first is screened against the best value
+///    so far ([`IncrementalEval::score_replacements_bounded`]) and
+///    abandoned before any exact distance solve when its upper bound
+///    shows it cannot win.
+///
+/// Every step returns the winner, bit for bit, that step 3 alone would
+/// return. `evaluations` is incremented once per candidate considered,
+/// whichever step decides. [`AttributeChoice::Random`] draws from its
+/// RNG even when only one candidate is viable.
 pub(crate) fn choose_attribute(
     engine: &EvalEngine<'_, '_>,
     parts: &[Arc<crate::Partition>],
@@ -181,23 +195,24 @@ pub(crate) fn choose_attribute(
             rng.gen_range(0..candidates.len())
         }
         AttributeChoice::Worst => {
-            let mut incremental = IncrementalEval::new(engine, parts)?;
-            let mut best: Option<(usize, f64)> = None;
-            for (index, (_, splits)) in candidates.iter().enumerate() {
-                let replacements: Vec<(usize, &[Arc<crate::Partition>])> = splits
+            *evaluations += candidates.len();
+            if candidates.len() == 1 {
+                0
+            } else {
+                let replacements: Vec<Replacements<'_>> = candidates
                     .iter()
-                    .map(|(i, children)| (*i, children.as_slice()))
+                    .map(|(_, splits)| {
+                        splits
+                            .iter()
+                            .map(|(i, children)| (*i, children.as_slice()))
+                            .collect()
+                    })
                     .collect();
-                let incumbent = best.map(|(_, b)| b);
-                let score = incremental.score_replacements_bounded(&replacements, incumbent)?;
-                *evaluations += 1;
-                if let CandidateScore::Exact(value) = score {
-                    if best.is_none_or(|(_, b)| value > b) {
-                        best = Some((index, value));
-                    }
+                match engine.column_winner(parts, &replacements) {
+                    Some(winner) => winner,
+                    None => exact_winner(engine, parts, &replacements)?,
                 }
             }
-            best.expect("candidates is non-empty").0
         }
     };
     let (attr, splits) = candidates.swap_remove(winner);
@@ -205,6 +220,28 @@ pub(crate) fn choose_attribute(
         attr,
         parts: materialise(parts, &splits),
     }))
+}
+
+/// The index of the candidate whose replacements give the highest
+/// average pairwise distance over `parts` (ties: first), scored in order
+/// by branch-and-bound delta evaluation.
+fn exact_winner(
+    engine: &EvalEngine<'_, '_>,
+    parts: &[Arc<crate::Partition>],
+    candidates: &[Replacements<'_>],
+) -> Result<usize, AuditError> {
+    let mut incremental = IncrementalEval::new(engine, parts)?;
+    let mut best: Option<(usize, f64)> = None;
+    for (index, replacements) in candidates.iter().enumerate() {
+        let incumbent = best.map(|(_, b)| b);
+        let score = incremental.score_replacements_bounded(replacements, incumbent)?;
+        if let CandidateScore::Exact(value) = score {
+            if best.is_none_or(|(_, b)| value > b) {
+                best = Some((index, value));
+            }
+        }
+    }
+    Ok(best.expect("candidates is non-empty").0)
 }
 
 /// `parts` with each `(index, children)` substitution applied in order

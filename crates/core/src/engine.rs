@@ -10,7 +10,7 @@
 //! its work; on the paper's 7300-worker dataset the full partitioning
 //! has ~1800 partitions → ~1.6 M pairs per evaluation.
 //!
-//! [`EvalEngine`] fixes this at four levels:
+//! [`EvalEngine`] fixes this at five levels:
 //!
 //! 1. **Memo cache** — every computed distance is cached under the
 //!    ordered pair of the partitions' predicate fingerprints
@@ -42,11 +42,21 @@
 //!    still falls short of the incumbent — the branch-and-bound step
 //!    of the candidate search. Pruned candidates provably cannot win,
 //!    so search results stay bit-identical.
+//! 5. **Column screen** — for distances with a weighted-L1 form
+//!    ([`fairjob_hist::HistogramDistance::l1_form`]: `emd`, `tv`),
+//!    the engine scores every candidate of a worst-attribute round from
+//!    sorted per-bin columns, with no pair distance, memo lookup or
+//!    bound, and names the winner when no other candidate is within
+//!    [`crate::unfairness::PRUNE_MARGIN`] of it. Ties fall back to
+//!    levels 2 and 4, so winners stay bit-identical; reported values
+//!    still come from full evaluations through the memo. Distances
+//!    without the form, and wrappers that do not forward it, keep
+//!    levels 2 and 4.
 //!
 //! On top of the distance paths sits the **partition-materialisation
 //! fast path**:
 //!
-//! 5. **Split cache** — [`EvalEngine::split`] materialises candidate
+//! 6. **Split cache** — [`EvalEngine::split`] materialises candidate
 //!    splits through the single-pass kernel
 //!    ([`AuditContext::split`]) and memoises the children under the
 //!    parent's predicate fingerprint × attribute, sharing them as
@@ -54,7 +64,7 @@
 //!    recomputed every greedy round by the seed — cost zero row scans
 //!    after first touch. Non-viable splits are negatively cached too,
 //!    since greedy loops retry them each round.
-//! 6. **Parallel candidate search** — [`EvalEngine::split_batch`]
+//! 7. **Parallel candidate search** — [`EvalEngine::split_batch`]
 //!    classifies cache hits serially, computes the missing splits in
 //!    fixed-size chunks on the persistent worker pool (the kernel is
 //!    pure), and inserts results serially in request order, so every
@@ -62,8 +72,9 @@
 //!    count.
 //!
 //! The engine counts distances computed, cache hits, and cache bypasses,
-//! plus splits computed, split-cache hits, rows scanned, and histograms
-//! built ([`EngineStats`]); algorithms surface the counters through
+//! candidates scored from columns and the screen's ties, plus splits
+//! computed, split-cache hits, rows scanned, and histograms built
+//! ([`EngineStats`]); algorithms surface the counters through
 //! [`crate::report::AuditResult::engine`] and the CLI audit report.
 //! Every cached or incremental result stays within 1e-9 of the naive
 //! [`crate::AuditContext::unfairness`] on identical inputs.
@@ -86,6 +97,11 @@ use std::sync::Arc;
 /// same `Arc`s to every algorithm that asks, so a split is materialised
 /// (rows walked, histograms built) at most once per engine lifetime.
 pub type SplitChildren = Arc<Vec<Arc<Partition>>>;
+
+/// One candidate partitioning, written as replacements of a base
+/// partitioning: `(index into the base, children)` pairs, indexes
+/// ascending.
+pub(crate) type Replacements<'p> = Vec<(usize, &'p [Arc<Partition>])>;
 
 /// Facts about one row at a point in time, as predicates and histograms
 /// see it: the row's categorical codes (indexed by schema attribute id;
@@ -524,6 +540,13 @@ pub struct EngineStats {
     /// Distances computed while scoring candidates exactly (the
     /// survivors of the bound screen; a subset of `distances_computed`).
     pub exact_solves: u64,
+    /// Candidate partitionings scored from sorted L1 columns by the
+    /// column screen — no pair distance, memo lookup or bound.
+    pub column_scored: u64,
+    /// Column-screen rounds in which two or more candidates came within
+    /// [`crate::unfairness::PRUNE_MARGIN`] of the best, so the round fell
+    /// back to exact delta scoring.
+    pub column_ties: u64,
     /// Chunks dispatched through the persistent worker pool (counted
     /// even when executed inline at one thread, so the counter is
     /// thread-count independent).
@@ -602,6 +625,8 @@ impl EngineStats {
         self.split_evictions += other.split_evictions;
         self.bounds_screened += other.bounds_screened;
         self.exact_solves += other.exact_solves;
+        self.column_scored += other.column_scored;
+        self.column_ties += other.column_ties;
         self.pool_tasks += other.pool_tasks;
         self.ground_cache_hits += other.ground_cache_hits;
         self.scratch_reuses += other.scratch_reuses;
@@ -621,7 +646,7 @@ impl EngineStats {
     /// The exhaustive destructuring makes this function — and through
     /// it every renderer — fail to compile when a counter is added to
     /// the struct but not listed here.
-    pub fn as_pairs(&self) -> [(&'static str, u64); 22] {
+    pub fn as_pairs(&self) -> [(&'static str, u64); 24] {
         let EngineStats {
             distances_computed,
             cache_hits,
@@ -634,6 +659,8 @@ impl EngineStats {
             split_evictions,
             bounds_screened,
             exact_solves,
+            column_scored,
+            column_ties,
             pool_tasks,
             ground_cache_hits,
             scratch_reuses,
@@ -658,6 +685,8 @@ impl EngineStats {
             ("split_evictions", split_evictions),
             ("bounds_screened", bounds_screened),
             ("exact_solves", exact_solves),
+            ("column_scored", column_scored),
+            ("column_ties", column_ties),
             ("pool_tasks", pool_tasks),
             ("ground_cache_hits", ground_cache_hits),
             ("scratch_reuses", scratch_reuses),
@@ -699,6 +728,8 @@ pub struct EvalEngine<'c, 'a> {
     split_evictions: Cell<u64>,
     bounds_screened: Cell<u64>,
     exact_solves: Cell<u64>,
+    column_scored: Cell<u64>,
+    column_ties: Cell<u64>,
     pool_tasks: Cell<u64>,
     ground_cache_hits: Cell<u64>,
     scratch_reuses: Cell<u64>,
@@ -745,6 +776,8 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
             split_evictions: Cell::new(0),
             bounds_screened: Cell::new(0),
             exact_solves: Cell::new(0),
+            column_scored: Cell::new(0),
+            column_ties: Cell::new(0),
             pool_tasks: Cell::new(0),
             ground_cache_hits: Cell::new(0),
             scratch_reuses: Cell::new(0),
@@ -803,6 +836,8 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
             split_evictions: self.split_evictions.get(),
             bounds_screened: self.bounds_screened.get(),
             exact_solves: self.exact_solves.get(),
+            column_scored: self.column_scored.get(),
+            column_ties: self.column_ties.get(),
             pool_tasks: self.pool_tasks.get(),
             ground_cache_hits: self.ground_cache_hits.get(),
             scratch_reuses: self.scratch_reuses.get(),
@@ -1225,6 +1260,58 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
         }
         Ok(sum / pairs as f64)
     }
+
+    /// The column screen of the worst-attribute choice: score each
+    /// candidate partitioning — `parts` with the candidate's
+    /// `(index, children)` replacements applied, indexes ascending —
+    /// from sorted L1 columns
+    /// ([`fairjob_hist::L1Form::average_pairwise`]), with no pair
+    /// distance, memo lookup or bound, and return the index of the one
+    /// candidate within [`PRUNE_MARGIN`] of the best.
+    ///
+    /// `None` when the distance has no L1 form, or when two or more
+    /// candidates come that close (counted in
+    /// [`EngineStats::column_ties`]): the caller then scores every
+    /// candidate exactly. A column score agrees with the exact average up
+    /// to rounding (far below 1e-10 at audit sizes) and delta scoring
+    /// stays within 1e-9 of it, so a candidate more than `PRUNE_MARGIN`
+    /// below another could never win the exact search, and a lone
+    /// survivor is its winner.
+    pub(crate) fn column_winner(
+        &self,
+        parts: &[Arc<Partition>],
+        candidates: &[Replacements<'_>],
+    ) -> Option<usize> {
+        let form = self.ctx.distance().l1_form(self.ctx.spec())?;
+        let mut scores: Vec<f64> = Vec::with_capacity(candidates.len());
+        let mut columns: Vec<&[f64]> = Vec::new();
+        for replacements in candidates {
+            columns.clear();
+            let mut replacements = replacements.iter().peekable();
+            for (i, part) in parts.iter().enumerate() {
+                let live = match replacements.next_if(|&&(at, _)| at == i) {
+                    Some(&(_, children)) => children,
+                    None => std::slice::from_ref(part),
+                };
+                for p in live.iter().filter(|p| !p.is_empty()) {
+                    columns.push(form.column(&p.histogram)?);
+                }
+            }
+            scores.push(form.average_pairwise(&columns));
+        }
+        self.column_scored
+            .set(self.column_scored.get() + scores.len() as u64);
+        let best = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        // A NaN score counts as close, which forces exact scoring.
+        let mut close =
+            (0..scores.len()).filter(|&c| scores[c].is_nan() || scores[c] + PRUNE_MARGIN >= best);
+        let winner = close.next()?;
+        if close.next().is_some() {
+            Self::bump(&self.column_ties);
+            return None;
+        }
+        Some(winner)
+    }
 }
 
 impl DistanceOracle for EvalEngine<'_, '_> {
@@ -1473,17 +1560,19 @@ mod tests {
             split_evictions: 9,
             bounds_screened: 10,
             exact_solves: 11,
-            pool_tasks: 12,
-            ground_cache_hits: 13,
-            scratch_reuses: 14,
-            warm_starts: 15,
-            shard_tasks: 16,
-            rows_classified_parallel: 17,
-            page_hits: 18,
-            page_misses: 19,
-            page_evictions: 20,
-            pages_skipped: 21,
-            pages_scanned: 22,
+            column_scored: 12,
+            column_ties: 13,
+            pool_tasks: 14,
+            ground_cache_hits: 15,
+            scratch_reuses: 16,
+            warm_starts: 17,
+            shard_tasks: 18,
+            rows_classified_parallel: 19,
+            page_hits: 20,
+            page_misses: 21,
+            page_evictions: 22,
+            pages_skipped: 23,
+            pages_scanned: 24,
         };
         let pairs = a.as_pairs();
         // Every field value is distinct and present exactly once.

@@ -93,6 +93,12 @@ impl AuditResult {
                 self.engine.bounds_screened, self.engine.exact_solves, self.engine.pool_tasks,
             ));
         }
+        if self.engine.column_scored + self.engine.column_ties > 0 {
+            out.push_str(&format!(
+                "columns: {} candidates scored, {} ties\n",
+                self.engine.column_scored, self.engine.column_ties,
+            ));
+        }
         if self.engine.ground_cache_hits + self.engine.scratch_reuses + self.engine.warm_starts > 0
         {
             out.push_str(&format!(
@@ -141,7 +147,10 @@ impl AuditResult {
 
 impl AuditResult {
     /// Machine-readable JSON rendering of the result (stable field
-    /// names; one object, no trailing newline).
+    /// names; one object, no trailing newline). `unfairness` is the
+    /// shortest decimal that reads back as the same `f64`, and
+    /// `unfairness_bits` its 16 hex digits, as `fairjob query` prints
+    /// them.
     pub fn to_json(&self, ctx: &AuditContext<'_>) -> String {
         let schema = ctx.schema();
         let attributes: Vec<String> = self
@@ -190,10 +199,11 @@ impl AuditResult {
             .map(|(name, value)| format!("\"{name}\":{value}"))
             .collect();
         format!(
-            "{{\"algorithm\":\"{}\",\"distance\":\"{}\",\"unfairness\":{:.6},\"elapsed_ms\":{:.3},\"candidates_evaluated\":{},\"engine\":{{{}}},\"attributes_used\":[{}],\"partitions\":[{}]}}",
+            "{{\"algorithm\":\"{}\",\"distance\":\"{}\",\"unfairness\":{},\"unfairness_bits\":\"{:016x}\",\"elapsed_ms\":{:.3},\"candidates_evaluated\":{},\"engine\":{{{}}},\"attributes_used\":[{}],\"partitions\":[{}]}}",
             json_escape(&self.algorithm),
             json_escape(ctx.distance().name()),
             self.unfairness,
+            self.unfairness.to_bits(),
             self.elapsed.as_secs_f64() * 1000.0,
             self.candidates_evaluated,
             engine.join(","),
@@ -233,6 +243,8 @@ mod tests {
                 split_evictions: 0,
                 bounds_screened: 40,
                 exact_solves: 6,
+                column_scored: 10,
+                column_ties: 1,
                 pool_tasks: 3,
                 ground_cache_hits: 14,
                 scratch_reuses: 13,
@@ -253,6 +265,7 @@ mod tests {
             .contains("splits: 5 computed, 11 cache hits, 320 rows scanned, 12 histograms built"));
         assert!(text.contains("evictions: 2 distance entries, 0 split entries"));
         assert!(text.contains("bounds: 40 pairs screened, 6 exact solves, 3 pool tasks"));
+        assert!(text.contains("columns: 10 candidates scored, 1 ties"));
         assert!(text.contains("solver: 14 ground cache hits, 13 scratch reuses, 7 warm starts"));
         assert!(text.contains("shards: 6 shard tasks, 320 rows classified in parallel"));
         assert!(text.contains("pages: 13 scanned, 8 skipped, 9 cache hits, 4 misses, 1 evictions"));
@@ -288,6 +301,8 @@ mod tests {
                 split_evictions: 3,
                 bounds_screened: 20,
                 exact_solves: 5,
+                column_scored: 6,
+                column_ties: 0,
                 pool_tasks: 2,
                 ground_cache_hits: 12,
                 scratch_reuses: 10,
@@ -306,12 +321,26 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\\\"quoted"));
-        assert!(json.contains("\"unfairness\":0.500000"));
+        // Full precision: the printed value reads back as the same f64,
+        // and the bits are printed beside it.
+        let printed = json
+            .split("\"unfairness\":")
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .unwrap();
+        assert_eq!(
+            printed.parse::<f64>().unwrap().to_bits(),
+            unfairness.to_bits()
+        );
+        assert!(json.contains(&format!(
+            "\"unfairness_bits\":\"{:016x}\"",
+            unfairness.to_bits()
+        )));
         assert!(json.contains("\"attribute\":\"gender\""));
         assert!(json.contains("\"value\":\"Male\""));
         assert!(json.contains("\"candidates_evaluated\":3"));
         assert!(json.contains(
-            "\"engine\":{\"distances_computed\":7,\"cache_hits\":2,\"cache_bypasses\":1,\"splits_computed\":4,\"split_cache_hits\":9,\"rows_scanned\":250,\"histograms_built\":8,\"cache_evictions\":0,\"split_evictions\":3,\"bounds_screened\":20,\"exact_solves\":5,\"pool_tasks\":2,\"ground_cache_hits\":12,\"scratch_reuses\":10,\"warm_starts\":4,\"shard_tasks\":6,\"rows_classified_parallel\":250,\"page_hits\":21,\"page_misses\":7,\"page_evictions\":2,\"pages_skipped\":11,\"pages_scanned\":17}"
+            "\"engine\":{\"distances_computed\":7,\"cache_hits\":2,\"cache_bypasses\":1,\"splits_computed\":4,\"split_cache_hits\":9,\"rows_scanned\":250,\"histograms_built\":8,\"cache_evictions\":0,\"split_evictions\":3,\"bounds_screened\":20,\"exact_solves\":5,\"column_scored\":6,\"column_ties\":0,\"pool_tasks\":2,\"ground_cache_hits\":12,\"scratch_reuses\":10,\"warm_starts\":4,\"shard_tasks\":6,\"rows_classified_parallel\":250,\"page_hits\":21,\"page_misses\":7,\"page_evictions\":2,\"pages_skipped\":11,\"pages_scanned\":17}"
         ));
         // Structural completeness: every counter as_pairs knows about is
         // present in the JSON by name.

@@ -7,6 +7,7 @@
 //! them operate on *normalised* histograms so that partition sizes do not
 //! leak into the distance.
 
+use crate::bins::BinSpec;
 use crate::histogram::Histogram;
 use fairjob_emd::bounds;
 use fairjob_emd::{
@@ -55,6 +56,79 @@ pub struct DistanceBounds {
     /// [`HistogramDistance::distance`] would return — the bound *is* the
     /// answer and no exact solve is ever needed.
     pub exact: bool,
+}
+
+/// Which cached per-histogram vector an [`L1Form`] reads as a
+/// histogram's column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum L1Column {
+    /// The first `B − 1` values of the cached prefix CDF.
+    PrefixCdf,
+    /// The normalised frequencies ([`fairjob_emd::bounds::PrefixCdf::norm`]).
+    Frequencies,
+}
+
+/// A distance's weighted-L1 form on one bin layout
+/// ([`HistogramDistance::l1_form`]): for two non-empty histograms `a`,
+/// `b` on that layout, `distance(a, b) = Σ_j w_j · |x_a[j] − x_b[j]|` in
+/// exact arithmetic, where `x_h` is [`L1Form::column`] of `h` and the
+/// weights `w` depend only on the layout.
+///
+/// Summed over every pair of a set of histograms, entry `j` contributes
+/// the Gini mean difference of column entry `j`, so
+/// [`L1Form::average_pairwise`] averages all pairs from one sort per
+/// entry, without a single pair distance.
+#[derive(Debug, Clone, PartialEq)]
+pub struct L1Form {
+    column: L1Column,
+    weights: Vec<f64>,
+}
+
+impl L1Form {
+    /// The column `x_h` of a histogram on the layout this form was made
+    /// for: a view into its cached [`crate::CdfStats`], so building it
+    /// allocates nothing after the first call. `None` for an empty
+    /// histogram or one with another bin count.
+    pub fn column<'h>(&self, h: &'h Histogram) -> Option<&'h [f64]> {
+        let cdf = &h.cdf_stats()?.cdf;
+        let (values, extra) = match self.column {
+            L1Column::PrefixCdf => (cdf.cdf(), 1),
+            L1Column::Frequencies => (cdf.norm(), 0),
+        };
+        (values.len() == self.weights.len() + extra).then(|| &values[..self.weights.len()])
+    }
+
+    /// The average of `distance` over every pair of `columns` (0 with
+    /// fewer than two), from the sorted columns: over a column sorted
+    /// ascending, `Σ_{p<q} |x_p − x_q| = Σ_r (2r − m + 1)·x_(r)` for `m`
+    /// histograms. Costs `O(B · m log m)` and no pair distance; agrees
+    /// with the pairwise average up to rounding. The sums run in a fixed
+    /// order over sorted values, so the result does not depend on the
+    /// order of `columns`.
+    ///
+    /// # Panics
+    ///
+    /// When a column is shorter than the form's weights (every column
+    /// from [`L1Form::column`] has exactly their length).
+    pub fn average_pairwise(&self, columns: &[&[f64]]) -> f64 {
+        let m = columns.len();
+        if m < 2 {
+            return 0.0;
+        }
+        let mut sorted: Vec<f64> = Vec::with_capacity(m);
+        let mut sum = 0.0;
+        for (j, &w) in self.weights.iter().enumerate() {
+            sorted.clear();
+            sorted.extend(columns.iter().map(|c| c[j]));
+            sorted.sort_unstable_by(f64::total_cmp);
+            let mut gini = 0.0;
+            for (r, &x) in sorted.iter().enumerate() {
+                gini += (2.0 * r as f64 + 1.0 - m as f64) * x;
+            }
+            sum += w * gini;
+        }
+        sum / (m * (m - 1) / 2) as f64
+    }
 }
 
 /// A distance (or divergence) between two histograms over the same bins.
@@ -113,6 +187,18 @@ pub trait HistogramDistance: Send + Sync {
     fn prime(&self, h: &Histogram) -> Result<(), DistanceError> {
         let _ = h;
         Ok(())
+    }
+
+    /// This distance's weighted-L1 form on `spec`, or `None` (the
+    /// default) when it has none. `Some` promises that for two non-empty
+    /// histograms on `spec`, `distance(a, b)` equals the form's weighted
+    /// L1 sum in exact arithmetic, so averages over many histograms can
+    /// come from sorted columns ([`L1Form::average_pairwise`]). A
+    /// wrapper that does not forward this method keeps callers on the
+    /// pairwise path, which is correct, only slower.
+    fn l1_form(&self, spec: &BinSpec) -> Option<L1Form> {
+        let _ = spec;
+        None
     }
 }
 
@@ -210,6 +296,22 @@ impl HistogramDistance for Emd1d {
             lower: d,
             upper: d,
             exact: true,
+        })
+    }
+
+    /// The first `B − 1` values of the cached prefix CDF, each weighted
+    /// by the factor [`bounds::cdf_l1_grid`] / [`bounds::cdf_l1_positions`]
+    /// applies at that cut: the bin width on uniform layouts, the gap
+    /// between consecutive centres otherwise.
+    fn l1_form(&self, spec: &BinSpec) -> Option<L1Form> {
+        let weights: Vec<f64> = if spec.is_uniform() {
+            vec![(spec.hi() - spec.lo()) / spec.len() as f64; spec.len() - 1]
+        } else {
+            spec.centres().windows(2).map(|w| w[1] - w[0]).collect()
+        };
+        weights.iter().all(|w| w.is_finite()).then_some(L1Form {
+            column: L1Column::PrefixCdf,
+            weights,
         })
     }
 }
@@ -380,6 +482,14 @@ impl HistogramDistance for TotalVariation {
 
     fn name(&self) -> &'static str {
         "tv"
+    }
+
+    /// The normalised frequencies, each weighted ½.
+    fn l1_form(&self, spec: &BinSpec) -> Option<L1Form> {
+        Some(L1Form {
+            column: L1Column::Frequencies,
+            weights: vec![0.5; spec.len()],
+        })
     }
 }
 

@@ -35,6 +35,6 @@ pub mod histogram;
 pub mod sketch;
 
 pub use bins::BinSpec;
-pub use distance::{DistanceBounds, DistanceError, HistogramDistance};
+pub use distance::{DistanceBounds, DistanceError, HistogramDistance, L1Form};
 pub use fairjob_emd::{ScratchStats, SolveScratch};
 pub use histogram::{CdfStats, Histogram};
