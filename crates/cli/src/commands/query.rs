@@ -127,7 +127,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
             Some(_) => Some(args.parsed_or("threads", 0usize)?),
         },
         shards: crate::commands::parse_shards(&args)?,
-        ..Defaults::default()
     };
     let mut session = Session::new(source, defaults).map_err(map_query_error)?;
 

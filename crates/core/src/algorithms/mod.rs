@@ -9,7 +9,6 @@ pub mod all_attributes;
 pub mod balanced;
 pub mod beam;
 pub mod exhaustive;
-pub mod lookahead;
 pub mod subsets;
 pub mod unbalanced;
 
@@ -48,18 +47,6 @@ pub trait Algorithm {
     /// [`AuditError`] from distance evaluation, or
     /// [`AuditError::BudgetExceeded`] for budgeted exhaustive searches.
     fn run(&self, ctx: &AuditContext<'_>) -> Result<AuditResult, AuditError>;
-}
-
-/// Run a set of algorithms and collect their results (in input order).
-///
-/// # Errors
-///
-/// Fails fast on the first algorithm error.
-pub fn run_all(
-    ctx: &AuditContext<'_>,
-    algorithms: &[&dyn Algorithm],
-) -> Result<Vec<AuditResult>, AuditError> {
-    algorithms.iter().map(|a| a.run(ctx)).collect()
 }
 
 /// The paper's five-way comparison: `unbalanced`, `r-unbalanced`,

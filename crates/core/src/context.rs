@@ -33,10 +33,6 @@ pub struct AuditConfig {
     /// Protected attributes to audit, by name. `None` = every
     /// categorical protected attribute in the schema.
     pub attributes: Option<Vec<String>>,
-    /// Minimum rows a split child must keep for the split to be allowed.
-    /// The paper has no such floor (equivalent to 1); larger values are
-    /// an extension that suppresses noise-driven micro-partitions.
-    pub min_partition_size: usize,
     /// Worker-thread count for the evaluation engine's parallel paths
     /// and the context's sharded kernels. `None` (the default) uses the
     /// machine's available parallelism capped at 8, read once per
@@ -58,7 +54,6 @@ impl Default for AuditConfig {
             bins: 10,
             distance: Arc::new(Emd1d),
             attributes: None,
-            min_partition_size: 1,
             threads: None,
             shards: ShardPolicy::Auto,
         }
@@ -71,7 +66,6 @@ impl std::fmt::Debug for AuditConfig {
             .field("bins", &self.bins)
             .field("distance", &self.distance.name())
             .field("attributes", &self.attributes)
-            .field("min_partition_size", &self.min_partition_size)
             .field("threads", &self.threads)
             .field("shards", &self.shards)
             .finish()
@@ -121,7 +115,6 @@ pub struct AuditContext<'a> {
     /// Shared so a streaming view can hand its maintained indexes to a
     /// fresh per-epoch context without a rebuild or deep copy.
     indexes: Arc<IndexSet>,
-    min_partition_size: usize,
     threads: Option<usize>,
     /// `bin_of.get(row)` = the histogram bin of the row's score,
     /// computed once at build (scores are immutable per audit), one byte
@@ -180,7 +173,6 @@ impl std::fmt::Debug for AuditContext<'_> {
             .field("bins", &self.spec.len())
             .field("distance", &self.distance.name())
             .field("attributes", &self.attributes)
-            .field("min_partition_size", &self.min_partition_size)
             .field("shards", &self.shard_plan.shards())
             .finish()
     }
@@ -238,7 +230,6 @@ impl<'a> AuditContext<'a> {
             distance: config.distance,
             attributes,
             indexes: Arc::new(indexes),
-            min_partition_size: config.min_partition_size.max(1),
             threads: config.threads,
             bin_of: Arc::new(bin_of),
             live: None,
@@ -369,7 +360,6 @@ impl<'a> AuditContext<'a> {
             distance: config.distance,
             attributes,
             indexes,
-            min_partition_size: config.min_partition_size.max(1),
             threads: config.threads,
             bin_of,
             live,
@@ -436,7 +426,6 @@ impl<'a> AuditContext<'a> {
             distance: config.distance,
             attributes,
             indexes: Arc::new(indexes),
-            min_partition_size: config.min_partition_size.max(1),
             threads: config.threads,
             bin_of: Arc::new(bin_of),
             live,
@@ -649,11 +638,6 @@ impl<'a> AuditContext<'a> {
         &self.attributes
     }
 
-    /// The minimum-size floor for split children.
-    pub fn min_partition_size(&self) -> usize {
-        self.min_partition_size
-    }
-
     /// The configured engine worker-thread count (`None` = pick from
     /// the machine's available parallelism).
     pub fn threads(&self) -> Option<usize> {
@@ -723,8 +707,8 @@ impl<'a> AuditContext<'a> {
 
     /// Split `part` by attribute `attr`. Returns `None` when the split is
     /// impossible or void: the attribute already constrains the
-    /// partition, every member shares one value (split would be a
-    /// no-op), or any child would fall below the minimum size.
+    /// partition, or every member shares one value (split would be a
+    /// no-op). Children are never empty.
     ///
     /// Runs the split kernel: one walk over the partition's rows
     /// produces all child row sets and child histograms at once
@@ -758,12 +742,6 @@ impl<'a> AuditContext<'a> {
         if groups.len() <= 1 {
             return None;
         }
-        if groups
-            .iter()
-            .any(|child| child.rows.len() < self.min_partition_size)
-        {
-            return None;
-        }
         Some(
             groups
                 .into_iter()
@@ -788,12 +766,6 @@ impl<'a> AuditContext<'a> {
         let index = self.indexes.get(attr)?;
         let groups = index.split(&part.rows);
         if groups.len() <= 1 {
-            return None;
-        }
-        if groups
-            .iter()
-            .any(|(_, rows)| rows.len() < self.min_partition_size)
-        {
             return None;
         }
         Some(
@@ -907,8 +879,11 @@ mod tests {
         // NaN score.
         bad[0] = f64::NAN;
         assert!(AuditContext::new(&t, &bad, AuditConfig::default()).is_err());
-        // Zero bins.
+        // Zero bins, and more bins than a layout may have.
         let err = AuditContext::new(&t, &scores, AuditConfig::with_bins(0)).unwrap_err();
+        assert!(matches!(err, AuditError::Bins(_)));
+        let too_many = AuditConfig::with_bins(fairjob_hist::bins::MAX_BINS + 1);
+        let err = AuditContext::new(&t, &scores, too_many).unwrap_err();
         assert!(matches!(err, AuditError::Bins(_)));
     }
 
@@ -1024,23 +999,6 @@ mod tests {
         for p in by_lang {
             assert!(ctx.split(&p, 1).is_none());
         }
-    }
-
-    #[test]
-    fn min_partition_size_blocks_small_splits() {
-        let (t, scores) = toy_workers();
-        let cfg = AuditConfig {
-            min_partition_size: 3,
-            ..Default::default()
-        };
-        let ctx = AuditContext::new(&t, &scores, cfg).unwrap();
-        // Gender split gives 6 + 4: allowed.
-        assert!(ctx.split(&ctx.root(), 0).is_some());
-        // Language split gives 3 + 3 + 4: allowed; but splitting males by
-        // language gives 2 + 2 + 2: blocked.
-        let genders = ctx.split(&ctx.root(), 0).unwrap();
-        let males = genders.iter().find(|p| p.len() == 6).unwrap();
-        assert!(ctx.split(males, 1).is_none());
     }
 
     #[test]

@@ -214,8 +214,8 @@ impl Hasher for FingerprintHasher {
 /// predicate fingerprints only (see [`FingerprintHasher`]).
 type FingerprintBuild = BuildHasherDefault<FingerprintHasher>;
 
-/// Default cap on each cache's entry count.
-const DEFAULT_CACHE_CAPACITY: usize = 8_000_000;
+/// Cap on each cache's entry count: bounds an engine's memory.
+const CACHE_CAPACITY: usize = 8_000_000;
 
 /// Fixed chunk size (in split requests) for candidate-split batches
 /// dispatched to the worker pool. Independent of the thread count, so
@@ -228,7 +228,7 @@ const SPLIT_CHUNK: usize = 8;
 /// split cache, and a fingerprint → predicate registry that lets
 /// [`EngineCaches::invalidate`] map changed rows to affected entries.
 ///
-/// Both caches are bounded (`capacity` entries each) with generation-
+/// Both caches are bounded (8 M entries each) with generation-
 /// based eviction: when a cache fills, entries not touched-by-insert
 /// since the previous sweep are dropped in one pass — a deterministic
 /// two-generation FIFO, so counters stay thread-count independent.
@@ -245,7 +245,6 @@ pub struct EngineCaches {
     registry: HashMap<u128, Predicate, FingerprintBuild>,
     memo_generation: u32,
     split_generation: u32,
-    capacity: usize,
 }
 
 /// Drop stale generations from `map` once it reaches `capacity`.
@@ -278,21 +277,14 @@ impl Default for EngineCaches {
 }
 
 impl EngineCaches {
-    /// Empty caches with the default capacity.
+    /// Empty caches.
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// Empty caches capped at `capacity` entries per cache (clamped
-    /// to ≥ 1).
-    pub fn with_capacity(capacity: usize) -> Self {
         EngineCaches {
             memo: HashMap::default(),
             splits: HashMap::default(),
             registry: HashMap::default(),
             memo_generation: 0,
             split_generation: 0,
-            capacity: capacity.max(1),
         }
     }
 
@@ -307,7 +299,7 @@ impl EngineCaches {
     }
 
     fn register(&mut self, fp: u128, pred: &Predicate) {
-        if self.registry.len() >= self.capacity {
+        if self.registry.len() >= CACHE_CAPACITY {
             // A full registry makes every fingerprint unknown at the
             // next invalidation — conservative, never wrong.
             self.registry.clear();
@@ -320,7 +312,7 @@ impl EngineCaches {
     }
 
     fn insert_distance(&mut self, key: (u128, u128), d: f64) -> u64 {
-        let evicted = sweep(&mut self.memo, &mut self.memo_generation, self.capacity);
+        let evicted = sweep(&mut self.memo, &mut self.memo_generation, CACHE_CAPACITY);
         self.memo.insert(key, (d, self.memo_generation));
         evicted
     }
@@ -330,7 +322,7 @@ impl EngineCaches {
     }
 
     fn insert_split(&mut self, key: (u128, usize), entry: Option<SplitChildren>) -> u64 {
-        let evicted = sweep(&mut self.splits, &mut self.split_generation, self.capacity);
+        let evicted = sweep(&mut self.splits, &mut self.split_generation, CACHE_CAPACITY);
         self.splits.insert(key, (entry, self.split_generation));
         evicted
     }
@@ -342,15 +334,9 @@ impl EngineCaches {
     /// evict only what cannot be salvaged (distances with a dirty
     /// endpoint, dirty negative split entries, unknown fingerprints).
     ///
-    /// `spec` and `min_partition_size` must match the audit context the
-    /// cache will be used with next (they decide patched histogram
-    /// layout and split viability).
-    pub fn invalidate(
-        &mut self,
-        changes: &[RowChange],
-        spec: &BinSpec,
-        min_partition_size: usize,
-    ) -> InvalidationReport {
+    /// `spec` must match the audit context the cache will be used with
+    /// next (it decides the patched histogram layout).
+    pub fn invalidate(&mut self, changes: &[RowChange], spec: &BinSpec) -> InvalidationReport {
         let mut report = InvalidationReport::default();
         if changes.is_empty() {
             report.distances_retained = self.memo.len();
@@ -381,7 +367,6 @@ impl EngineCaches {
         report.distances_retained = self.memo.len();
         // 3. Split cache: retain clean entries, patch dirty positive
         //    entries, evict the rest.
-        let min_partition_size = min_partition_size.max(1);
         let old = std::mem::take(&mut self.splits);
         let mut new_children: Vec<(u128, Predicate)> = Vec::new();
         for ((pfp, attr), (entry, generation)) in old {
@@ -394,9 +379,9 @@ impl EngineCaches {
                 report.splits_retained += 1;
                 continue;
             }
-            let patched = entry.as_ref().and_then(|kids| {
-                patch_children(parent, attr, kids, changes, spec, min_partition_size)
-            });
+            let patched = entry
+                .as_ref()
+                .and_then(|kids| patch_children(parent, attr, kids, changes, spec));
             match patched {
                 // Dirty negative entries can't be patched (nothing was
                 // materialised), and inconsistent patches fall back to
@@ -439,7 +424,6 @@ fn patch_children(
     kids: &SplitChildren,
     changes: &[RowChange],
     spec: &BinSpec,
-    min_partition_size: usize,
 ) -> Option<Option<SplitChildren>> {
     let mut by_code: BTreeMap<u32, (RowSet, Vec<f64>)> = BTreeMap::new();
     for kid in kids.iter() {
@@ -484,11 +468,7 @@ fn patch_children(
         }
     }
     by_code.retain(|_, (rows, _)| !rows.is_empty());
-    if by_code.len() <= 1
-        || by_code
-            .values()
-            .any(|(rows, _)| rows.len() < min_partition_size)
-    {
+    if by_code.len() <= 1 {
         return Some(None);
     }
     Some(Some(Arc::new(
@@ -785,14 +765,6 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
             parallel_threshold: 256,
             threads,
         }
-    }
-
-    /// Cap each cache (distance memo, split cache) at `capacity`
-    /// entries; overflow triggers generation-based eviction, counted in
-    /// [`EngineStats::cache_evictions`] / [`EngineStats::split_evictions`].
-    pub fn with_cache_capacity(self, capacity: usize) -> Self {
-        self.caches.borrow_mut().capacity = capacity.max(1);
-        self
     }
 
     /// Minimum number of live partitions in a full evaluation before
@@ -1785,16 +1757,28 @@ mod tests {
 
     #[test]
     fn non_viable_splits_are_negatively_cached() {
-        let (t, scores) = toy_workers();
-        let cfg = AuditConfig {
-            min_partition_size: 3,
-            ..Default::default()
-        };
-        let ctx = AuditContext::new(&t, &scores, cfg).unwrap();
+        use fairjob_marketplace::toy::toy_schema;
+        use fairjob_store::table::{Table, Value};
+        // Every male speaks English, so splitting males by language
+        // leaves one group: non-viable.
+        let mut t = Table::new(toy_schema());
+        let rows = [
+            ("Male", "English", 0.9),
+            ("Male", "English", 0.8),
+            ("Female", "English", 0.2),
+            ("Female", "Other", 0.1),
+        ];
+        for (gender, language, score) in rows {
+            t.push_row(&[Value::cat(gender), Value::cat(language), Value::num(score)])
+                .unwrap();
+        }
+        let scores: Vec<f64> = rows.iter().map(|r| r.2).collect();
+        let ctx = toy_ctx(&t, &scores);
         let engine = EvalEngine::new(&ctx);
+        // Children come in code order: males first.
         let genders = ctx.split(&ctx.root(), 0).unwrap();
-        // Males split by language as 2+2+2: below the floor, non-viable.
-        let males = genders.iter().find(|p| p.len() == 6).unwrap();
+        let males = &genders[0];
+        assert_eq!(males.rows.rows(), &[0, 1]);
         assert!(engine.split(males, 1).is_none());
         assert_eq!(engine.stats().splits_computed, 1);
         // Retried (as every greedy round does): answered from the cache.

@@ -23,8 +23,10 @@
 //!
 //! The measure is pluggable ([`fairjob_hist::HistogramDistance`]) to
 //! support the future-work ablation over JSD / KS / total variation / …,
-//! and [`stats`] adds a permutation significance test for observed
-//! unfairness values.
+//! [`stats`] adds a permutation significance test for observed
+//! unfairness values, and [`exposure`] audits accumulated ranking
+//! exposure instead of scores (Singh & Joachims, "Fairness of Exposure
+//! in Rankings").
 //!
 //! # Example
 //!
@@ -45,11 +47,9 @@
 
 pub mod algorithms;
 pub mod context;
-pub mod drift;
 pub mod engine;
 pub mod error;
 pub mod exposure;
-pub mod joint;
 pub mod partition;
 pub mod pool;
 pub mod report;

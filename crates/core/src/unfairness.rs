@@ -1,10 +1,8 @@
 //! Average-pairwise-distance computations (Definition 2) over partition
 //! histograms: the serial reference, the bound-pruned batch kernel
-//! ([`pairwise_emd_batch`]), the pairwise matrix used by reports, and
-//! the incremental [`PairwiseAverager`].
+//! ([`pairwise_emd_batch`]), and the incremental [`PairwiseAverager`].
 
 use crate::error::AuditError;
-use crate::partition::Partition;
 use crate::pool::WorkerPool;
 use crate::scratch::with_scratch;
 use fairjob_hist::{Histogram, HistogramDistance, ScratchStats};
@@ -289,40 +287,6 @@ pub fn average_pairwise(
         }
     }
     Ok(sum / pairs as f64)
-}
-
-/// The full pairwise distance matrix between partitions (symmetric, zero
-/// diagonal). Entry `(i, j)` involving an empty partition is 0.
-///
-/// Each unordered pair is computed once, on the strict upper triangle,
-/// and mirrored; liveness is resolved once per partition up front
-/// instead of twice per pair, and dead rows short-circuit their whole
-/// row of pair checks.
-///
-/// # Errors
-///
-/// [`AuditError::Distance`] from the underlying distance.
-pub fn pairwise_matrix(
-    parts: &[Partition],
-    distance: &dyn HistogramDistance,
-) -> Result<Vec<Vec<f64>>, AuditError> {
-    let n = parts.len();
-    let live: Vec<bool> = parts.iter().map(|p| !p.is_empty()).collect();
-    let mut m = vec![vec![0.0; n]; n];
-    for i in 0..n {
-        if !live[i] {
-            continue;
-        }
-        for j in i + 1..n {
-            if !live[j] {
-                continue;
-            }
-            let d = distance.distance(&parts[i].histogram, &parts[j].histogram)?;
-            m[i][j] = d;
-            m[j][i] = d;
-        }
-    }
-    Ok(m)
 }
 
 /// Threaded average pairwise distance over the persistent worker pool.
@@ -868,83 +832,5 @@ mod tests {
         let c = avg.insert(h(&[0.9])).unwrap();
         assert_eq!(c, a, "freed slot id is reused");
         assert!((avg.average() - 0.4).abs() < 1e-9);
-    }
-
-    #[test]
-    fn matrix_is_symmetric_zero_diagonal() {
-        use fairjob_store::{Predicate, RowSet};
-        let parts: Vec<Partition> = [0.05, 0.55, 0.95]
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| Partition {
-                predicate: Predicate::always(),
-                rows: RowSet::from_rows(vec![i as u32]),
-                histogram: h(&[v]),
-            })
-            .collect();
-        let m = pairwise_matrix(&parts, &Emd1d).unwrap();
-        for (i, row) in m.iter().enumerate() {
-            assert_eq!(row[i], 0.0);
-            for (j, &value) in row.iter().enumerate() {
-                assert_eq!(value, m[j][i]);
-            }
-        }
-        assert!((m[0][2] - 0.9).abs() < 1e-9);
-    }
-
-    #[test]
-    fn matrix_parity_with_per_entry_reference() {
-        use fairjob_store::{Predicate, RowSet};
-        // Mix of live and empty partitions so both skip paths fire.
-        let hists = [
-            h(&[0.05, 0.1]),
-            h(&[]),
-            h(&[0.55]),
-            h(&[0.95, 0.9, 0.85]),
-            h(&[]),
-            h(&[0.3, 0.7]),
-        ];
-        let parts: Vec<Partition> = hists
-            .iter()
-            .enumerate()
-            .map(|(i, hist)| {
-                let rows = if hist.total() == 0.0 {
-                    Vec::new()
-                } else {
-                    vec![i as u32]
-                };
-                Partition {
-                    predicate: Predicate::always(),
-                    rows: RowSet::from_rows(rows),
-                    histogram: hist.clone(),
-                }
-            })
-            .collect();
-        let n = parts.len();
-        // Reference: the pre-deduplication behaviour — every ordered
-        // entry resolved independently, both liveness checks per pair.
-        let mut reference = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                if i == j || parts[i].is_empty() || parts[j].is_empty() {
-                    continue;
-                }
-                reference[i][j] = Emd1d
-                    .distance(&parts[i].histogram, &parts[j].histogram)
-                    .unwrap();
-            }
-        }
-        let m = pairwise_matrix(&parts, &Emd1d).unwrap();
-        for i in 0..n {
-            for j in 0..n {
-                assert_eq!(
-                    m[i][j].to_bits(),
-                    reference[i][j].to_bits(),
-                    "entry ({i}, {j}) diverged: {} vs {}",
-                    m[i][j],
-                    reference[i][j]
-                );
-            }
-        }
     }
 }

@@ -7,7 +7,7 @@ mod common;
 
 use common::population;
 use fairjob_core::algorithms::Algorithm;
-use fairjob_core::algorithms::{balanced::Balanced, beam::Beam, lookahead::Lookahead};
+use fairjob_core::algorithms::{balanced::Balanced, beam::Beam};
 use fairjob_core::algorithms::{paper_algorithms, unbalanced::Unbalanced, AttributeChoice};
 use fairjob_core::{AuditConfig, AuditContext, EvalEngine, IncrementalEval};
 use fairjob_hist::distance::Emd1d;
@@ -135,7 +135,6 @@ proptest! {
         let ctx = AuditContext::new(&workers, &scores, AuditConfig::default()).unwrap();
         let mut algos = paper_algorithms(seed);
         algos.push(Box::new(Beam::new(2)));
-        algos.push(Box::new(Lookahead::new(2)));
         algos.push(Box::new(Unbalanced::new(AttributeChoice::Worst).with_cross_stopping()));
         for algo in &algos {
             let result = algo.run(&ctx).unwrap();
@@ -204,7 +203,6 @@ proptest! {
         let suite = |seed: u64| {
             let mut algos = paper_algorithms(seed);
             algos.push(Box::new(Beam::new(2)));
-            algos.push(Box::new(Lookahead::new(2)));
             algos.push(Box::new(Unbalanced::new(AttributeChoice::Worst).with_cross_stopping()));
             algos
         };

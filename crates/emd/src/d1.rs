@@ -113,9 +113,9 @@ pub fn emd_1d_positions(a: &[f64], b: &[f64], positions: &[f64]) -> Result<f64, 
 /// EMD (Wasserstein-1) between two raw sample sets on the line.
 ///
 /// No binning: this is the exact distance between the two empirical
-/// distributions, useful as a binning-free reference in tests and in the
-/// bin-count-sensitivity ablation. Samples need not be sorted and the two
-/// sets may have different sizes.
+/// distributions, the binning-free oracle the property tests check
+/// [`emd_1d_grid`] against. Samples need not be sorted and the two sets
+/// may have different sizes.
 ///
 /// # Errors
 ///

@@ -14,10 +14,10 @@
 //!   a single pass. This is the fast path used by the auditing algorithms.
 //! * [`transport`] — the one exact solver, for arbitrary ground-distance
 //!   matrices (multi-dimensional embeddings, thresholded distances,
-//!   unsorted positions) and unequal-mass [`signature`]s. Every solve
-//!   compacts both sides onto their non-empty supports and runs a
-//!   successive-shortest-paths kernel specialised to the transportation
-//!   problem, optionally on a reusable [`arena::SolveScratch`].
+//!   unsorted positions). Every solve compacts both sides onto their
+//!   non-empty supports and runs a successive-shortest-paths kernel
+//!   specialised to the transportation problem, optionally on a reusable
+//!   [`arena::SolveScratch`].
 //!
 //! [`simplex`] — the classical transportation simplex (north-west-corner
 //! start + MODI pivoting) — is an entirely separate code path kept only
@@ -67,7 +67,6 @@ pub mod bounds;
 pub mod d1;
 pub mod error;
 pub mod ground;
-pub mod signature;
 pub mod simplex;
 pub mod transport;
 

@@ -143,50 +143,6 @@ proptest! {
     }
 
     #[test]
-    fn signature_emd_properties(
-        pa in prop::collection::vec((0.0f64..1.0, 0.1f64..5.0), 1..6),
-        pb in prop::collection::vec((0.0f64..1.0, 0.1f64..5.0), 1..6),
-    ) {
-        use fairjob_emd::signature::{diameter, emd_hat, emd_signatures, Signature};
-        let a = Signature::new(pa.iter().map(|p| p.0).collect(), pa.iter().map(|p| p.1).collect())
-            .unwrap();
-        let b = Signature::new(pb.iter().map(|p| p.0).collect(), pb.iter().map(|p| p.1).collect())
-            .unwrap();
-        // Partial-matching EMD: symmetric, non-negative, zero on self.
-        let dab = emd_signatures(&a, &b).unwrap();
-        let dba = emd_signatures(&b, &a).unwrap();
-        prop_assert!(dab >= -1e-12);
-        prop_assert!((dab - dba).abs() < 1e-8);
-        prop_assert!(emd_signatures(&a, &a).unwrap().abs() < 1e-9);
-        // EMD-hat with penalty >= diameter dominates the matched cost
-        // and is symmetric.
-        let pen = diameter(&a, &b).max(1.0);
-        let hab = emd_hat(&a, &b, pen).unwrap();
-        let hba = emd_hat(&b, &a, pen).unwrap();
-        prop_assert!((hab - hba).abs() < 1e-8);
-        prop_assert!(hab + 1e-9 >= dab * a.total().min(b.total()) / a.total().max(b.total()).max(1.0) * 0.0);
-    }
-
-    #[test]
-    fn emd_hat_triangle_inequality(
-        pa in prop::collection::vec((0.0f64..1.0, 0.1f64..5.0), 1..5),
-        pb in prop::collection::vec((0.0f64..1.0, 0.1f64..5.0), 1..5),
-        pc in prop::collection::vec((0.0f64..1.0, 0.1f64..5.0), 1..5),
-    ) {
-        use fairjob_emd::signature::{emd_hat, Signature};
-        let mk = |pts: &[(f64, f64)]| {
-            Signature::new(pts.iter().map(|p| p.0).collect(), pts.iter().map(|p| p.1).collect())
-                .unwrap()
-        };
-        let (a, b, c) = (mk(&pa), mk(&pb), mk(&pc));
-        // Positions live in [0,1], so penalty 1.0 >= the diameter.
-        let ab = emd_hat(&a, &b, 1.0).unwrap();
-        let bc = emd_hat(&b, &c, 1.0).unwrap();
-        let ac = emd_hat(&a, &c, 1.0).unwrap();
-        prop_assert!(ac <= ab + bc + 1e-8, "triangle violated: {ac} > {ab} + {bc}");
-    }
-
-    #[test]
     fn cdf_closed_form_is_bit_identical_on_grids(a in masses(10), b in masses(10)) {
         let pa = PrefixCdf::build(&a).unwrap();
         let pb = PrefixCdf::build(&b).unwrap();

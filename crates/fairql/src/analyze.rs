@@ -8,6 +8,7 @@
 
 use crate::ast::{Condition, SelectItem, Statement};
 use crate::error::QueryError;
+use fairjob_hist::bins::MAX_BINS;
 use fairjob_store::schema::{AttributeKind, DataType, Schema};
 use fairjob_store::Predicate;
 
@@ -168,6 +169,12 @@ pub fn analyze(stmt: &Statement, schema: &Schema) -> Result<Analyzed, QueryError
             }
             if a.bins == Some(0) {
                 return Err(QueryError::parse(0, "BINS must be at least 1"));
+            }
+            if a.bins.is_some_and(|bins| bins > MAX_BINS) {
+                return Err(QueryError::parse(
+                    0,
+                    format!("BINS must be at most {MAX_BINS}"),
+                ));
             }
             Ok(Analyzed::Audit(AnalyzedAudit {
                 filter,
@@ -421,6 +428,16 @@ mod tests {
             panic!("not an audit")
         };
         assert_eq!(a.filter.constraints().len(), 1);
+    }
+
+    #[test]
+    fn bins_are_bounded() {
+        assert!(check("AUDIT workers BINS 0").is_err());
+        assert!(check("AUDIT workers BINS 4096").is_ok());
+        assert!(matches!(
+            check("AUDIT workers BINS 4097"),
+            Err(QueryError::Parse { .. })
+        ));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! same `unfairness` bits, same [`EngineStats`](fairjob_core::EngineStats) counters.
 //!
 //! Between statements the session keeps the engine's caches warm: a
-//! repeated audit shape (same source epoch, same `WHERE`, same bins,
-//! metric, and size floor) re-adopts the previous run's distance memo
+//! repeated audit shape (same source epoch, same `WHERE`, same bins
+//! and metric) re-adopts the previous run's distance memo
 //! and split cache, so `EXPLAIN ANALYZE` on the second statement shows
 //! `split_cache_hits`/`cache_hits` climbing instead of recomputation.
 //! The caches are keyed by partition-predicate fingerprints, which do
@@ -128,8 +128,6 @@ pub struct Defaults {
     pub seed: u64,
     /// Engine thread cap.
     pub threads: Option<usize>,
-    /// Minimum split-child size.
-    pub min_partition_size: usize,
     /// Shard layout for the context's split/classify kernels. Results
     /// are bit-identical under every policy, so — like `threads` — it
     /// is not part of the warm-cache key.
@@ -147,7 +145,6 @@ impl Default for Defaults {
             bins: config.bins,
             seed: 0xBEEF,
             threads: config.threads,
-            min_partition_size: config.min_partition_size,
             shards: config.shards,
         }
     }
@@ -170,8 +167,6 @@ struct CacheKey {
     bins: usize,
     /// Metric name.
     metric: String,
-    /// Split-viability floor.
-    min_partition_size: usize,
 }
 
 /// Warm engine caches carried between statements (and, by the serve
@@ -498,7 +493,6 @@ impl<'a> Session<'a> {
             bins: node.bins,
             distance: metric,
             attributes: audit.attributes.clone(),
-            min_partition_size: self.defaults.min_partition_size,
             threads: self.defaults.threads,
             shards: self.defaults.shards,
         };
@@ -540,7 +534,6 @@ impl<'a> Session<'a> {
             filter: scan.filter.fingerprint(),
             bins: node.bins,
             metric: node.metric.clone(),
-            min_partition_size: self.defaults.min_partition_size,
         };
         // Seeding empty caches is behaviourally identical to letting
         // the engine create its own (same default capacity) — it only

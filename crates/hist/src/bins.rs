@@ -1,23 +1,31 @@
 //! Bin layouts for score histograms.
 //!
 //! The paper builds histograms "by creating equal bins over the range of
-//! f"; [`BinSpec::equal_width`] is that layout. Quantile bins and the
-//! automatic bin-count rules exist for the bin-sensitivity ablation.
+//! f"; [`BinSpec::equal_width`] is that layout. [`BinSpec::from_edges`]
+//! builds non-uniform layouts from explicit edges.
 
 use std::fmt;
+
+/// The most bins a layout may have. Bin counts arrive from CLI flags and
+/// FairQL text, and an audit holds one dense count vector per histogram,
+/// so the count is bounded before anything is allocated for it. The
+/// paper binaries use 10 bins and the ablations sweep up to 100.
+pub const MAX_BINS: usize = 4096;
+
+/// The [`BinError::BadSpec`] reason for a layout over [`MAX_BINS`].
+const TOO_MANY_BINS: &str = "more than 4096 bins";
 
 /// Errors from constructing or using a bin layout.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BinError {
-    /// `lo >= hi`, non-finite bound, or zero bins requested.
+    /// `lo >= hi`, non-finite bound, zero bins or more than
+    /// [`MAX_BINS`] bins requested.
     BadSpec(&'static str),
     /// Explicit edges were not strictly increasing.
     EdgesNotIncreasing {
         /// Index of the first offending edge.
         index: usize,
     },
-    /// Not enough data to derive bins (quantile / auto rules).
-    NotEnoughData,
 }
 
 impl fmt::Display for BinError {
@@ -27,7 +35,6 @@ impl fmt::Display for BinError {
             BinError::EdgesNotIncreasing { index } => {
                 write!(f, "bin edges must be strictly increasing (edge {index})")
             }
-            BinError::NotEnoughData => write!(f, "not enough data to derive bins"),
         }
     }
 }
@@ -53,7 +60,8 @@ impl BinSpec {
     ///
     /// # Errors
     ///
-    /// [`BinError::BadSpec`] for non-finite bounds, `lo >= hi` or `n == 0`.
+    /// [`BinError::BadSpec`] for non-finite bounds, `lo >= hi`, `n == 0`
+    /// or `n > MAX_BINS`.
     // `!(lo < hi)` deliberately treats NaN bounds as invalid.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn equal_width(lo: f64, hi: f64, n: usize) -> Result<Self, BinError> {
@@ -62,6 +70,9 @@ impl BinSpec {
         }
         if n == 0 {
             return Err(BinError::BadSpec("zero bins"));
+        }
+        if n > MAX_BINS {
+            return Err(BinError::BadSpec(TOO_MANY_BINS));
         }
         let width = (hi - lo) / n as f64;
         let edges = (0..=n).map(|i| lo + i as f64 * width).collect();
@@ -76,11 +87,15 @@ impl BinSpec {
     ///
     /// # Errors
     ///
-    /// [`BinError::BadSpec`] with fewer than two edges or non-finite
-    /// edges; [`BinError::EdgesNotIncreasing`] otherwise.
+    /// [`BinError::BadSpec`] with fewer than two edges, more than
+    /// [`MAX_BINS`] bins or non-finite edges;
+    /// [`BinError::EdgesNotIncreasing`] otherwise.
     pub fn from_edges(edges: Vec<f64>) -> Result<Self, BinError> {
         if edges.len() < 2 {
             return Err(BinError::BadSpec("need at least two edges"));
+        }
+        if edges.len() - 1 > MAX_BINS {
+            return Err(BinError::BadSpec(TOO_MANY_BINS));
         }
         for (i, w) in edges.windows(2).enumerate() {
             if !w[0].is_finite() || !w[1].is_finite() {
@@ -94,87 +109,6 @@ impl BinSpec {
             edges,
             uniform: false,
         })
-    }
-
-    /// `n` bins holding (approximately) equal numbers of the given sample
-    /// values: edges at the `i/n` quantiles.
-    ///
-    /// # Errors
-    ///
-    /// [`BinError::NotEnoughData`] when fewer than 2 distinct values
-    /// exist; [`BinError::BadSpec`] for `n == 0`.
-    pub fn quantile(values: &[f64], n: usize) -> Result<Self, BinError> {
-        if n == 0 {
-            return Err(BinError::BadSpec("zero bins"));
-        }
-        let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        if sorted.len() < 2 || sorted[0] == sorted[sorted.len() - 1] {
-            return Err(BinError::NotEnoughData);
-        }
-        let mut edges = Vec::with_capacity(n + 1);
-        for i in 0..=n {
-            let q = i as f64 / n as f64;
-            let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-            edges.push(sorted[idx]);
-        }
-        edges.dedup();
-        if edges.len() < 2 {
-            return Err(BinError::NotEnoughData);
-        }
-        BinSpec::from_edges(edges)
-    }
-
-    /// Sturges' rule: `ceil(log2 n) + 1` equal-width bins over the data
-    /// range.
-    ///
-    /// # Errors
-    ///
-    /// [`BinError::NotEnoughData`] without at least 2 distinct finite
-    /// values.
-    pub fn sturges(values: &[f64]) -> Result<Self, BinError> {
-        let (lo, hi, n) = finite_range(values)?;
-        let k = ((n as f64).log2().ceil() as usize + 1).max(1);
-        BinSpec::equal_width(lo, hi, k)
-    }
-
-    /// Scott's normal-reference rule: bin width `3.49 σ n^(-1/3)`.
-    ///
-    /// # Errors
-    ///
-    /// [`BinError::NotEnoughData`] without at least 2 distinct finite
-    /// values or with zero variance.
-    pub fn scott(values: &[f64]) -> Result<Self, BinError> {
-        let (lo, hi, n) = finite_range(values)?;
-        let mean = values.iter().sum::<f64>() / n as f64;
-        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n as f64;
-        let sd = var.sqrt();
-        if sd == 0.0 {
-            return Err(BinError::NotEnoughData);
-        }
-        let width = 3.49 * sd * (n as f64).powf(-1.0 / 3.0);
-        let k = (((hi - lo) / width).ceil() as usize).max(1);
-        BinSpec::equal_width(lo, hi, k)
-    }
-
-    /// Freedman–Diaconis rule: bin width `2 · IQR · n^(-1/3)`.
-    ///
-    /// # Errors
-    ///
-    /// [`BinError::NotEnoughData`] without at least 2 distinct finite
-    /// values or with zero IQR.
-    pub fn freedman_diaconis(values: &[f64]) -> Result<Self, BinError> {
-        let (lo, hi, n) = finite_range(values)?;
-        let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let q = |p: f64| sorted[((sorted.len() - 1) as f64 * p).round() as usize];
-        let iqr = q(0.75) - q(0.25);
-        if iqr <= 0.0 {
-            return Err(BinError::NotEnoughData);
-        }
-        let width = 2.0 * iqr * (n as f64).powf(-1.0 / 3.0);
-        let k = (((hi - lo) / width).ceil() as usize).max(1);
-        BinSpec::equal_width(lo, hi, k)
     }
 
     /// Number of bins.
@@ -290,19 +224,6 @@ impl BinSpec {
     }
 }
 
-fn finite_range(values: &[f64]) -> Result<(f64, f64, usize), BinError> {
-    let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-    if finite.len() < 2 {
-        return Err(BinError::NotEnoughData);
-    }
-    let lo = finite.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = finite.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if lo == hi {
-        return Err(BinError::NotEnoughData);
-    }
-    Ok((lo, hi, finite.len()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,6 +283,26 @@ mod tests {
     }
 
     #[test]
+    fn bin_count_is_bounded() {
+        assert_eq!(
+            BinSpec::equal_width(0.0, 1.0, MAX_BINS).unwrap().len(),
+            MAX_BINS
+        );
+        let err = BinSpec::equal_width(0.0, 1.0, MAX_BINS + 1).unwrap_err();
+        assert_eq!(err, BinError::BadSpec(TOO_MANY_BINS));
+        assert!(err.to_string().contains(&MAX_BINS.to_string()));
+        let edges = |bins: usize| (0..=bins).map(|i| i as f64).collect::<Vec<_>>();
+        assert_eq!(
+            BinSpec::from_edges(edges(MAX_BINS)).unwrap().len(),
+            MAX_BINS
+        );
+        assert!(matches!(
+            BinSpec::from_edges(edges(MAX_BINS + 1)),
+            Err(BinError::BadSpec(_))
+        ));
+    }
+
+    #[test]
     fn bin_index_uniform() {
         let s = BinSpec::equal_width(0.0, 1.0, 10).unwrap();
         assert_eq!(s.bin_index(0.0), 0);
@@ -392,60 +333,6 @@ mod tests {
             Err(BinError::EdgesNotIncreasing { index: 2 })
         ));
         assert!(BinSpec::from_edges(vec![0.0]).is_err());
-    }
-
-    #[test]
-    fn quantile_bins_balance_counts() {
-        let values: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let s = BinSpec::quantile(&values, 4).unwrap();
-        assert_eq!(s.len(), 4);
-        // Roughly a quarter of the data falls in each bin.
-        let mut counts = vec![0usize; 4];
-        for &v in &values {
-            counts[s.bin_index(v)] += 1;
-        }
-        for c in counts {
-            assert!((20..=30).contains(&c), "unbalanced quantile bin: {c}");
-        }
-    }
-
-    #[test]
-    fn quantile_needs_spread() {
-        assert!(matches!(
-            BinSpec::quantile(&[1.0, 1.0, 1.0], 4),
-            Err(BinError::NotEnoughData)
-        ));
-        assert!(matches!(
-            BinSpec::quantile(&[], 4),
-            Err(BinError::NotEnoughData)
-        ));
-    }
-
-    #[test]
-    fn sturges_bin_count() {
-        let values: Vec<f64> = (0..64).map(|i| i as f64).collect();
-        let s = BinSpec::sturges(&values).unwrap();
-        assert_eq!(s.len(), 7); // log2(64) + 1
-    }
-
-    #[test]
-    fn scott_and_fd_produce_reasonable_counts() {
-        let values: Vec<f64> = (0..1000).map(|i| i as f64 / 999.0).collect();
-        let scott = BinSpec::scott(&values).unwrap();
-        let fd = BinSpec::freedman_diaconis(&values).unwrap();
-        assert!(
-            scott.len() >= 2 && scott.len() <= 100,
-            "scott: {}",
-            scott.len()
-        );
-        assert!(fd.len() >= 2 && fd.len() <= 100, "fd: {}", fd.len());
-    }
-
-    #[test]
-    fn auto_rules_need_variance() {
-        assert!(BinSpec::scott(&[2.0; 10]).is_err());
-        assert!(BinSpec::freedman_diaconis(&[2.0; 10]).is_err());
-        assert!(BinSpec::sturges(&[2.0; 10]).is_err());
     }
 
     #[test]

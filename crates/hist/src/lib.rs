@@ -5,9 +5,8 @@
 //! with the Earth Mover's Distance. This crate provides:
 //!
 //! * [`bins`] — bin layouts: equal-width grids (the paper's "equal bins
-//!   over the range of f"), explicit edges, quantile bins, and the usual
-//!   automatic bin-count rules (Sturges / Scott / Freedman–Diaconis) for
-//!   sensitivity analyses.
+//!   over the range of f") and explicit edges, at most
+//!   [`bins::MAX_BINS`] bins.
 //! * [`histogram`] — dense counted histograms with merging, normalisation
 //!   and summary statistics.
 //! * [`distance`] — the [`distance::HistogramDistance`] trait with the EMD
@@ -30,9 +29,7 @@
 
 pub mod bins;
 pub mod distance;
-pub mod hist2d;
 pub mod histogram;
-pub mod sketch;
 
 pub use bins::BinSpec;
 pub use distance::{DistanceBounds, DistanceError, HistogramDistance, L1Form};

@@ -18,18 +18,21 @@
 //!   experiment.
 //! * [`ranking`] — top-k ranking with deterministic tie-breaking and
 //!   position-bias exposure accounting.
-//! * [`platform`] — a task/query event loop producing ranking logs.
+//! * [`platform`] — a task event loop producing ranking logs and
+//!   accumulated exposure, the input of exposure audits (Singh &
+//!   Joachims, "Fairness of Exposure in Rankings").
+//! * [`hiring`] — multi-round hiring with reputation feedback, the loop
+//!   through which ranking bias compounds (Sühr et al., "Does Fair
+//!   Ranking Improve Minority Outcomes?").
 //! * [`toy`] — the reconstructed 10-worker toy example of Figure 1.
 
 pub mod generate;
 pub mod hiring;
 pub mod platform;
-pub mod query;
 pub mod ranking;
 pub mod schema;
 pub mod scoring;
 pub mod stream;
-pub mod taskgen;
 pub mod toy;
 
 pub use generate::{generate_correlated, generate_uniform, CorrelationConfig};

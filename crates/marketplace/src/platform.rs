@@ -3,8 +3,8 @@
 //! A minimal but realistic simulation of the marketplace the paper
 //! audits: requesters post tasks, each task ranks the worker pool with
 //! its qualification function, and the platform records who was shown
-//! where. The resulting logs feed the audit layer (scores per task) and
-//! the examples (exposure summaries per demographic group).
+//! where. The resulting logs feed the audit layer: scores per task, and
+//! accumulated exposure for `fairjob_core::exposure`.
 
 use crate::ranking::{accumulate_exposure, rank, ExposureModel, Ranked};
 use crate::scoring::{ScoreError, ScoringFunction};
@@ -90,33 +90,6 @@ impl Platform {
         Ok(self.logs.last().expect("just pushed"))
     }
 
-    /// Post a [`crate::query::Query`]: requirements filter the pool
-    /// first, then the query's scorer ranks the eligible workers.
-    /// Exposure accrues only to shown (eligible) workers. Ineligible
-    /// workers carry NaN scores in the log, so audits of query logs can
-    /// restrict themselves to the eligible pool.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::query::QueryError`] from query evaluation.
-    pub fn post_query(
-        &mut self,
-        query: &crate::query::Query,
-        top_k: usize,
-    ) -> Result<&RankingLog, crate::query::QueryError> {
-        let result = query.evaluate(&self.workers, Some(top_k))?;
-        accumulate_exposure(&result.ranking, self.exposure_model, &mut self.exposure);
-        let log = RankingLog {
-            task_id: self.next_task_id,
-            function: query.scorer.name().to_string(),
-            scores: result.scores,
-            shown: result.ranking,
-        };
-        self.next_task_id += 1;
-        self.logs.push(log);
-        Ok(self.logs.last().expect("just pushed"))
-    }
-
     /// All logs so far.
     pub fn logs(&self) -> &[RankingLog] {
         &self.logs
@@ -126,42 +99,13 @@ impl Platform {
     pub fn exposure(&self) -> &[f64] {
         &self.exposure
     }
-
-    /// Mean accumulated exposure of each value of a categorical
-    /// attribute: `(code, mean exposure, group size)` per non-empty
-    /// group. The coarse "is attention flowing evenly?" signal the
-    /// examples display alongside the EMD audit.
-    ///
-    /// # Errors
-    ///
-    /// [`fairjob_store::StoreError::NotCategorical`] for non-categorical
-    /// attributes.
-    pub fn exposure_by_group(
-        &self,
-        attr: usize,
-    ) -> Result<Vec<(u32, f64, usize)>, fairjob_store::StoreError> {
-        let groups = fairjob_store::groupby::group_by(
-            &self.workers,
-            &fairjob_store::RowSet::all(self.workers.len()),
-            attr,
-        )?;
-        Ok(groups
-            .into_iter()
-            .map(|(code, rows)| {
-                let total: f64 = rows.iter().map(|r| self.exposure[r]).sum();
-                let n = rows.len();
-                (code, total / n as f64, n)
-            })
-            .collect())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generate::generate_uniform;
-    use crate::schema::names;
-    use crate::scoring::{LinearScore, RuleBasedScore};
+    use crate::scoring::LinearScore;
 
     #[test]
     fn post_task_logs_and_ranks() {
@@ -187,46 +131,6 @@ mod tests {
         let total: f64 = p.exposure().iter().sum();
         assert!((total - 10.0).abs() < 1e-9); // 2 tasks x 5 slots x weight 1
         assert_eq!(p.logs().len(), 2);
-    }
-
-    #[test]
-    fn biased_function_skews_group_exposure() {
-        let mut p = Platform::new(generate_uniform(400, 3), ExposureModel::TopK { k: 50 });
-        let f6 = RuleBasedScore::f6(9);
-        p.post_task("biased gig", &f6, 50).unwrap();
-        let gender = p.workers().schema().index_of(names::GENDER).unwrap();
-        let by_group = p.exposure_by_group(gender).unwrap();
-        let male = by_group.iter().find(|(c, _, _)| *c == 0).unwrap().1;
-        let female = by_group.iter().find(|(c, _, _)| *c == 1).unwrap().1;
-        assert!(male > 0.0);
-        assert_eq!(female, 0.0, "f6 keeps every female out of the top 50");
-    }
-
-    #[test]
-    fn post_query_filters_and_accrues_exposure() {
-        use crate::query::{Query, Requirement};
-        let mut p = Platform::new(generate_uniform(200, 5), ExposureModel::TopK { k: 10 });
-        let q = Query {
-            title: "needs strong language test".into(),
-            requirements: vec![Requirement {
-                attribute: names::LANGUAGE_TEST.into(),
-                min: 90.0,
-            }],
-            scorer: Box::new(LinearScore::alpha("f", 0.5)),
-        };
-        let log = p.post_query(&q, 10).unwrap();
-        // Every shown worker meets the requirement.
-        let shown_rows: Vec<usize> = log.shown.iter().map(|r| r.row as usize).collect();
-        let tests = p.workers().column_by_name(names::LANGUAGE_TEST).unwrap();
-        for row in shown_rows {
-            assert!(tests.value_as_f64(row).unwrap() >= 90.0);
-        }
-        // Ineligible rows have NaN in the score log.
-        let n_nan = p.logs()[0].scores.iter().filter(|s| s.is_nan()).count();
-        assert!(n_nan > 0, "some workers must be filtered");
-        // Exposure only on shown workers.
-        let exposed = p.exposure().iter().filter(|&&e| e > 0.0).count();
-        assert!(exposed <= 10);
     }
 
     #[test]

@@ -812,19 +812,31 @@ impl PagedStore {
         if &head[..8] != MAGIC {
             return Err(PagedError::Corrupt("bad magic".into()));
         }
-        let header_len = u64::from_le_bytes(head[8..].try_into().unwrap()) as usize;
-        let mut header = vec![0u8; header_len];
+        // Every length read from the file is bounded by the bytes left
+        // in it before anything is allocated for it.
+        let header_len = u64::from_le_bytes(head[8..].try_into().unwrap());
+        if header_len > len - 16 {
+            return Err(PagedError::Corrupt("header longer than the file".into()));
+        }
+        let mut header = vec![0u8; header_len as usize];
         file.read_exact(&mut header)?;
         let header = String::from_utf8(header)
             .map_err(|_| PagedError::Corrupt("header is not UTF-8".into()))?;
         let (rows, epoch, bins, has_scores, schema) = parse_header(&header)?;
         let mut live_len = [0u8; 8];
         file.read_exact(&mut live_len)?;
-        let live_len = u64::from_le_bytes(live_len) as usize;
+        let live_len = u64::from_le_bytes(live_len);
         let live = if live_len == 0 {
             None
         } else {
-            let mut bytes = vec![0u8; live_len];
+            // One bit per row: with the length pinned to the row count,
+            // the row loop below is bounded by the file size too.
+            if live_len > len - file.stream_position()? || live_len != rows.div_ceil(8) as u64 {
+                return Err(PagedError::Corrupt(format!(
+                    "live bitmap of {live_len} bytes for {rows} rows"
+                )));
+            }
+            let mut bytes = vec![0u8; live_len as usize];
             file.read_exact(&mut bytes)?;
             let mut live_rows = Vec::new();
             for row in 0..rows {
@@ -854,7 +866,9 @@ impl PagedStore {
         file.read_exact(&mut dir_bytes)?;
         let mut r = Reader(&dir_bytes, 0);
         let count = r.u64()? as usize;
-        let mut directory = Vec::with_capacity(count);
+        // Grown entry by entry, not sized from `count`: the loop stops
+        // at the first entry the directory's bytes cannot hold.
+        let mut directory = Vec::new();
         let mut by_column: Vec<Vec<u32>> = vec![Vec::new(); schema.width() + 1];
         for id in 0..count {
             let column = r.u32()?;
@@ -1514,6 +1528,59 @@ mod tests {
             Err(PagedError::Corrupt(_))
         ));
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Write a 100-row population with a live subset, let `patch`
+    /// rewrite the file's bytes, and open the result.
+    fn open_patched(name: &str, patch: impl FnOnce(&mut [u8])) -> Result<PagedStore, PagedError> {
+        let (table, scores) = population(100);
+        let live = RowSet::from_sorted((0..100).filter(|r| r % 2 == 0).collect());
+        let path = tmp(name);
+        write_paged(&path, &table, Some(&scores), Some(&live), 0, 10).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        patch(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        let opened = PagedStore::open(&path, 1 << 20);
+        let _ = std::fs::remove_file(&path);
+        opened
+    }
+
+    fn get_u64(bytes: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+    }
+
+    fn put_u64_at(bytes: &mut [u8], at: usize, value: u64) {
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    }
+
+    #[test]
+    fn open_rejects_a_header_length_beyond_the_file() {
+        let opened = open_patched("header-len", |b| put_u64_at(b, 8, 1 << 62));
+        assert!(matches!(opened, Err(PagedError::Corrupt(_))));
+    }
+
+    #[test]
+    fn open_rejects_a_live_bitmap_length_off_the_row_count() {
+        // 100 rows take 13 bitmap bytes.
+        for live_len in [1 << 62, 1, 14] {
+            let opened = open_patched("live-len", |b| {
+                let at = 16 + get_u64(b, 8) as usize;
+                put_u64_at(b, at, live_len);
+            });
+            assert!(
+                matches!(opened, Err(PagedError::Corrupt(_))),
+                "live bitmap length {live_len}"
+            );
+        }
+    }
+
+    #[test]
+    fn open_rejects_a_directory_count_beyond_the_directory() {
+        let opened = open_patched("dir-count", |b| {
+            let at = get_u64(b, b.len() - 16) as usize;
+            put_u64_at(b, at, 1 << 61);
+        });
+        assert!(matches!(opened, Err(PagedError::Corrupt(_))));
     }
 
     #[test]

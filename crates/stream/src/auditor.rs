@@ -118,11 +118,7 @@ impl StreamAuditor {
             None => (0, Vec::new()),
         };
         let mut caches = self.caches.take().unwrap_or_default();
-        let invalidation = caches.invalidate(
-            &changes,
-            self.view.spec(),
-            self.config.min_partition_size.max(1),
-        );
+        let invalidation = caches.invalidate(&changes, self.view.spec());
         let ctx = self.view.context(self.config.clone())?;
         ctx.seed_engine_caches(caches);
         let audit = algorithm.run(&ctx).map_err(StreamError::Audit)?;

@@ -1,13 +1,15 @@
 //! End-to-end marketplace audit: simulate a crowdsourcing platform with
-//! several posted tasks, watch where requester attention (exposure)
-//! flows, then audit the task-qualification functions and test the
-//! findings for statistical significance.
+//! several posted tasks, audit where requester attention (exposure)
+//! flows (Singh & Joachims, "Fairness of Exposure in Rankings"), then
+//! audit the task-qualification functions and test the findings for
+//! statistical significance.
 //!
 //! ```text
 //! cargo run --release --example audit_marketplace
 //! ```
 
 use fairjob::core::algorithms::{balanced::Balanced, Algorithm, AttributeChoice};
+use fairjob::core::exposure::{exposure_disparity, exposure_scores};
 use fairjob::core::stats::permutation_test;
 use fairjob::core::{AuditConfig, AuditContext};
 use fairjob::marketplace::platform::Platform;
@@ -45,7 +47,9 @@ fn main() {
         .index_of("language")
         .expect("attr");
     println!("=== exposure per language group (3 tasks, log position bias) ===");
-    for (code, mean, n) in platform.exposure_by_group(language).expect("groups") {
+    let disparity =
+        exposure_disparity(platform.workers(), platform.exposure(), language).expect("disparity");
+    for &(code, mean, n) in &disparity.per_group {
         let label = platform
             .workers()
             .schema()
@@ -54,6 +58,28 @@ fn main() {
             .expect("label");
         println!("  {label:<10} mean exposure {mean:.4}  (n={n})");
     }
+    println!(
+        "exposure parity ratio (min/max group mean): {:.3}",
+        disparity.parity_ratio.unwrap_or(0.0)
+    );
+
+    // The partitioning view of the same quantity: audit the normalised
+    // exposure as pseudo-scores. Most workers in every group received
+    // no exposure at all, and that shared mass at zero dominates the
+    // histograms, so the EMD reads far lower than the parity ratio.
+    let pseudo = exposure_scores(platform.exposure()).expect("normalise");
+    let cfg = AuditConfig {
+        attributes: Some(vec!["language".into()]),
+        ..Default::default()
+    };
+    let ctx = AuditContext::new(platform.workers(), &pseudo, cfg).expect("ctx");
+    let audit = Balanced::new(AttributeChoice::Worst)
+        .run(&ctx)
+        .expect("audit");
+    println!(
+        "exposure audit (EMD) across language groups: unfairness {:.3}",
+        audit.unfairness
+    );
 
     // Audit each task's scoring function.
     for log in platform.logs().to_vec() {
@@ -83,4 +109,9 @@ fn main() {
             }
         );
     }
+}
+
+#[test]
+fn main_runs() {
+    main();
 }

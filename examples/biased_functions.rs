@@ -53,3 +53,8 @@ fn main() {
          random functions f1–f5, which is what makes the audit useful."
     );
 }
+
+#[test]
+fn main_runs() {
+    main();
+}

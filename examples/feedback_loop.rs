@@ -96,3 +96,8 @@ fn main() {
          repair_bias example) is what prevents the compounding."
     );
 }
+
+#[test]
+fn main_runs() {
+    main();
+}

@@ -42,3 +42,8 @@ fn main() {
          the biased_functions example, where the same audit finds designed bias."
     );
 }
+
+#[test]
+fn main_runs() {
+    main();
+}

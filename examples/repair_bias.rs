@@ -90,3 +90,8 @@ fn main() {
     println!("top-10 before repair: {}", mix(&scores));
     println!("top-10 after repair:  {}", mix(&repaired));
 }
+
+#[test]
+fn main_runs() {
+    main();
+}

@@ -51,32 +51,6 @@ fn every_algorithm_produces_a_valid_cover() {
 }
 
 #[test]
-fn run_all_returns_results_in_input_order() {
-    use fairjob::core::algorithms::{paper_algorithms, run_all};
-    let workers = population(200, 13);
-    let scores = LinearScore::alpha("f1", 0.5).score_all(&workers).unwrap();
-    let ctx = AuditContext::new(&workers, &scores, AuditConfig::default()).unwrap();
-    let algorithms = paper_algorithms(3);
-    let refs: Vec<&dyn Algorithm> = algorithms.iter().map(|a| a.as_ref()).collect();
-    let results = run_all(&ctx, &refs).unwrap();
-    assert_eq!(results.len(), 5);
-    let names: Vec<String> = results.iter().map(|r| r.algorithm.clone()).collect();
-    assert_eq!(
-        names,
-        vec![
-            "unbalanced",
-            "r-unbalanced",
-            "balanced",
-            "r-balanced",
-            "all-attributes"
-        ]
-    );
-    for r in &results {
-        r.partitioning.validate(workers.len()).unwrap();
-    }
-}
-
-#[test]
 fn audits_are_deterministic() {
     let workers = population(300, 4);
     let scores = LinearScore::alpha("f4", 1.0).score_all(&workers).unwrap();
