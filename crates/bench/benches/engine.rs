@@ -1,8 +1,9 @@
 //! Evaluation-engine bench: one unbalanced-style greedy round (score
-//! every per-partition candidate split) over a ≥100-partition synthetic
+//! every per-partition candidate split) over a 360-partition synthetic
 //! audit, evaluated four ways — naive O(k²)-per-candidate recomputation,
-//! memo-cached full evaluation, delta (incremental) evaluation, and the
-//! cached evaluation's parallel path.
+//! memo-cached full evaluation on one worker thread and on four (each
+//! candidate has 256 or more partitions, so both take the chunked
+//! path), and delta (incremental) evaluation.
 //!
 //! Beyond timing, this bench *asserts* the engine's contract with real
 //! counters (EMD evaluations, not wall-clock): the incremental path must
@@ -35,13 +36,16 @@ impl HistogramDistance for CountingEmd {
     }
 }
 
-/// The bench workload: a partitioning of ≥100 partitions (five of the
+/// The bench workload: a partitioning of ≥256 partitions (five of the
 /// six attributes pre-split) plus every per-partition candidate split on
 /// the remaining attribute, capped at `MAX_CANDIDATES`.
 const MAX_CANDIDATES: usize = 40;
 
 struct Workload<'a> {
+    /// One worker thread.
     ctx: AuditContext<'a>,
+    /// Four worker threads, over the same table and distance.
+    parallel_ctx: AuditContext<'a>,
     counter: Arc<CountingEmd>,
     base: Vec<Partition>,
     /// `(partition index, children)` candidate splits.
@@ -52,8 +56,12 @@ fn workload<'a>(workers: &'a fairjob_store::table::Table, scores: &'a [f64]) -> 
     let counter = Arc::new(CountingEmd {
         count: AtomicU64::new(0),
     });
-    let cfg = AuditConfig::with_distance(counter.clone());
-    let ctx = AuditContext::new(workers, scores, cfg).expect("audit context");
+    let at = |threads: usize| AuditConfig {
+        threads: Some(threads),
+        ..AuditConfig::with_distance(counter.clone())
+    };
+    let ctx = AuditContext::new(workers, scores, at(1)).expect("audit context");
+    let parallel_ctx = AuditContext::new(workers, scores, at(4)).expect("parallel context");
     let attrs = ctx.attributes().to_vec();
     let (pre_split, last) = (&attrs[..attrs.len() - 1], attrs[attrs.len() - 1]);
     let mut base = vec![ctx.root()];
@@ -64,8 +72,8 @@ fn workload<'a>(workers: &'a fairjob_store::table::Table, scores: &'a [f64]) -> 
             .collect();
     }
     assert!(
-        base.len() >= 100,
-        "bench workload must audit >= 100 partitions, got {}",
+        base.len() >= 256,
+        "bench workload must audit >= 256 partitions, got {}",
         base.len()
     );
     let candidates: Vec<(usize, Vec<Partition>)> = base
@@ -81,6 +89,7 @@ fn workload<'a>(workers: &'a fairjob_store::table::Table, scores: &'a [f64]) -> 
     );
     Workload {
         ctx,
+        parallel_ctx,
         counter,
         base,
         candidates,
@@ -111,15 +120,10 @@ fn naive_round(w: &Workload<'_>) -> Vec<f64> {
         .collect()
 }
 
-/// Score every candidate through a fresh engine's cached full evaluation.
+/// Score every candidate through a fresh engine's cached full
+/// evaluation, on one worker thread or on four.
 fn cached_round(w: &Workload<'_>, parallel: bool) -> (Vec<f64>, u64) {
-    let engine = if parallel {
-        EvalEngine::new(&w.ctx)
-            .with_parallel_threshold(64)
-            .with_threads(4)
-    } else {
-        EvalEngine::new(&w.ctx).with_parallel_threshold(usize::MAX)
-    };
+    let engine = EvalEngine::new(if parallel { &w.parallel_ctx } else { &w.ctx });
     let values = w
         .candidates
         .iter()

@@ -14,9 +14,13 @@
 //!   per bin grid per process) and every solve is a ground-cache hit;
 //!   the steady-state scratch [`SolveScratch::footprint`] stops growing,
 //!   so the solve loop no longer touches the allocator.
-//! * **Determinism** — value and *all* batch counters (including
-//!   `ground_cache_hits` / `scratch_reuses` / `warm_starts`) are
-//!   identical for 1, 2, 3 and 8 threads.
+//! * **Determinism** — the engine's chunked full evaluation (the path
+//!   every evaluation of 256 or more partitions takes) gives the same
+//!   value and *all* engine-local counters (including
+//!   `ground_cache_hits` / `scratch_reuses` / `warm_starts`) at 1, 2, 3
+//!   and 8 threads, and its solver counters are exact: every solve a
+//!   ground-cache hit, every solve after the first of its chunk a
+//!   scratch reuse and a warm start.
 //!
 //! Finally the ≥2× speedup gate: on the sparse exact-survivor profile
 //! (deep partitions, the histograms the bound screen actually sends to
@@ -28,13 +32,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fairjob_bench::prepare_population;
-use fairjob_core::unfairness::{pairwise_emd_batch, BatchValue};
-use fairjob_core::{AuditConfig, AuditContext, Partition};
+use fairjob_core::{AuditConfig, AuditContext, EngineStats, EvalEngine, Partition};
 use fairjob_emd::{simplex, GroundCache};
 use fairjob_hist::distance::EmdExact;
-use fairjob_hist::{BinSpec, Histogram, HistogramDistance, ScratchStats, SolveScratch};
+use fairjob_hist::{Histogram, HistogramDistance, ScratchStats, SolveScratch};
 use fairjob_marketplace::scoring::{LinearScore, ScoringFunction};
+use fairjob_store::{AttributeKind, Schema, Table, Value};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The seed's exact-EMD path, reproduced with its original allocation
@@ -218,23 +223,32 @@ fn partitions(ctx: &AuditContext<'_>) -> Vec<Partition> {
     parts
 }
 
-/// Histograms with every bin populated, so consecutive pairs share the
-/// full support set and the flow solver's warm start can fire on all of
-/// them.
-fn dense_hists(n: usize) -> Vec<Histogram> {
-    let spec = BinSpec::equal_width(0.0, 1.0, 10).expect("spec");
-    (0..n)
-        .map(|k| {
-            let mut vals = Vec::new();
-            for b in 0..10usize {
-                let copies = 1 + (k * 7 + b * 3) % 5;
-                for c in 0..copies {
-                    vals.push((b as f64 + 0.3 + 0.1 * (c % 4) as f64) / 10.0);
-                }
+/// A population whose one protected attribute has 256 values, each
+/// with at least one row in every one of the ten score bins. Splitting
+/// the root by it gives 256 full-support partitions: enough for the
+/// engine's chunked evaluation, and every pair shares the full support,
+/// so the flow solver's warm start can fire on every solve after the
+/// first of its chunk. A value's bin counts spell its index in base 5,
+/// so no two histograms are equal.
+fn full_support_population() -> (Table, Vec<f64>) {
+    let labels: Vec<String> = (0..256).map(|v| format!("v{v:03}")).collect();
+    let domain: Vec<&str> = labels.iter().map(String::as_str).collect();
+    let schema = Schema::builder()
+        .categorical("cell", AttributeKind::Protected, &domain)
+        .build()
+        .expect("schema");
+    let mut table = Table::new(schema);
+    let mut scores = Vec::new();
+    for (v, label) in labels.iter().enumerate() {
+        for bin in 0..10u32 {
+            let copies = 1 + (v / 5usize.pow(bin % 4)) % 5;
+            for _ in 0..copies {
+                table.push_row(&[Value::cat(label)]).expect("row");
+                scores.push((f64::from(bin) + 0.5) / 10.0);
             }
-            Histogram::from_values(spec.clone(), vals)
-        })
-        .collect()
+        }
+    }
+    (table, scores)
 }
 
 /// The transportation-simplex oracle's EMD on the full matrix of
@@ -342,45 +356,74 @@ fn assert_cache_discipline(hists: &[&Histogram]) {
     );
 }
 
-/// Batch-kernel counters on a dense-support workload: warm starts fire,
-/// scratches are reused, and value + every counter are identical for
-/// every thread count.
-fn assert_batch_counters(dense: &[Histogram]) {
-    let flow = EmdExact;
-    let hists: Vec<&Histogram> = dense.iter().collect();
-    let pairs = (hists.len() * (hists.len() - 1) / 2) as u64;
-    let base = pairwise_emd_batch(&hists, &flow, 1, None).expect("serial batch");
-    let BatchValue::Average(value) = base.value else {
-        panic!("no abandon threshold was set");
+/// The engine's solver counters on its chunked path: under `EmdExact`,
+/// a cold evaluation of 256 full-support partitions serves every solve
+/// a cached ground matrix, reuses the scratch and warm-starts every
+/// solve after the first of its chunk, and gives the same value and
+/// engine-local counters at every thread count.
+fn assert_batch_counters(workers: &Table, scores: &[f64]) {
+    let evaluate = |threads: usize| {
+        let cfg = AuditConfig {
+            threads: Some(threads),
+            ..AuditConfig::with_distance(Arc::new(EmdExact))
+        };
+        let ctx = AuditContext::new(workers, scores, cfg).expect("audit context");
+        let root = ctx.root();
+        let parts = ctx
+            .split(&root, ctx.attributes()[0])
+            .expect("256-way split");
+        assert_eq!(parts.len(), 256);
+        assert!(
+            parts
+                .iter()
+                .all(|p| p.histogram.counts().iter().all(|&c| c > 0.0)),
+            "every partition must have full support"
+        );
+        let engine = EvalEngine::new(&ctx);
+        let value = engine.unfairness(&parts).expect("chunked evaluation");
+        // The shard meters are context-cumulative and follow the
+        // context's thread budget; every other counter is the engine's.
+        let stats = EngineStats {
+            shard_tasks: 0,
+            rows_classified_parallel: 0,
+            ..engine.stats()
+        };
+        (value, stats)
     };
+    let (value, base) = evaluate(1);
+    let pairs = 256 * 255 / 2;
     assert!(value.is_finite());
-    assert_eq!(base.stats.pairs, pairs);
+    assert!(base.pool_tasks > 0, "the chunked path never ran");
     assert_eq!(
-        base.stats.exact_solves, pairs,
-        "no bounds — every pair solves"
+        base.distances_computed, pairs,
+        "a cold evaluation solves every pair"
     );
     assert_eq!(
-        base.stats.ground_cache_hits, pairs,
-        "primed batch must serve every solve from the ground cache"
+        base.ground_cache_hits, pairs,
+        "primed evaluation must serve every solve from the ground cache"
     );
     assert_eq!(
-        base.stats.scratch_reuses,
-        pairs - base.stats.pool_tasks,
+        base.scratch_reuses,
+        pairs - base.pool_tasks,
         "every solve after the first in its chunk must reuse the scratch"
     );
     assert_eq!(
-        base.stats.warm_starts,
-        pairs - base.stats.pool_tasks,
+        base.warm_starts,
+        pairs - base.pool_tasks,
         "full-support pairs must warm-start every solve after the first in its chunk"
     );
     for threads in [2usize, 3, 8] {
-        let par = pairwise_emd_batch(&hists, &flow, threads, None).expect("parallel batch");
-        assert_eq!(par.value, base.value, "{threads}-thread value diverged");
-        assert_eq!(par.stats, base.stats, "{threads}-thread counters diverged");
+        let (par_value, par) = evaluate(threads);
+        assert_eq!(
+            par_value.to_bits(),
+            value.to_bits(),
+            "{threads}-thread value diverged"
+        );
+        assert_eq!(par, base, "{threads}-thread counters diverged");
     }
     println!(
-        "batch counters: {} pairs, {} ground cache hits, {} scratch reuses, {} warm starts — identical at 1/2/3/8 threads",
-        base.stats.pairs, base.stats.ground_cache_hits, base.stats.scratch_reuses, base.stats.warm_starts
+        "engine solver counters: {} pairs in {} pool tasks, {} ground cache hits, {} scratch reuses, {} warm starts — identical at 1/2/3/8 threads",
+        pairs, base.pool_tasks, base.ground_cache_hits, base.scratch_reuses, base.warm_starts
     );
 }
 
@@ -482,12 +525,17 @@ fn bench_exact_solver(c: &mut Criterion) {
         "audit workload must yield sparse survivor histograms, got {}",
         survivors.len()
     );
-    let dense = dense_hists(16);
+    let (full_support, full_support_scores) = full_support_population();
 
     assert_value_safety(&sample);
     assert_cache_discipline(&sample);
-    assert_batch_counters(&dense);
+    assert_batch_counters(&full_support, &full_support_scores);
     assert_speedup(&survivors);
+    let exact_cfg = AuditConfig {
+        threads: Some(4),
+        ..AuditConfig::with_distance(Arc::new(EmdExact))
+    };
+    let exact_ctx = AuditContext::new(&workers, &scores, exact_cfg).expect("exact context");
 
     let flow = EmdExact;
     let mut group = c.benchmark_group("exact_solver");
@@ -521,8 +569,14 @@ fn bench_exact_solver(c: &mut Criterion) {
             }
         })
     });
-    group.bench_function("arena_batch_parallel", |b| {
-        b.iter(|| black_box(pairwise_emd_batch(&all, &flow, 4, None).expect("batch")))
+    group.bench_function("engine_chunked_parallel", |b| {
+        b.iter(|| {
+            black_box(
+                EvalEngine::new(&exact_ctx)
+                    .unfairness(&parts)
+                    .expect("chunked evaluation"),
+            )
+        })
     });
     group.finish();
 }

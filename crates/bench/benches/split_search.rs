@@ -29,6 +29,9 @@ use std::sync::Arc;
 const ROUNDS: usize = 8;
 
 struct Workload<'a> {
+    workers: &'a fairjob_store::table::Table,
+    scores: &'a [f64],
+    /// One worker thread.
     ctx: AuditContext<'a>,
     /// The ≥100-partition starting partitioning (five of the six
     /// attributes pre-split).
@@ -40,8 +43,21 @@ struct Workload<'a> {
     cardinality: usize,
 }
 
+/// The default context at a worker-thread count.
+fn at_threads<'a>(
+    workers: &'a fairjob_store::table::Table,
+    scores: &'a [f64],
+    threads: usize,
+) -> AuditContext<'a> {
+    let cfg = AuditConfig {
+        threads: Some(threads),
+        ..AuditConfig::default()
+    };
+    AuditContext::new(workers, scores, cfg).expect("audit context")
+}
+
 fn workload<'a>(workers: &'a fairjob_store::table::Table, scores: &'a [f64]) -> Workload<'a> {
-    let ctx = AuditContext::new(workers, scores, AuditConfig::default()).expect("audit context");
+    let ctx = at_threads(workers, scores, 1);
     let attrs = ctx.attributes().to_vec();
     let (pre_split, attr) = (&attrs[..attrs.len() - 1], attrs[attrs.len() - 1]);
     let mut base = vec![ctx.root()];
@@ -66,6 +82,8 @@ fn workload<'a>(workers: &'a fairjob_store::table::Table, scores: &'a [f64]) -> 
         "need >= {ROUNDS} splittable partitions, got {splittable}"
     );
     Workload {
+        workers,
+        scores,
         ctx,
         base,
         attr,
@@ -127,7 +145,7 @@ fn assert_split_contract(w: &Workload<'_>) {
     let (naive_parts, naive_splits, naive_rows) = naive_search(w);
     let naive_value = w.ctx.unfairness(&naive_parts).expect("naive eval");
 
-    let engine = EvalEngine::new(&w.ctx).with_threads(1);
+    let engine = EvalEngine::new(&w.ctx);
     let engine_parts = engine_search(&engine, w);
     let stats = engine.stats();
     let engine_value = engine.unfairness(&engine_parts).expect("engine eval");
@@ -152,16 +170,18 @@ fn assert_split_contract(w: &Workload<'_>) {
         stats.splits_computed
     );
 
-    // Bit-identical results and counters for every worker-thread count.
-    // The shard meters are context-cumulative — every engine on `w.ctx`
-    // adds to them — so only the engine-local counters are compared.
+    // Bit-identical results and counters for every worker-thread count,
+    // one context per count. The shard meters are context-cumulative
+    // and follow the context's thread budget, so only the engine-local
+    // counters are compared.
     let engine_local = |mut stats: EngineStats| {
         stats.shard_tasks = 0;
         stats.rows_classified_parallel = 0;
         stats
     };
     for threads in [2usize, 3, 8] {
-        let parallel = EvalEngine::new(&w.ctx).with_threads(threads);
+        let ctx = at_threads(w.workers, w.scores, threads);
+        let parallel = EvalEngine::new(&ctx);
         let parts = engine_search(&parallel, w);
         assert_eq!(
             engine_local(parallel.stats()),
@@ -196,19 +216,20 @@ fn bench_split_search(c: &mut Criterion) {
         .expect("scores");
     let w = workload(&workers, &scores);
     assert_split_contract(&w);
+    let parallel_ctx = at_threads(&workers, &scores, 4);
 
     let mut group = c.benchmark_group("split_search");
     group.sample_size(10);
     group.bench_function("naive", |b| b.iter(|| black_box(naive_search(&w))));
     group.bench_function("engine", |b| {
         b.iter(|| {
-            let engine = EvalEngine::new(&w.ctx).with_threads(1);
+            let engine = EvalEngine::new(&w.ctx);
             black_box(engine_search(&engine, &w))
         })
     });
     group.bench_function("engine_parallel", |b| {
         b.iter(|| {
-            let engine = EvalEngine::new(&w.ctx).with_threads(4);
+            let engine = EvalEngine::new(&parallel_ctx);
             black_box(engine_search(&engine, &w))
         })
     });

@@ -9,12 +9,14 @@
 //!    comparison (see `algorithms::unbalanced` docs).
 //! 4. **Beam width** — how much does greedy commitment lose against a
 //!    wider beam?
-//! 5. **Parallel pairwise EMD** — thread scaling of the dominant kernel.
+//! 5. **Chunked full evaluation** — thread scaling of the engine's full
+//!    evaluation on the 7300-worker `all-attributes` partitioning.
 //! 6. **Greedy vs exact over the balanced space** — the balanced space
 //!    is the subset lattice of attributes (2^m − 1 candidates), so its
 //!    exact optimum is cheap; how much does greedy `balanced` lose?
-//! 7. **Incremental vs batch pairwise averaging** — the
-//!    replace-one-partition-by-children delta update.
+//! 7. **Incremental vs batch pairwise averaging** — the engine's
+//!    replace-one-partition-by-children delta scoring against a naive
+//!    evaluation of each materialised candidate.
 //!
 //! ```text
 //! cargo run -p fairjob-bench --release --bin ablations
@@ -22,14 +24,29 @@
 
 use fairjob_bench::{prepare_population, render_table};
 use fairjob_core::algorithms::{
-    balanced::Balanced, beam::Beam, unbalanced::Unbalanced, Algorithm, AttributeChoice,
+    all_attributes::AllAttributes, balanced::Balanced, beam::Beam, unbalanced::Unbalanced,
+    Algorithm, AttributeChoice,
 };
-use fairjob_core::unfairness::{average_pairwise, average_pairwise_parallel};
-use fairjob_core::{AuditConfig, AuditContext};
+use fairjob_core::unfairness::average_pairwise;
+use fairjob_core::{AuditConfig, AuditContext, EvalEngine, IncrementalEval, Partition};
 use fairjob_hist::distance::{all_symmetric_distances, by_name};
 use fairjob_hist::Histogram;
 use fairjob_marketplace::scoring::{LinearScore, RuleBasedScore, ScoringFunction};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// The last result of five runs of `f`, and the median of their wall
+/// times.
+fn median_of_5<T>(mut f: impl FnMut() -> T) -> (T, Duration) {
+    let mut times = Vec::with_capacity(5);
+    let mut last = None;
+    for _ in 0..5 {
+        let t = Instant::now();
+        last = Some(f());
+        times.push(t.elapsed());
+    }
+    times.sort_unstable();
+    (last.expect("five runs"), times[2])
+}
 
 fn main() {
     let workers = prepare_population(500, 0xEDB7_2019);
@@ -155,39 +172,54 @@ fn main() {
         render_table(&["beam width", "unfairness", "time", "candidates"], &rows)
     );
 
-    // 5. Parallel pairwise EMD.
-    println!("=== Ablation 5: parallel pairwise EMD (1800-cell full partitioning scale) ===\n");
-    let spec = fairjob_hist::BinSpec::equal_width(0.0, 1.0, 10).expect("spec");
-    let hists: Vec<Histogram> = (0..1200)
-        .map(|i| {
-            let base = (i % 97) as f64 / 97.0;
-            Histogram::from_values(
-                spec.clone(),
-                [base, (base + 0.31) % 1.0, (base + 0.62) % 1.0],
-            )
-        })
-        .collect();
-    let refs: Vec<&Histogram> = hists.iter().collect();
-    let dist = fairjob_hist::distance::Emd1d;
+    // 5. Chunked full evaluation.
+    println!(
+        "=== Ablation 5: chunked full evaluation (7300 workers, all-attributes partitioning) ===\n"
+    );
+    let big = prepare_population(7300, 0xEDB7_2019);
+    let big_scores = LinearScore::alpha("f1", 0.5)
+        .score_all(&big)
+        .expect("scores");
+    let at_threads = |threads: usize| {
+        let cfg = AuditConfig {
+            threads: Some(threads),
+            ..AuditConfig::default()
+        };
+        AuditContext::new(&big, &big_scores, cfg).expect("ctx")
+    };
+    let full = AllAttributes
+        .run(&at_threads(1))
+        .expect("all-attributes")
+        .partitioning;
+    let parts = full.partitions();
+    let hists: Vec<&Histogram> = parts.iter().map(|p| &p.histogram).collect();
+    println!(
+        "{} partitions, {} pairs; every engine is fresh, so every pair is computed\n",
+        parts.len(),
+        parts.len() * (parts.len() - 1) / 2
+    );
     let mut rows = Vec::new();
-    let t0 = Instant::now();
-    let serial = average_pairwise(&refs, &dist).expect("serial");
-    let serial_time = t0.elapsed();
+    let (naive, naive_time) =
+        median_of_5(|| average_pairwise(&hists, &fairjob_hist::distance::Emd1d).expect("naive"));
     rows.push(vec![
-        "serial".into(),
-        format!("{serial:.6}"),
-        format!("{serial_time:.2?}"),
+        "naive reference".into(),
+        format!("{naive:.6}"),
+        format!("{naive_time:.2?}"),
     ]);
-    for threads in [2, 4, 8] {
-        let t = Instant::now();
-        let par = average_pairwise_parallel(&refs, &dist, threads).expect("parallel");
+    for threads in [1, 2, 4, 8] {
+        let ctx = at_threads(threads);
+        let (value, time) =
+            median_of_5(|| EvalEngine::new(&ctx).unfairness(parts).expect("engine"));
         rows.push(vec![
-            format!("{threads} threads"),
-            format!("{par:.6}"),
-            format!("{:.2?}", t.elapsed()),
+            format!("engine, threads = {threads}"),
+            format!("{value:.6}"),
+            format!("{time:.2?}"),
         ]);
     }
-    println!("{}", render_table(&["mode", "avg EMD", "time"], &rows));
+    println!(
+        "{}",
+        render_table(&["mode", "avg EMD", "time (median of 5)"], &rows)
+    );
 
     // 6. Greedy balanced vs exact over the balanced (subset) space.
     println!("=== Ablation 6: greedy balanced vs subset-exact (500 workers) ===\n");
@@ -229,54 +261,54 @@ fn main() {
 
     // 7. Incremental vs batch pairwise averaging (replace-one workload).
     println!("=== Ablation 7: incremental vs batch pairwise averaging ===\n");
-    use fairjob_core::unfairness::PairwiseAverager;
-    let dist = fairjob_hist::distance::Emd1d;
-    let base: Vec<Histogram> = (0..400)
-        .map(|i| {
-            let v = (i % 89) as f64 / 89.0;
-            Histogram::from_values(spec.clone(), [v, (v + 0.4) % 1.0])
-        })
+    // Base: five of the six attributes split over the 7300 workers;
+    // each candidate replaces one base partition by its split on the
+    // sixth.
+    let ctx = at_threads(1);
+    let attrs = ctx.attributes().to_vec();
+    let (pre_split, last) = (&attrs[..attrs.len() - 1], attrs[attrs.len() - 1]);
+    let mut base: Vec<Partition> = vec![ctx.root()];
+    for &a in pre_split {
+        base = base
+            .iter()
+            .flat_map(|p| ctx.split(p, a).unwrap_or_else(|| vec![p.clone()]))
+            .collect();
+    }
+    let candidates: Vec<(usize, Vec<Partition>)> = base
+        .iter()
+        .enumerate()
+        .filter_map(|(i, p)| ctx.split(p, last).map(|children| (i, children)))
+        .take(100)
         .collect();
-    // Workload: replace each of the first 100 histograms by two children.
     let t_batch = Instant::now();
     let mut batch_last = 0.0;
-    for k in 0..100 {
-        let mut set: Vec<&Histogram> = base.iter().collect();
-        set.remove(k);
-        // Batch recompute from scratch each step (children approximated
-        // by reusing two other histograms — the arithmetic is identical).
-        let extra = [&base[(k + 1) % 400], &base[(k + 2) % 400]];
-        set.extend(extra);
-        batch_last = average_pairwise(&set, &dist).expect("batch");
+    for (k, children) in &candidates {
+        let mut materialised: Vec<Partition> = base[..*k].to_vec();
+        materialised.extend(children.iter().cloned());
+        materialised.extend(base[k + 1..].iter().cloned());
+        batch_last = ctx.unfairness(&materialised).expect("batch");
     }
     let batch_time = t_batch.elapsed();
+    // Timed from the seeding, which computes the base's pairs once.
     let t_inc = Instant::now();
-    let mut averager =
-        PairwiseAverager::with_histograms(&dist, base.iter().cloned()).expect("averager");
+    let engine = EvalEngine::new(&ctx);
+    let mut incremental = IncrementalEval::new(&engine, &base).expect("seed");
     let mut inc_last = 0.0;
-    for k in 0..100 {
-        averager.remove(k).expect("remove");
-        let a = averager
-            .insert(base[(k + 1) % 400].clone())
-            .expect("insert");
-        let b = averager
-            .insert(base[(k + 2) % 400].clone())
-            .expect("insert");
-        inc_last = averager.average();
-        // Undo so each step is a fresh replace-one probe.
-        averager.remove(a).expect("remove");
-        averager.remove(b).expect("remove");
-        averager.insert(base[k].clone()).expect("insert");
+    for (k, children) in &candidates {
+        inc_last = incremental
+            .score_replacements(&[(*k, children.as_slice())])
+            .expect("delta");
     }
     let inc_time = t_inc.elapsed();
+    let probes = format!(
+        "time ({} replace-one probes, {} partitions)",
+        candidates.len(),
+        base.len()
+    );
     println!(
         "{}",
         render_table(
-            &[
-                "mode",
-                "time (100 replace-one probes, 400 hists)",
-                "last value"
-            ],
+            &["mode", &probes, "last value"],
             &[
                 vec![
                     "batch recompute".into(),

@@ -4,6 +4,7 @@ use crate::engine::EngineCaches;
 use crate::error::AuditError;
 use crate::partition::Partition;
 use crate::pool::{thread_budget, WorkerPool};
+use crate::unfairness::average_pairwise;
 use fairjob_hist::distance::Emd1d;
 use fairjob_hist::{BinSpec, Histogram, HistogramDistance};
 use fairjob_store::column::CodeColumn;
@@ -777,61 +778,28 @@ impl<'a> AuditContext<'a> {
     }
 
     /// Average pairwise distance over a set of partitions — Definition
-    /// 2's `unfairness(P, f)`. Zero for fewer than two non-empty
-    /// partitions; empty partitions are skipped.
+    /// 2's `unfairness(P, f)`, computed naively by
+    /// [`crate::unfairness::average_pairwise`]: the reference the
+    /// engine's evaluations are checked against. Zero for fewer than two
+    /// non-empty partitions; empty partitions are skipped.
     ///
     /// # Errors
     ///
     /// [`AuditError::Distance`] if the configured distance fails
     /// (histogram layouts always match inside one context).
     pub fn unfairness(&self, parts: &[Partition]) -> Result<f64, AuditError> {
-        self.unfairness_refs(parts.iter().filter(|p| !p.is_empty()).collect())
-    }
-
-    fn unfairness_refs(&self, live: Vec<&Partition>) -> Result<f64, AuditError> {
-        if live.len() < 2 {
-            return Ok(0.0);
-        }
-        let mut sum = 0.0;
-        let mut pairs = 0usize;
-        for i in 0..live.len() {
-            for j in i + 1..live.len() {
-                sum += self
-                    .distance
-                    .distance(&live[i].histogram, &live[j].histogram)?;
-                pairs += 1;
-            }
-        }
-        Ok(sum / pairs as f64)
-    }
-
-    /// Average pairwise distance over the union of two partition groups
-    /// (used by `unbalanced`'s stopping rule: "what would the average
-    /// EMD be if `group` replaced the current partition next to
-    /// `siblings`").
-    ///
-    /// # Errors
-    ///
-    /// As for [`AuditContext::unfairness`].
-    pub fn unfairness_union(
-        &self,
-        group: &[Partition],
-        siblings: &[Partition],
-    ) -> Result<f64, AuditError> {
-        // Borrow, don't clone: histograms are the heavy part of a
-        // partition and this is called once per stopping decision.
-        self.unfairness_refs(
-            group
-                .iter()
-                .chain(siblings.iter())
-                .filter(|p| !p.is_empty())
-                .collect(),
-        )
+        let live: Vec<&Histogram> = parts
+            .iter()
+            .filter(|p| !p.is_empty())
+            .map(|p| &p.histogram)
+            .collect();
+        average_pairwise(&live, self.distance.as_ref())
     }
 
     /// Average distance over **cross pairs only** (`group` × `siblings`)
     /// — the alternative, stricter reading of Algorithm 2's
-    /// `averageEMD(current, siblings)`; exposed for the ablation bench.
+    /// `averageEMD(current, siblings)`, and the naive reference of
+    /// [`crate::EvalEngine::unfairness_cross`].
     ///
     /// # Errors
     ///
@@ -1028,9 +996,7 @@ mod tests {
         let ctx = ctx_on_toy(&t, &scores);
         let genders = ctx.split(&ctx.root(), 0).unwrap();
         let (m, f) = (genders[0].clone(), genders[1].clone());
-        let union = ctx
-            .unfairness_union(std::slice::from_ref(&m), std::slice::from_ref(&f))
-            .unwrap();
+        let union = ctx.unfairness(&[m.clone(), f.clone()]).unwrap();
         let cross = ctx.unfairness_cross(&[m], &[f]).unwrap();
         assert!(
             (union - cross).abs() < 1e-12,

@@ -19,20 +19,24 @@
 //!    orders hits the same entry. Distances between partitions untouched
 //!    by a candidate split are never recomputed — across sibling
 //!    candidates *and* across rounds.
-//! 2. **Delta evaluation** — [`IncrementalEval`] maintains a
-//!    [`PairwiseAverager`] over the current partitioning and scores
+//! 2. **Delta evaluation** — [`IncrementalEval`] maintains a keyed
+//!    pairwise averager over the current partitioning and scores
 //!    "replace partition p by its children" hypotheticals at
 //!    O(k · changed) distances instead of O(k²), reverting afterwards at
 //!    zero additional distance computations (the revert re-looks-up
 //!    distances that were just cached).
-//! 3. **Parallel path** — full evaluations over at least
-//!    [`EvalEngine::with_parallel_threshold`] live partitions classify
-//!    cache hits serially, compute the misses in fixed-size chunks on
-//!    the persistent worker pool ([`crate::pool::WorkerPool`] — spawned
-//!    once per process, reused across calls and epochs), and take the
-//!    final sum serially in pair order so the result is independent of
-//!    the thread count. A distance error in a worker propagates as
-//!    [`AuditError::Distance`], not a panic.
+//! 3. **Serial and chunked full evaluation** — [`EvalEngine::unfairness`]
+//!    sums the memo's pairs in one serial loop below 256 live
+//!    partitions. From 256 on, it classifies cache hits serially,
+//!    computes the misses in fixed chunks of 1024 pairs on the
+//!    persistent worker pool ([`crate::pool::WorkerPool`] — spawned
+//!    once per process, reused across calls and epochs), as wide as
+//!    [`crate::AuditConfig::threads`] allows, and takes the final sum
+//!    serially in pair order. Both give the same bits as
+//!    [`crate::unfairness::average_pairwise`], and the chunked path's
+//!    value and counters are independent of the thread count. A
+//!    distance error in a worker propagates as [`AuditError::Distance`],
+//!    not a panic.
 //! 4. **Bound screen** — [`IncrementalEval::score_replacements_bounded`]
 //!    upper-bounds a candidate replacement from warm memo entries plus
 //!    the distance's cheap bounds
@@ -71,8 +75,8 @@
 //!    counter and every returned child is identical for every thread
 //!    count.
 //!
-//! The engine counts distances computed, cache hits, and cache bypasses,
-//! candidates scored from columns and the screen's ties, plus splits
+//! The engine counts distances computed and cache hits, candidates
+//! scored from columns and the screen's ties, plus splits
 //! computed, split-cache hits, rows scanned, and histograms built
 //! ([`EngineStats`]); algorithms surface the counters through
 //! [`crate::report::AuditResult::engine`] and the CLI audit report.
@@ -84,7 +88,7 @@ use crate::error::AuditError;
 use crate::partition::Partition;
 use crate::pool::{thread_budget, WorkerPool};
 use crate::scratch::with_scratch;
-use crate::unfairness::{DistanceOracle, PairwiseAverager, PAIR_CHUNK, PRUNE_MARGIN, UNKEYED_BIT};
+use crate::unfairness::{PairwiseAverager, PRUNE_MARGIN};
 use fairjob_hist::{BinSpec, Histogram, ScratchStats};
 use fairjob_store::{Predicate, RowSet};
 use std::borrow::Borrow;
@@ -216,6 +220,17 @@ type FingerprintBuild = BuildHasherDefault<FingerprintHasher>;
 
 /// Cap on each cache's entry count: bounds an engine's memory.
 const CACHE_CAPACITY: usize = 8_000_000;
+
+/// Live partitions from which a full evaluation computes its missing
+/// pairs in chunks on the worker pool instead of in one serial loop.
+/// Below it, the pool's dispatch costs more than it saves.
+const PARALLEL_THRESHOLD: usize = 256;
+
+/// Fixed chunk size (in pairs) of a chunked full evaluation. Independent
+/// of the thread count, so the chunk count — and with it the
+/// `pool_tasks` counter and the solver counters, which restart per
+/// chunk — is identical no matter how many workers run the chunks.
+const PAIR_CHUNK: usize = 1024;
 
 /// Fixed chunk size (in split requests) for candidate-split batches
 /// dispatched to the worker pool. Independent of the thread count, so
@@ -489,13 +504,10 @@ fn patch_children(
 /// over the engine's lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Distances actually computed (cache misses + bypasses).
+    /// Distances actually computed (cache misses).
     pub distances_computed: u64,
     /// Distance lookups served from the memo cache.
     pub cache_hits: u64,
-    /// Distance computations that bypassed the cache because at least
-    /// one histogram carried no partition fingerprint.
-    pub cache_bypasses: u64,
     /// Splits materialised through the single-pass kernel (split-cache
     /// misses; includes non-viable attempts, which are negatively
     /// cached).
@@ -596,7 +608,6 @@ impl EngineStats {
     pub fn merge(&mut self, other: &EngineStats) {
         self.distances_computed += other.distances_computed;
         self.cache_hits += other.cache_hits;
-        self.cache_bypasses += other.cache_bypasses;
         self.splits_computed += other.splits_computed;
         self.split_cache_hits += other.split_cache_hits;
         self.rows_scanned += other.rows_scanned;
@@ -626,11 +637,10 @@ impl EngineStats {
     /// The exhaustive destructuring makes this function — and through
     /// it every renderer — fail to compile when a counter is added to
     /// the struct but not listed here.
-    pub fn as_pairs(&self) -> [(&'static str, u64); 24] {
+    pub fn as_pairs(&self) -> [(&'static str, u64); 23] {
         let EngineStats {
             distances_computed,
             cache_hits,
-            cache_bypasses,
             splits_computed,
             split_cache_hits,
             rows_scanned,
@@ -656,7 +666,6 @@ impl EngineStats {
         [
             ("distances_computed", distances_computed),
             ("cache_hits", cache_hits),
-            ("cache_bypasses", cache_bypasses),
             ("splits_computed", splits_computed),
             ("split_cache_hits", split_cache_hits),
             ("rows_scanned", rows_scanned),
@@ -682,6 +691,16 @@ impl EngineStats {
     }
 }
 
+/// The memo key of a pair: its two fingerprints, smaller first, so
+/// both orders of a pair share one entry.
+fn pair_key(key_a: u128, key_b: u128) -> (u128, u128) {
+    if key_a <= key_b {
+        (key_a, key_b)
+    } else {
+        (key_b, key_a)
+    }
+}
+
 /// The shared evaluation engine: a fingerprint-keyed distance memo
 /// cache over one [`AuditContext`], plus the cached/incremental/parallel
 /// evaluation paths built on it. Create one per algorithm run and route
@@ -699,7 +718,6 @@ pub struct EvalEngine<'c, 'a> {
     adopted: bool,
     distances_computed: Cell<u64>,
     cache_hits: Cell<u64>,
-    cache_bypasses: Cell<u64>,
     splits_computed: Cell<u64>,
     split_cache_hits: Cell<u64>,
     rows_scanned: Cell<u64>,
@@ -714,7 +732,8 @@ pub struct EvalEngine<'c, 'a> {
     ground_cache_hits: Cell<u64>,
     scratch_reuses: Cell<u64>,
     warm_starts: Cell<u64>,
-    parallel_threshold: usize,
+    /// Pool width of the chunked paths, resolved once from the
+    /// context's `threads` setting.
     threads: usize,
 }
 
@@ -728,13 +747,13 @@ impl Drop for EvalEngine<'_, '_> {
 }
 
 impl<'c, 'a> EvalEngine<'c, 'a> {
-    /// An engine over `ctx` with default tuning: parallel evaluation
-    /// above 256 live partitions, worker threads from the context's
-    /// `threads` knob (default: the machine's available parallelism
-    /// capped at 8, read once per process, so building an engine makes
-    /// no system call), caches capped at 8 M entries each. When the
-    /// context carries seeded caches ([`AuditContext::seed_engine_caches`])
-    /// they are adopted warm and handed back when the engine drops.
+    /// An engine over `ctx`: chunked full evaluation from 256 live
+    /// partitions, worker threads from the context's `threads` setting
+    /// (default: the machine's available parallelism capped at 8, read
+    /// once per process, so building an engine makes no system call),
+    /// caches capped at 8 M entries each. When the context carries
+    /// seeded caches ([`AuditContext::seed_engine_caches`]) they are
+    /// adopted warm and handed back when the engine drops.
     pub fn new(ctx: &'c AuditContext<'a>) -> Self {
         let threads = thread_budget(ctx.threads());
         let (caches, adopted) = match ctx.take_engine_caches() {
@@ -747,7 +766,6 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
             adopted,
             distances_computed: Cell::new(0),
             cache_hits: Cell::new(0),
-            cache_bypasses: Cell::new(0),
             splits_computed: Cell::new(0),
             split_cache_hits: Cell::new(0),
             rows_scanned: Cell::new(0),
@@ -762,23 +780,8 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
             ground_cache_hits: Cell::new(0),
             scratch_reuses: Cell::new(0),
             warm_starts: Cell::new(0),
-            parallel_threshold: 256,
             threads,
         }
-    }
-
-    /// Minimum number of live partitions in a full evaluation before
-    /// the parallel path kicks in (set `usize::MAX` to disable it).
-    pub fn with_parallel_threshold(mut self, partitions: usize) -> Self {
-        self.parallel_threshold = partitions;
-        self
-    }
-
-    /// Worker-thread count for the parallel path (clamped to ≥ 1). The
-    /// result is identical for every thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// The audited context this engine evaluates against.
@@ -787,8 +790,7 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
     }
 
     /// The cache key of a partition: its predicate's structural
-    /// fingerprint (top bit clear, so it never collides with
-    /// [`UNKEYED_BIT`]-marked averager keys).
+    /// fingerprint.
     pub fn key(part: &Partition) -> u128 {
         part.predicate.fingerprint()
     }
@@ -799,7 +801,6 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
         EngineStats {
             distances_computed: self.distances_computed.get(),
             cache_hits: self.cache_hits.get(),
-            cache_bypasses: self.cache_bypasses.get(),
             splits_computed: self.splits_computed.get(),
             split_cache_hits: self.split_cache_hits.get(),
             rows_scanned: self.rows_scanned.get(),
@@ -875,15 +876,8 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
         key_b: u128,
         b: &Histogram,
     ) -> Option<(f64, bool)> {
-        if (key_a | key_b) & UNKEYED_BIT == 0 {
-            let key = if key_a <= key_b {
-                (key_a, key_b)
-            } else {
-                (key_b, key_a)
-            };
-            if let Some(d) = self.caches.borrow().get_distance(key) {
-                return Some((d, true));
-            }
+        if let Some(d) = self.caches.borrow().get_distance(pair_key(key_a, key_b)) {
+            return Some((d, true));
         }
         self.ctx.distance().bounds(a, b).map(|bd| (bd.upper, false))
     }
@@ -903,25 +897,15 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
             .set(self.cache_evictions.get() + evicted);
     }
 
-    /// Memoised distance between two keyed histograms; bypasses the
-    /// cache (but still computes) when either key is unkeyed.
-    fn cached_distance(
+    /// Memoised distance between two keyed histograms.
+    pub(crate) fn cached_distance(
         &self,
         key_a: u128,
         a: &Histogram,
         key_b: u128,
         b: &Histogram,
     ) -> Result<f64, AuditError> {
-        if (key_a | key_b) & UNKEYED_BIT != 0 {
-            Self::bump(&self.cache_bypasses);
-            Self::bump(&self.distances_computed);
-            return self.scratch_distance(a, b);
-        }
-        let key = if key_a <= key_b {
-            (key_a, key_b)
-        } else {
-            (key_b, key_a)
-        };
+        let key = pair_key(key_a, key_b);
         if let Some(d) = self.caches.borrow().get_distance(key) {
             Self::bump(&self.cache_hits);
             return Ok(d);
@@ -930,17 +914,6 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
         Self::bump(&self.distances_computed);
         self.insert_cache(key, d);
         Ok(d)
-    }
-
-    /// Memoised distance between two partitions' histograms.
-    ///
-    /// # Errors
-    ///
-    /// [`AuditError::Distance`] from the underlying distance.
-    pub fn pair_distance(&self, a: &Partition, b: &Partition) -> Result<f64, AuditError> {
-        let key_a = self.register(a);
-        let key_b = self.register(b);
-        self.cached_distance(key_a, &a.histogram, key_b, &b.histogram)
     }
 
     /// Materialise the split of `part` by `attr`, served from the split
@@ -1048,8 +1021,8 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
     /// Cached full evaluation of `unfairness(parts, f)` — identical to
     /// [`AuditContext::unfairness`] (pair order, skip rules, and final
     /// division match exactly; only the distance computations are
-    /// memoised). Above the parallel threshold the misses are computed
-    /// on worker threads.
+    /// memoised). From 256 live partitions on, the misses are computed
+    /// in chunks on the worker pool.
     ///
     /// # Errors
     ///
@@ -1061,8 +1034,8 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
     }
 
     /// Cached evaluation over the union of two partition groups, without
-    /// cloning either (the borrow-based replacement for the audit
-    /// context's clone-everything `unfairness_union`).
+    /// cloning either: [`EvalEngine::unfairness`] of `group` followed by
+    /// `siblings`.
     ///
     /// # Errors
     ///
@@ -1104,10 +1077,12 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
         if ga.is_empty() || gb.is_empty() {
             return Ok(0.0);
         }
+        let ka: Vec<u128> = ga.iter().map(|p| self.register(p)).collect();
+        let kb: Vec<u128> = gb.iter().map(|p| self.register(p)).collect();
         let mut sum = 0.0;
-        for a in &ga {
-            for b in &gb {
-                sum += self.pair_distance(a, b)?;
+        for (a, &key_a) in ga.iter().zip(&ka) {
+            for (b, &key_b) in gb.iter().zip(&kb) {
+                sum += self.cached_distance(key_a, &a.histogram, key_b, &b.histogram)?;
             }
         }
         Ok(sum / (ga.len() * gb.len()) as f64)
@@ -1121,10 +1096,10 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
         }
         let pairs = n * (n - 1) / 2;
         let keys: Vec<u128> = live.iter().map(|p| self.register(p)).collect();
-        // Note: no thread-count condition — at one thread the batched
+        // Note: no thread-count condition — at one thread the chunked
         // path runs its chunks inline, so counters (`pool_tasks`
         // included) are identical for every thread count.
-        if n >= self.parallel_threshold {
+        if n >= PARALLEL_THRESHOLD {
             return self.unfairness_parallel(&live, &keys, pairs);
         }
         let mut sum = 0.0;
@@ -1137,7 +1112,7 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
         Ok(sum / pairs as f64)
     }
 
-    /// The parallel full evaluation: serial hit/miss classification,
+    /// The chunked full evaluation: serial hit/miss classification,
     /// miss computation in fixed-size chunks on the persistent worker
     /// pool, then a serial sum in (i, j) pair order so the
     /// floating-point result is thread-count independent.
@@ -1156,12 +1131,7 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
             let mut hits = 0u64;
             for i in 0..n {
                 for j in i + 1..n {
-                    let key = if keys[i] <= keys[j] {
-                        (keys[i], keys[j])
-                    } else {
-                        (keys[j], keys[i])
-                    };
-                    match caches.get_distance(key) {
+                    match caches.get_distance(pair_key(keys[i], keys[j])) {
                         Some(d) => {
                             vals.push(d);
                             hits += 1;
@@ -1215,12 +1185,7 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
                 let mut evicted = 0u64;
                 for (&(at, i, j), &d) in misses.iter().zip(&computed) {
                     vals[at] = d;
-                    let key = if keys[i] <= keys[j] {
-                        (keys[i], keys[j])
-                    } else {
-                        (keys[j], keys[i])
-                    };
-                    evicted += caches.insert_distance(key, d);
+                    evicted += caches.insert_distance(pair_key(keys[i], keys[j]), d);
                 }
                 self.cache_evictions
                     .set(self.cache_evictions.get() + evicted);
@@ -1286,18 +1251,6 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
     }
 }
 
-impl DistanceOracle for EvalEngine<'_, '_> {
-    fn keyed_distance(
-        &self,
-        key_a: u128,
-        a: &Histogram,
-        key_b: u128,
-        b: &Histogram,
-    ) -> Result<f64, AuditError> {
-        self.cached_distance(key_a, a, key_b, b)
-    }
-}
-
 /// Delta evaluation of candidate splits over one partitioning.
 ///
 /// Seeded once per greedy round with the current partitioning (all pair
@@ -1308,7 +1261,7 @@ impl DistanceOracle for EvalEngine<'_, '_> {
 /// afterwards without recomputing a single distance.
 pub struct IncrementalEval<'e, 'c, 'a> {
     engine: &'e EvalEngine<'c, 'a>,
-    averager: PairwiseAverager<'e>,
+    averager: PairwiseAverager<'e, 'c, 'a>,
     /// Averager slot of each seeded partition, by position in the seed
     /// slice ([`EMPTY_SLOT`] for empty partitions, which are excluded
     /// from the average exactly as in [`AuditContext::unfairness`]).
@@ -1503,7 +1456,7 @@ mod tests {
     use super::*;
     use crate::algorithms::Algorithm;
     use crate::context::AuditConfig;
-    use fairjob_hist::distance::{DistanceError, HistogramDistance};
+    use fairjob_hist::distance::{DistanceError, Emd1d, HistogramDistance};
     use fairjob_marketplace::toy::toy_workers;
     use std::sync::Arc;
 
@@ -1523,28 +1476,27 @@ mod tests {
         let a = EngineStats {
             distances_computed: 1,
             cache_hits: 2,
-            cache_bypasses: 3,
-            splits_computed: 4,
-            split_cache_hits: 5,
-            rows_scanned: 6,
-            histograms_built: 7,
-            cache_evictions: 8,
-            split_evictions: 9,
-            bounds_screened: 10,
-            exact_solves: 11,
-            column_scored: 12,
-            column_ties: 13,
-            pool_tasks: 14,
-            ground_cache_hits: 15,
-            scratch_reuses: 16,
-            warm_starts: 17,
-            shard_tasks: 18,
-            rows_classified_parallel: 19,
-            page_hits: 20,
-            page_misses: 21,
-            page_evictions: 22,
-            pages_skipped: 23,
-            pages_scanned: 24,
+            splits_computed: 3,
+            split_cache_hits: 4,
+            rows_scanned: 5,
+            histograms_built: 6,
+            cache_evictions: 7,
+            split_evictions: 8,
+            bounds_screened: 9,
+            exact_solves: 10,
+            column_scored: 11,
+            column_ties: 12,
+            pool_tasks: 13,
+            ground_cache_hits: 14,
+            scratch_reuses: 15,
+            warm_starts: 16,
+            shard_tasks: 17,
+            rows_classified_parallel: 18,
+            page_hits: 19,
+            page_misses: 20,
+            page_evictions: 21,
+            pages_skipped: 22,
+            pages_scanned: 23,
         };
         let pairs = a.as_pairs();
         // Every field value is distinct and present exactly once.
@@ -1581,7 +1533,6 @@ mod tests {
         let second = engine.stats();
         assert_eq!(second.distances_computed, 3);
         assert_eq!(second.cache_hits, 3);
-        assert_eq!(second.cache_bypasses, 0);
     }
 
     #[test]
@@ -1592,9 +1543,10 @@ mod tests {
         let genders = ctx.split(&ctx.root(), 0).unwrap();
         let langs = ctx.split(&genders[0], 1).unwrap();
         let sibs = std::slice::from_ref(&genders[1]);
+        let union: Vec<Partition> = langs.iter().chain(sibs).cloned().collect();
         assert_eq!(
             engine.unfairness_union(&langs, sibs).unwrap(),
-            ctx.unfairness_union(&langs, sibs).unwrap()
+            ctx.unfairness(&union).unwrap()
         );
         assert_eq!(
             engine.unfairness_cross(&langs, sibs).unwrap(),
@@ -1602,36 +1554,75 @@ mod tests {
         );
     }
 
-    #[test]
-    fn parallel_path_matches_serial_for_any_thread_count() {
-        let (t, scores) = toy_workers();
-        let ctx = toy_ctx(&t, &scores);
+    /// The bench harness's 500-worker population (`generate_uniform`,
+    /// bucketised, scored by f1): its `all-attributes` partitioning has
+    /// 434 partitions, enough for the chunked full evaluation.
+    fn population_500() -> (fairjob_store::table::Table, Vec<f64>) {
+        use fairjob_marketplace::scoring::{LinearScore, ScoringFunction};
+        use fairjob_marketplace::{bucketise_numeric_protected, generate_uniform};
+        let mut workers = generate_uniform(500, 2019);
+        bucketise_numeric_protected(&mut workers).unwrap();
+        let scores = LinearScore::alpha("f1", 0.5).score_all(&workers).unwrap();
+        (workers, scores)
+    }
+
+    /// The `all-attributes` partitioning of `population_500`, whose
+    /// size crosses the chunked-evaluation threshold.
+    fn chunked_input(workers: &fairjob_store::table::Table, scores: &[f64]) -> Vec<Partition> {
+        let ctx = AuditContext::new(workers, scores, AuditConfig::default()).unwrap();
         let parts = crate::algorithms::all_attributes::AllAttributes
             .run(&ctx)
             .unwrap()
-            .partitioning;
-        let serial = EvalEngine::new(&ctx).with_parallel_threshold(usize::MAX);
-        let expected = serial.unfairness(parts.partitions()).unwrap();
-        assert_eq!(expected, ctx.unfairness(parts.partitions()).unwrap());
+            .partitioning
+            .partitions()
+            .to_vec();
+        assert!(
+            parts.len() >= PARALLEL_THRESHOLD,
+            "{} partitions",
+            parts.len()
+        );
+        parts
+    }
+
+    /// The counters an engine's own work fixes: the shard meters are
+    /// context-cumulative and follow the context's thread budget.
+    fn engine_local(stats: EngineStats) -> EngineStats {
+        EngineStats {
+            shard_tasks: 0,
+            rows_classified_parallel: 0,
+            ..stats
+        }
+    }
+
+    #[test]
+    fn parallel_path_matches_serial_for_any_thread_count() {
+        let (workers, scores) = population_500();
+        let parts = chunked_input(&workers, &scores);
+        let hists: Vec<&Histogram> = parts.iter().map(|p| &p.histogram).collect();
+        let expected = crate::unfairness::average_pairwise(&hists, &Emd1d).unwrap();
+        let mut reference: Option<EngineStats> = None;
         for threads in [1, 2, 3, 7] {
-            let parallel = EvalEngine::new(&ctx)
-                .with_parallel_threshold(2)
-                .with_threads(threads);
-            // First pass: all misses go through workers. Bit-identical
-            // because the final sum runs serially in pair order.
-            assert_eq!(
-                parallel.unfairness(parts.partitions()).unwrap(),
-                expected,
-                "{threads}"
-            );
+            let cfg = AuditConfig {
+                threads: Some(threads),
+                ..AuditConfig::default()
+            };
+            let ctx = AuditContext::new(&workers, &scores, cfg).unwrap();
+            let engine = EvalEngine::new(&ctx);
+            // First pass: every pair misses and is computed in pool
+            // chunks. Bit-identical because the final sum runs serially
+            // in pair order.
+            let first = engine.unfairness(&parts).unwrap();
+            assert_eq!(first.to_bits(), expected.to_bits(), "{threads} threads");
             // Second pass: all hits.
-            assert_eq!(
-                parallel.unfairness(parts.partitions()).unwrap(),
-                expected,
-                "{threads}"
-            );
-            let stats = parallel.stats();
+            let second = engine.unfairness(&parts).unwrap();
+            assert_eq!(second.to_bits(), expected.to_bits(), "{threads} threads");
+            let stats = engine_local(engine.stats());
             assert_eq!(stats.cache_hits, stats.distances_computed);
+            assert!(stats.pool_tasks > 0, "the chunked path never ran");
+            match &reference {
+                None => reference = Some(stats),
+                Some(want) => assert_eq!(&stats, want, "{threads}-thread counters diverged"),
+            }
         }
     }
 
@@ -1649,13 +1640,14 @@ mod tests {
 
     #[test]
     fn distance_error_in_a_parallel_worker_propagates_as_audit_error() {
-        let (t, scores) = toy_workers();
-        let cfg = AuditConfig::with_distance(Arc::new(AlwaysFails));
-        let ctx = AuditContext::new(&t, &scores, cfg).unwrap();
-        let parts = ctx.split(&ctx.root(), 1).unwrap();
-        let engine = EvalEngine::new(&ctx)
-            .with_parallel_threshold(2)
-            .with_threads(4);
+        let (workers, scores) = population_500();
+        let parts = chunked_input(&workers, &scores);
+        let cfg = AuditConfig {
+            threads: Some(4),
+            ..AuditConfig::with_distance(Arc::new(AlwaysFails))
+        };
+        let ctx = AuditContext::new(&workers, &scores, cfg).unwrap();
+        let engine = EvalEngine::new(&ctx);
         // Must come back as Err, not a worker panic.
         let err = engine.unfairness(&parts).unwrap_err();
         assert!(
@@ -1798,18 +1790,22 @@ mod tests {
         // context-cumulative, so sharing one context across engines would
         // conflate the runs being compared.
         let (t, scores) = toy_workers();
-        let ref_ctx = toy_ctx(&t, &scores);
+        let at = |threads: usize| AuditConfig {
+            threads: Some(threads),
+            ..AuditConfig::default()
+        };
+        let ref_ctx = AuditContext::new(&t, &scores, at(1)).unwrap();
         let ref_root = ref_ctx.root();
-        let reference = EvalEngine::new(&ref_ctx).with_threads(1);
+        let reference = EvalEngine::new(&ref_ctx);
         let requests: Vec<(&Partition, usize)> =
             vec![(&ref_root, 0), (&ref_root, 1), (&ref_root, 0)];
         let expected = reference.split_batch(&requests);
         let expected_stats = reference.stats();
         for threads in [2, 3, 8] {
-            let ctx = toy_ctx(&t, &scores);
+            let ctx = AuditContext::new(&t, &scores, at(threads)).unwrap();
             let root = ctx.root();
             let requests: Vec<(&Partition, usize)> = vec![(&root, 0), (&root, 1), (&root, 0)];
-            let engine = EvalEngine::new(&ctx).with_threads(threads);
+            let engine = EvalEngine::new(&ctx);
             let got = engine.split_batch(&requests);
             assert_eq!(engine.stats(), expected_stats, "{threads} threads");
             assert_eq!(got.len(), expected.len());
@@ -1851,24 +1847,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn unkeyed_histograms_bypass_the_cache() {
-        let (t, scores) = toy_workers();
-        let ctx = toy_ctx(&t, &scores);
-        let engine = EvalEngine::new(&ctx);
-        let genders = ctx.split(&ctx.root(), 0).unwrap();
-        let mut averager = PairwiseAverager::keyed(&engine);
-        // Plain inserts carry no fingerprint, so the engine computes
-        // without consulting or filling the cache.
-        averager.insert(genders[0].histogram.clone()).unwrap();
-        averager.insert(genders[1].histogram.clone()).unwrap();
-        averager.insert(genders[1].histogram.clone()).unwrap();
-        let stats = engine.stats();
-        assert_eq!(stats.cache_bypasses, 3);
-        assert_eq!(stats.distances_computed, 3);
-        assert_eq!(stats.cache_hits, 0);
-    }
-
     /// The fingerprint hasher spreads the engine's real keys like a
     /// uniform hash would. The keys are every memo key an
     /// `all-attributes` audit of a 500-worker population inserts (the
@@ -1879,13 +1857,9 @@ mod tests {
     #[test]
     fn fingerprint_hasher_spreads_memo_keys_over_the_low_bits() {
         use crate::algorithms::all_attributes::AllAttributes;
-        use fairjob_marketplace::scoring::{LinearScore, ScoringFunction};
-        use fairjob_marketplace::{bucketise_numeric_protected, generate_uniform};
         use std::hash::BuildHasher;
 
-        let mut workers = generate_uniform(500, 2019);
-        bucketise_numeric_protected(&mut workers).unwrap();
-        let scores = LinearScore::alpha("f1", 0.5).score_all(&workers).unwrap();
+        let (workers, scores) = population_500();
         let ctx = AuditContext::new(&workers, &scores, AuditConfig::default()).unwrap();
         ctx.seed_engine_caches(EngineCaches::new());
         AllAttributes.run(&ctx).unwrap();

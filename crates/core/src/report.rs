@@ -39,7 +39,7 @@ pub struct AuditResult {
     /// driver of the runtime differences in Tables 1–2).
     pub candidates_evaluated: usize,
     /// Evaluation-engine counters for the run: distances actually
-    /// computed, memo-cache hits, and cache bypasses, plus the split
+    /// computed and memo-cache hits, plus the split
     /// fast path's splits computed, split-cache hits, rows scanned, and
     /// histograms built. All zero for algorithms that do not route
     /// through [`crate::EvalEngine`].
@@ -68,8 +68,8 @@ impl AuditResult {
         ));
         if self.engine.lookups() > 0 {
             out.push_str(&format!(
-                "engine: {} distances computed, {} cache hits, {} bypasses\n",
-                self.engine.distances_computed, self.engine.cache_hits, self.engine.cache_bypasses,
+                "engine: {} distances computed, {} cache hits\n",
+                self.engine.distances_computed, self.engine.cache_hits,
             ));
         }
         if self.engine.split_lookups() > 0 {
@@ -234,7 +234,6 @@ mod tests {
             engine: EngineStats {
                 distances_computed: 4,
                 cache_hits: 96,
-                cache_bypasses: 0,
                 splits_computed: 5,
                 split_cache_hits: 11,
                 rows_scanned: 320,
@@ -260,7 +259,7 @@ mod tests {
         };
         let text = result.render(&ctx, false);
         assert!(text.contains("algorithm: test"));
-        assert!(text.contains("engine: 4 distances computed, 96 cache hits, 0 bypasses"));
+        assert!(text.contains("engine: 4 distances computed, 96 cache hits\n"));
         assert!(text
             .contains("splits: 5 computed, 11 cache hits, 320 rows scanned, 12 histograms built"));
         assert!(text.contains("evictions: 2 distance entries, 0 split entries"));
@@ -292,7 +291,6 @@ mod tests {
             engine: EngineStats {
                 distances_computed: 7,
                 cache_hits: 2,
-                cache_bypasses: 1,
                 splits_computed: 4,
                 split_cache_hits: 9,
                 rows_scanned: 250,
@@ -340,7 +338,7 @@ mod tests {
         assert!(json.contains("\"value\":\"Male\""));
         assert!(json.contains("\"candidates_evaluated\":3"));
         assert!(json.contains(
-            "\"engine\":{\"distances_computed\":7,\"cache_hits\":2,\"cache_bypasses\":1,\"splits_computed\":4,\"split_cache_hits\":9,\"rows_scanned\":250,\"histograms_built\":8,\"cache_evictions\":0,\"split_evictions\":3,\"bounds_screened\":20,\"exact_solves\":5,\"column_scored\":6,\"column_ties\":0,\"pool_tasks\":2,\"ground_cache_hits\":12,\"scratch_reuses\":10,\"warm_starts\":4,\"shard_tasks\":6,\"rows_classified_parallel\":250,\"page_hits\":21,\"page_misses\":7,\"page_evictions\":2,\"pages_skipped\":11,\"pages_scanned\":17}"
+            "\"engine\":{\"distances_computed\":7,\"cache_hits\":2,\"splits_computed\":4,\"split_cache_hits\":9,\"rows_scanned\":250,\"histograms_built\":8,\"cache_evictions\":0,\"split_evictions\":3,\"bounds_screened\":20,\"exact_solves\":5,\"column_scored\":6,\"column_ties\":0,\"pool_tasks\":2,\"ground_cache_hits\":12,\"scratch_reuses\":10,\"warm_starts\":4,\"shard_tasks\":6,\"rows_classified_parallel\":250,\"page_hits\":21,\"page_misses\":7,\"page_evictions\":2,\"pages_skipped\":11,\"pages_scanned\":17}"
         ));
         // Structural completeness: every counter as_pairs knows about is
         // present in the JSON by name.

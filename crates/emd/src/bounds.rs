@@ -4,8 +4,9 @@
 //! over per-partition score histograms — millions of times, and most of
 //! those pairs are only looked at to be discarded (a losing candidate
 //! partitioning, a pair whose distance is dominated by others). This
-//! module provides the screening primitives that let the batch kernel in
-//! `fairjob-core` settle such pairs without running an exact solver:
+//! module provides the screening primitives that let the evaluation
+//! engine's candidate screen in `fairjob-core` bound such pairs without
+//! running an exact solver:
 //!
 //! * [`PrefixCdf`] — a reusable prefix-CDF, built once per histogram and
 //!   shared across every pair the histogram participates in. For 1-D L1

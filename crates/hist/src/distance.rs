@@ -44,8 +44,9 @@ impl From<EmdError> for DistanceError {
     }
 }
 
-/// Cheap, provable bounds on a distance, used by the batch kernel to
-/// settle pairs without an exact solve.
+/// Cheap, provable bounds on a distance, used by the evaluation
+/// engine's candidate screen in `fairjob-core` to bound a candidate
+/// partitioning — and abandon a hopeless one — without an exact solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistanceBounds {
     /// Provable lower bound: `lower <= distance(a, b)`.

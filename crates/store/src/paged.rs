@@ -850,6 +850,9 @@ impl PagedStore {
             Some(RowSet::from_sorted(live_rows))
         };
 
+        // Page data sits between the live bitmap and the directory.
+        let data_start = 16 + header_len + 8 + live_len;
+
         // Footer → directory.
         let mut footer = [0u8; 16];
         file.seek(SeekFrom::Start(len - 16))?;
@@ -858,7 +861,7 @@ impl PagedStore {
             return Err(PagedError::Corrupt("bad footer magic".into()));
         }
         let dir_offset = u64::from_le_bytes(footer[..8].try_into().unwrap());
-        if dir_offset >= len - 16 {
+        if dir_offset >= len - 16 || dir_offset < data_start {
             return Err(PagedError::Corrupt("directory offset out of range".into()));
         }
         let mut dir_bytes = vec![0u8; (len - 16 - dir_offset) as usize];
@@ -895,6 +898,21 @@ impl PagedStore {
                 }
                 c
             };
+            // Each page's rows and bytes are bounded by its kind and by
+            // the data region, so no page read allocates more than a
+            // page and the row count is bounded by the file size.
+            if page_rows as usize > kind.rows_per_page() {
+                return Err(PagedError::Corrupt(format!(
+                    "page {id} holds {page_rows} rows; a {kind:?} page holds at most {}",
+                    kind.rows_per_page()
+                )));
+            }
+            let end = offset.checked_add(u64::from(page_rows) * kind.row_bytes() as u64);
+            if offset < data_start || end.is_none_or(|end| end > dir_offset) {
+                return Err(PagedError::Corrupt(format!(
+                    "page {id} lies outside the data region"
+                )));
+            }
             by_column[slot].push(id as u32);
             directory.push(PageMeta {
                 column,
@@ -909,9 +927,26 @@ impl PagedStore {
                 },
             });
         }
-        // Row coverage sanity: each non-empty column's pages must tile
-        // 0..rows in order.
-        for pages in by_column.iter().filter(|p| !p.is_empty()) {
+        // No two pages share a byte, so the pages' rows add up to at
+        // most the data region's bytes.
+        let mut extents: Vec<(u64, u64)> = directory
+            .iter()
+            .map(|m| {
+                (
+                    m.offset,
+                    m.offset + u64::from(m.rows) * m.kind.row_bytes() as u64,
+                )
+            })
+            .collect();
+        extents.sort_unstable();
+        if extents.windows(2).any(|w| w[1].0 < w[0].1) {
+            return Err(PagedError::Corrupt("overlapping pages".into()));
+        }
+        // Row coverage sanity: every schema column's pages, and the
+        // score column's when the file has scores, must tile 0..rows in
+        // order.
+        let covered = schema.width() + usize::from(has_scores);
+        for pages in &by_column[..covered] {
             let mut at = 0u64;
             for &id in pages.iter() {
                 let meta = &directory[id as usize];
@@ -1532,11 +1567,25 @@ mod tests {
 
     /// Write a 100-row population with a live subset, let `patch`
     /// rewrite the file's bytes, and open the result.
-    fn open_patched(name: &str, patch: impl FnOnce(&mut [u8])) -> Result<PagedStore, PagedError> {
-        let (table, scores) = population(100);
+    fn open_patched(
+        name: &str,
+        patch: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<PagedStore, PagedError> {
         let live = RowSet::from_sorted((0..100).filter(|r| r % 2 == 0).collect());
+        open_rewritten(name, Some(&live), patch)
+    }
+
+    /// Write a 100-row population (every row live unless `live` says
+    /// otherwise), let `patch` rewrite the file's bytes, and open the
+    /// result.
+    fn open_rewritten(
+        name: &str,
+        live: Option<&RowSet>,
+        patch: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<PagedStore, PagedError> {
+        let (table, scores) = population(100);
         let path = tmp(name);
-        write_paged(&path, &table, Some(&scores), Some(&live), 0, 10).unwrap();
+        write_paged(&path, &table, Some(&scores), live, 0, 10).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         patch(&mut bytes);
         std::fs::write(&path, &bytes).unwrap();
@@ -1570,6 +1619,91 @@ mod tests {
             assert!(
                 matches!(opened, Err(PagedError::Corrupt(_))),
                 "live bitmap length {live_len}"
+            );
+        }
+    }
+
+    /// Bytes per directory entry: column, kind, first row, rows, offset,
+    /// zone min and max, bitset flag, bitset.
+    const ENTRY_BYTES: usize = 4 + 1 + 8 + 4 + 8 + 8 + 8 + 1 + 32;
+
+    /// Where directory entry `i` starts.
+    fn entry_at(bytes: &[u8], i: usize) -> usize {
+        get_u64(bytes, bytes.len() - 16) as usize + 8 + i * ENTRY_BYTES
+    }
+
+    /// Set the `rows` and `offset` fields of directory entry `i`.
+    fn set_entry(bytes: &mut [u8], i: usize, rows: u32, offset: u64) {
+        let at = entry_at(bytes, i);
+        bytes[at + 13..at + 17].copy_from_slice(&rows.to_le_bytes());
+        put_u64_at(bytes, at + 17, offset);
+    }
+
+    fn entry_rows_offset(bytes: &[u8], i: usize) -> (u32, u64) {
+        let at = entry_at(bytes, i);
+        let rows = u32::from_le_bytes(bytes[at + 13..at + 17].try_into().unwrap());
+        (rows, get_u64(bytes, at + 17))
+    }
+
+    /// A file whose header claims `u32::MAX` rows and whose pages (one
+    /// per column) each claim as many, with every offset moved past the
+    /// longer header. Its pages still tile the rows, so only the bound
+    /// on a page's rows stops an audit from sizing its per-row columns
+    /// (tens of GiB) by the claim.
+    #[test]
+    fn open_rejects_pages_claiming_more_rows_than_a_page_holds() {
+        let opened = open_rewritten("huge-rows", None, |b| {
+            let header_len = get_u64(b, 8) as usize;
+            let header = String::from_utf8(b[16..16 + header_len].to_vec()).unwrap();
+            let claimed = header.replacen("rows 100\n", &format!("rows {}\n", u32::MAX), 1);
+            assert_ne!(header, claimed);
+            let shift = (claimed.len() - header.len()) as u64;
+            let mut rewritten = b[..8].to_vec();
+            rewritten.extend_from_slice(&(claimed.len() as u64).to_le_bytes());
+            rewritten.extend_from_slice(claimed.as_bytes());
+            rewritten.extend_from_slice(&b[16 + header_len..]);
+            let footer = rewritten.len() - 16;
+            let dir_offset = get_u64(&rewritten, footer) + shift;
+            put_u64_at(&mut rewritten, footer, dir_offset);
+            let pages = get_u64(&rewritten, dir_offset as usize) as usize;
+            for i in 0..pages {
+                let (_, offset) = entry_rows_offset(&rewritten, i);
+                set_entry(&mut rewritten, i, u32::MAX, offset + shift);
+            }
+            *b = rewritten;
+        });
+        match opened {
+            Err(PagedError::Corrupt(reason)) => assert!(reason.contains("rows"), "{reason}"),
+            other => panic!("a page of u32::MAX rows opened: {other:?}"),
+        }
+    }
+
+    /// Every page's bytes lie between the live bitmap and the directory,
+    /// and no two pages share a byte.
+    #[test]
+    fn open_rejects_pages_outside_the_data_region_or_overlapping() {
+        type Patch = fn(&mut Vec<u8>);
+        let cases: [(&str, Patch); 3] = [
+            ("into the directory", |b| {
+                let (rows, _) = entry_rows_offset(b, 0);
+                let dir_offset = get_u64(b, b.len() - 16);
+                set_entry(b, 0, rows, dir_offset - 1);
+            }),
+            ("into the header", |b| {
+                let (rows, _) = entry_rows_offset(b, 0);
+                set_entry(b, 0, rows, 16);
+            }),
+            ("onto another page", |b| {
+                let (_, first) = entry_rows_offset(b, 0);
+                let (rows, _) = entry_rows_offset(b, 1);
+                set_entry(b, 1, rows, first);
+            }),
+        ];
+        for (what, patch) in cases {
+            let opened = open_rewritten("page-bytes", None, patch);
+            assert!(
+                matches!(opened, Err(PagedError::Corrupt(_))),
+                "a page moved {what} opened: {opened:?}"
             );
         }
     }

@@ -277,7 +277,7 @@ mod tests {
             Predicate::eq(0, 1).and(1, 2).and(2, 0),
         ];
         for (i, a) in variants.iter().enumerate() {
-            // Top bit stays clear (reserved for the engine's sentinel).
+            // Top bit stays clear (callers may use it as a sentinel).
             assert_eq!(a.fingerprint() >> 127, 0);
             for (j, b) in variants.iter().enumerate() {
                 if i != j {
