@@ -2,25 +2,30 @@
 //! 360-partition synthetic audit — the innermost loop of every audit,
 //! where an unfairness value averages the distance over all partition
 //! pairs. At 360 live partitions (256 or more) [`EvalEngine::unfairness`]
-//! runs its chunked path: memo misses computed in fixed chunks on the
-//! persistent worker pool, then summed serially in pair order.
+//! computes its pairs in fixed chunks on the persistent worker pool,
+//! then sums them serially in pair order. Under `Emd1d`, whose L1 form
+//! sends full evaluations past the memo, it computes every pair; under
+//! `PairwiseEmd` (`Emd1d` without the form) it computes the memo's
+//! misses and inserts them.
 //!
-//! Three paths are timed: a cold evaluation (a fresh engine, every pair
-//! computed) on one thread and on four, and a warm one (every pair a
-//! memo hit).
+//! Four paths are timed: a cold `Emd1d` evaluation (a fresh engine) on
+//! one thread and on four, a cold `PairwiseEmd` evaluation on one
+//! thread (every pair computed and inserted into the memo), and a warm
+//! `PairwiseEmd` one (every pair a memo hit).
 //!
 //! Beyond timing, this bench *asserts* the evaluation's contract with
 //! real counters before any timing runs:
 //!
-//! * the engine's value is bit-identical to the naive reference
-//!   [`average_pairwise`], a cold evaluation computes every pair once,
-//!   and value + engine-local counters are identical at 1, 2, 3 and 8
-//!   threads (set through [`AuditConfig::threads`]);
+//! * under `Emd1d` and `PairwiseEmd` alike, the engine's value is
+//!   bit-identical to the naive reference [`average_pairwise`], a cold
+//!   evaluation computes every pair once, and value + engine-local
+//!   counters are identical at 1, 2, 3 and 8 threads (set through
+//!   [`AuditConfig::threads`]);
 //! * the branch-and-bound candidate search actually prunes on this
 //!   workload (engine `bounds_screened > 0`) and matches the unpruned
-//!   value bit for bit. It runs on `PairwiseEmd`, `Emd1d` without its
-//!   L1 form, because `Emd1d` itself chooses `balanced`'s attributes by
-//!   the column screen, which needs no bound;
+//!   value bit for bit. It runs on `PairwiseEmd`, because `Emd1d`
+//!   itself chooses `balanced`'s attributes by the column screen, which
+//!   needs no bound;
 //! * that column-screened `Emd1d` search gives the pairwise search's
 //!   bits and partitioning with zero pairs bound-screened, every
 //!   candidate round decided by columns, and no tie;
@@ -28,13 +33,13 @@
 //!   spawned once and reused, never per call.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fairjob_bench::prepare_population;
+use fairjob_bench::{prepare_population, PairwiseEmd};
 use fairjob_core::algorithms::{balanced::Balanced, Algorithm, AttributeChoice};
 use fairjob_core::pool::WorkerPool;
 use fairjob_core::unfairness::average_pairwise;
 use fairjob_core::{AuditConfig, AuditContext, AuditResult, EngineStats, EvalEngine, Partition};
 use fairjob_hist::distance::Emd1d;
-use fairjob_hist::{DistanceBounds, DistanceError, Histogram, HistogramDistance};
+use fairjob_hist::{DistanceError, Histogram, HistogramDistance};
 use fairjob_marketplace::scoring::{LinearScore, ScoringFunction};
 use fairjob_store::Table;
 use std::hint::black_box;
@@ -51,24 +56,6 @@ impl HistogramDistance for NoBounds {
     }
     fn name(&self) -> &'static str {
         "emd-no-bounds"
-    }
-}
-
-/// `Emd1d` without its L1 form: the same distances and exact bounds,
-/// so `balanced` scores its candidates pairwise through the memo and
-/// the bound screen instead of from sorted columns.
-#[derive(Debug)]
-struct PairwiseEmd;
-
-impl HistogramDistance for PairwiseEmd {
-    fn distance(&self, a: &Histogram, b: &Histogram) -> Result<f64, DistanceError> {
-        Emd1d.distance(a, b)
-    }
-    fn bounds(&self, a: &Histogram, b: &Histogram) -> Option<DistanceBounds> {
-        Emd1d.bounds(a, b)
-    }
-    fn name(&self) -> &'static str {
-        "emd-pairwise"
     }
 }
 
@@ -92,11 +79,16 @@ fn partitions(ctx: &AuditContext<'_>) -> Vec<Partition> {
     parts
 }
 
-/// The context at a worker-thread count.
-fn at_threads<'a>(workers: &'a Table, scores: &'a [f64], threads: usize) -> AuditContext<'a> {
+/// The context at a worker-thread count, under `distance`.
+fn at_threads<'a>(
+    workers: &'a Table,
+    scores: &'a [f64],
+    distance: &Arc<dyn HistogramDistance>,
+    threads: usize,
+) -> AuditContext<'a> {
     let cfg = AuditConfig {
         threads: Some(threads),
-        ..AuditConfig::default()
+        ..AuditConfig::with_distance(Arc::clone(distance))
     };
     AuditContext::new(workers, scores, cfg).expect("audit context")
 }
@@ -111,9 +103,14 @@ fn engine_local(stats: EngineStats) -> EngineStats {
     }
 }
 
-/// The evaluation contract: bit-identity with the naive reference,
-/// every pair computed once, and thread independence.
-fn assert_evaluation_contract(workers: &Table, scores: &[f64], parts: &[Partition]) {
+/// The evaluation contract under `distance`: bit-identity with the
+/// naive reference, every pair computed once, and thread independence.
+fn assert_evaluation_contract(
+    workers: &Table,
+    scores: &[f64],
+    parts: &[Partition],
+    distance: &Arc<dyn HistogramDistance>,
+) {
     let hists: Vec<&Histogram> = parts
         .iter()
         .map(|p| &p.histogram)
@@ -121,7 +118,7 @@ fn assert_evaluation_contract(workers: &Table, scores: &[f64], parts: &[Partitio
         .collect();
     let serial = average_pairwise(&hists, &Emd1d).expect("serial reference");
     let pairs = (hists.len() * (hists.len() - 1) / 2) as u64;
-    let ctx = at_threads(workers, scores, 1);
+    let ctx = at_threads(workers, scores, distance, 1);
     let engine = EvalEngine::new(&ctx);
     let value = engine.unfairness(parts).expect("engine evaluation");
     assert_eq!(
@@ -141,7 +138,7 @@ fn assert_evaluation_contract(workers: &Table, scores: &[f64], parts: &[Partitio
         hists.len()
     );
     for threads in [2usize, 3, 8] {
-        let ctx = at_threads(workers, scores, threads);
+        let ctx = at_threads(workers, scores, distance, threads);
         let engine = EvalEngine::new(&ctx);
         let par = engine.unfairness(parts).expect("parallel evaluation");
         assert_eq!(
@@ -156,7 +153,8 @@ fn assert_evaluation_contract(workers: &Table, scores: &[f64], parts: &[Partitio
         );
     }
     println!(
-        "evaluation contract: {} histograms, {} pairs computed in {} pool tasks; value bit-identical to the serial reference at 1/2/3/8 threads",
+        "evaluation contract ({}): {} histograms, {} pairs computed in {} pool tasks; value bit-identical to the serial reference at 1/2/3/8 threads",
+        distance.name(),
         hists.len(),
         stats.distances_computed,
         stats.pool_tasks,
@@ -272,12 +270,9 @@ fn bench_pairwise_kernel(c: &mut Criterion) {
         .score_all(&workers)
         .expect("scores");
     let ctx = AuditContext::new(&workers, &scores, AuditConfig::default()).expect("audit context");
-    let pairwise_ctx = AuditContext::new(
-        &workers,
-        &scores,
-        AuditConfig::with_distance(Arc::new(PairwiseEmd)),
-    )
-    .expect("pairwise context");
+    let emd: Arc<dyn HistogramDistance> = Arc::new(Emd1d);
+    let pairwise_emd: Arc<dyn HistogramDistance> = Arc::new(PairwiseEmd);
+    let pairwise_ctx = at_threads(&workers, &scores, &pairwise_emd, 1);
     let unpruned_ctx = AuditContext::new(
         &workers,
         &scores,
@@ -285,37 +280,29 @@ fn bench_pairwise_kernel(c: &mut Criterion) {
     )
     .expect("unpruned context");
     let parts = partitions(&ctx);
-    let one_thread = at_threads(&workers, &scores, 1);
-    let four_threads = at_threads(&workers, &scores, 4);
+    let one_thread = at_threads(&workers, &scores, &emd, 1);
+    let four_threads = at_threads(&workers, &scores, &emd, 4);
 
-    assert_evaluation_contract(&workers, &scores, &parts);
+    assert_evaluation_contract(&workers, &scores, &parts, &emd);
+    assert_evaluation_contract(&workers, &scores, &parts, &pairwise_emd);
     let pairwise = assert_search_prunes(&pairwise_ctx, &unpruned_ctx);
     assert_column_screen(&ctx, &pairwise);
     assert_pool_persistence(&four_threads, &parts);
 
     let mut group = c.benchmark_group("pairwise_kernel");
     group.sample_size(10);
-    group.bench_function("cold_1_thread", |b| {
-        b.iter(|| {
-            black_box(
-                EvalEngine::new(&one_thread)
-                    .unfairness(&parts)
-                    .expect("eval"),
-            )
-        })
-    });
-    group.bench_function("cold_4_threads", |b| {
-        b.iter(|| {
-            black_box(
-                EvalEngine::new(&four_threads)
-                    .unfairness(&parts)
-                    .expect("eval"),
-            )
-        })
-    });
-    let warm = EvalEngine::new(&one_thread);
+    for (name, ctx) in [
+        ("cold_1_thread", &one_thread),
+        ("cold_4_threads", &four_threads),
+        ("cold_memo_1_thread", &pairwise_ctx),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(EvalEngine::new(ctx).unfairness(&parts).expect("eval")))
+        });
+    }
+    let warm = EvalEngine::new(&pairwise_ctx);
     warm.unfairness(&parts).expect("warm-up");
-    group.bench_function("warm", |b| {
+    group.bench_function("warm_memo", |b| {
         b.iter(|| black_box(warm.unfairness(&parts).expect("eval")))
     });
     group.finish();

@@ -6,11 +6,17 @@
 //! scratch.
 //!
 //! Beyond timing, this bench *asserts* the incremental path's contract
-//! with real counters (row scans and EMD computations, not wall-clock):
-//! after each small epoch (≤1% of rows mutated) the warm audit must
-//! scan at least 5× fewer rows AND compute at least 5× fewer distances
-//! than the cold rebuild, while producing a bit-identical partitioning
-//! and unfairness value.
+//! with real counters (row scans and EMD computations, not wall-clock),
+//! after each small epoch (≤1% of rows mutated), with a bit-identical
+//! partitioning and unfairness value:
+//!
+//! * under the default `emd` the warm audit scans at least 5× fewer
+//!   rows than the cold rebuild, and keeps no distance memo (`emd` sums
+//!   its full evaluations directly);
+//! * under `PairwiseEmd`, `Emd1d` without its L1 form (the same
+//!   distances, so the same splits), which memoizes full evaluations,
+//!   the warm audit computes at least 5× fewer distances than the cold
+//!   rebuild.
 //!
 //! The workload (size, seed) is deterministic and chosen so no epoch
 //! flips a greedy split decision: when an epoch *does* change which
@@ -20,11 +26,13 @@
 //! stable-structure epochs here reuse >99.9% of the cached work.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use fairjob_bench::PairwiseEmd;
 use fairjob_core::algorithms::{balanced::Balanced, Algorithm, AttributeChoice};
-use fairjob_core::AuditConfig;
+use fairjob_core::{AuditConfig, AuditResult};
 use fairjob_marketplace::stream::{generate_stream, StreamConfig, StreamScenario};
-use fairjob_stream::{same_partitioning, StreamAuditor, StreamView};
+use fairjob_stream::{same_partitioning, EpochReport, StreamAuditor, StreamView};
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// Workers in the contract workload; epochs mutate at most
 /// `EVENTS_PER_EPOCH` rows each, well under 1%.
@@ -45,31 +53,27 @@ fn scenario(workers: usize, epochs: usize, events: usize, seed: u64) -> StreamSc
     })
 }
 
-fn auditor(scenario: &StreamScenario) -> StreamAuditor {
+fn auditor(scenario: &StreamScenario, config: AuditConfig) -> StreamAuditor {
     let view = StreamView::new(
         scenario.initial.clone(),
         scenario.scores.clone(),
-        AuditConfig::default().bins,
+        config.bins,
     )
     .expect("stream view");
-    StreamAuditor::new(view, AuditConfig::default()).expect("stream auditor")
+    StreamAuditor::new(view, config).expect("stream auditor")
 }
 
-/// The counter/parity contract, asserted once with a real workload
-/// before any timing runs.
-fn assert_stream_contract() {
-    let scenario = scenario(
-        CONTRACT_WORKERS,
-        CONTRACT_EPOCHS,
-        EVENTS_PER_EPOCH,
-        CONTRACT_SEED,
-    );
+/// Replay `scenario` under `config`, checking every epoch's warm audit
+/// against a cold rebuild: a small epoch, the same partitioning and
+/// unfairness bits, then `check(warm, cold)`.
+fn replay_checked(
+    scenario: &StreamScenario,
+    config: AuditConfig,
+    mut check: impl FnMut(&EpochReport, &AuditResult),
+) {
     let algorithm = Balanced::new(AttributeChoice::Worst);
-    let mut auditor = auditor(&scenario);
+    let mut auditor = auditor(scenario, config);
     auditor.audit(&algorithm).expect("initial audit");
-
-    let (mut warm_rows, mut warm_dists) = (0u64, 0u64);
-    let (mut cold_rows, mut cold_dists) = (0u64, 0u64);
     for events in scenario.events.epochs() {
         let warm = auditor.run_epoch(events, &algorithm).expect("warm epoch");
         let cold = auditor.cold_audit(&algorithm).expect("cold rebuild");
@@ -93,6 +97,21 @@ fn assert_stream_contract() {
             warm.audit.unfairness,
             cold.unfairness
         );
+        check(&warm, &cold);
+    }
+}
+
+/// The counter/parity contract, asserted once with a real workload
+/// before any timing runs.
+fn assert_stream_contract() {
+    let scenario = scenario(
+        CONTRACT_WORKERS,
+        CONTRACT_EPOCHS,
+        EVENTS_PER_EPOCH,
+        CONTRACT_SEED,
+    );
+    let (mut warm_rows, mut cold_rows) = (0u64, 0u64);
+    replay_checked(&scenario, AuditConfig::default(), |warm, cold| {
         assert!(
             warm.audit.engine.rows_scanned.saturating_mul(5) <= cold.engine.rows_scanned,
             "epoch {}: incremental must scan >= 5x fewer rows: warm {} vs cold {}",
@@ -100,6 +119,21 @@ fn assert_stream_contract() {
             warm.audit.engine.rows_scanned,
             cold.engine.rows_scanned
         );
+        assert_eq!(
+            (
+                warm.invalidation.distances_retained,
+                warm.audit.engine.cache_hits
+            ),
+            (0, 0),
+            "epoch {}: emd kept a distance memo",
+            warm.epoch
+        );
+        warm_rows += warm.audit.engine.rows_scanned;
+        cold_rows += cold.engine.rows_scanned;
+    });
+    let (mut warm_dists, mut cold_dists) = (0u64, 0u64);
+    let pairwise = AuditConfig::with_distance(Arc::new(PairwiseEmd));
+    replay_checked(&scenario, pairwise, |warm, cold| {
         assert!(
             warm.audit.engine.distances_computed.saturating_mul(5)
                 <= cold.engine.distances_computed,
@@ -108,15 +142,14 @@ fn assert_stream_contract() {
             warm.audit.engine.distances_computed,
             cold.engine.distances_computed
         );
-        warm_rows += warm.audit.engine.rows_scanned;
         warm_dists += warm.audit.engine.distances_computed;
-        cold_rows += cold.engine.rows_scanned;
         cold_dists += cold.engine.distances_computed;
-    }
+    });
     println!(
         "stream contract: {CONTRACT_WORKERS} workers, {CONTRACT_EPOCHS} epochs x \
-         {EVENTS_PER_EPOCH} events; rows: cold {cold_rows}, incremental {warm_rows} ({}x fewer); \
-         EMDs: cold {cold_dists}, incremental {warm_dists} ({}x fewer)",
+         {EVENTS_PER_EPOCH} events; rows (emd): cold {cold_rows}, incremental {warm_rows} \
+         ({}x fewer); EMDs (emd-pairwise): cold {cold_dists}, incremental {warm_dists} \
+         ({}x fewer)",
         cold_rows / warm_rows.max(1),
         cold_dists / warm_dists.max(1),
     );
@@ -125,7 +158,7 @@ fn assert_stream_contract() {
 /// Replay every epoch incrementally (one warm-up audit, then warm
 /// per-epoch audits); returns the final unfairness.
 fn incremental_replay(scenario: &StreamScenario, algorithm: &dyn Algorithm) -> f64 {
-    let mut auditor = auditor(scenario);
+    let mut auditor = auditor(scenario, AuditConfig::default());
     let mut report = auditor.audit(algorithm).expect("initial audit");
     for events in scenario.events.epochs() {
         report = auditor.run_epoch(events, algorithm).expect("warm epoch");

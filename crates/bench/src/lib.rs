@@ -3,10 +3,13 @@
 //! Each table/figure of the paper has a binary in `src/bin/` that prints
 //! the regenerated numbers next to the paper's; this library holds the
 //! pieces they share: population preparation, the five-way algorithm
-//! sweep, and plain-text table rendering.
+//! sweep, plain-text table rendering, and the `PairwiseEmd` distance the
+//! gated benches run the memo path on.
 
 use fairjob_core::algorithms::paper_algorithms;
 use fairjob_core::{AuditConfig, AuditContext, AuditResult};
+use fairjob_hist::distance::{DistanceError, Emd1d, HistogramDistance};
+use fairjob_hist::{DistanceBounds, Histogram};
 use fairjob_marketplace::scoring::ScoringFunction;
 use fairjob_marketplace::{bucketise_numeric_protected, generate_uniform};
 use fairjob_store::Table;
@@ -114,6 +117,25 @@ impl SweepResult {
             out.push('\n');
         }
         out
+    }
+}
+
+/// `Emd1d` without its L1 form: the same distances and exact bounds, so
+/// `balanced` scores its candidates pairwise through the memo and the
+/// bound screen instead of from sorted columns, and full evaluations go
+/// through the distance memo, which `Emd1d` itself skips.
+#[derive(Debug)]
+pub struct PairwiseEmd;
+
+impl HistogramDistance for PairwiseEmd {
+    fn distance(&self, a: &Histogram, b: &Histogram) -> Result<f64, DistanceError> {
+        Emd1d.distance(a, b)
+    }
+    fn bounds(&self, a: &Histogram, b: &Histogram) -> Option<DistanceBounds> {
+        Emd1d.bounds(a, b)
+    }
+    fn name(&self) -> &'static str {
+        "emd-pairwise"
     }
 }
 

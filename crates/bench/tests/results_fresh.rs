@@ -1,6 +1,7 @@
-//! The recorded reproduction results stay fresh: `figure1` and `table1`
-//! re-run at their committed seeds print what `results/figure1.txt` and
-//! `results/table1.txt` hold. Wall-clock times (`elapsed:` lines and the
+//! The recorded reproduction results stay fresh: `figure1` and
+//! `table1`–`table3` re-run at their committed seeds print what
+//! `results/figure1.txt` and `results/table1.txt`–`results/table3.txt`
+//! hold. Wall-clock times (`elapsed:` lines and the
 //! tables' `t(...)` columns) and the `engine:`, `splits:`, `bounds:` and
 //! `shards:` counter lines are left out: shard and pool counts follow
 //! the host's thread budget, so they differ between hosts. A change that
@@ -75,6 +76,16 @@ fn figure1_matches_its_recording() {
 #[test]
 fn table1_matches_its_recording() {
     assert_fresh(env!("CARGO_BIN_EXE_table1"), "table1.txt");
+}
+
+#[test]
+fn table2_matches_its_recording() {
+    assert_fresh(env!("CARGO_BIN_EXE_table2"), "table2.txt");
+}
+
+#[test]
+fn table3_matches_its_recording() {
+    assert_fresh(env!("CARGO_BIN_EXE_table3"), "table3.txt");
 }
 
 #[test]

@@ -12,13 +12,15 @@
 //!
 //! [`EvalEngine`] fixes this at five levels:
 //!
-//! 1. **Memo cache** — every computed distance is cached under the
-//!    ordered pair of the partitions' predicate fingerprints
-//!    ([`fairjob_store::Predicate::fingerprint`]). Fingerprints are
-//!    structural, so the same subgroup reached through different split
-//!    orders hits the same entry. Distances between partitions untouched
-//!    by a candidate split are never recomputed — across sibling
-//!    candidates *and* across rounds.
+//! 1. **Memo cache** — every distance computed through the memo is
+//!    cached under the ordered pair of the partitions' predicate
+//!    fingerprints ([`fairjob_store::Predicate::fingerprint`]).
+//!    Fingerprints are structural, so the same subgroup reached through
+//!    different split orders hits the same entry. Distances between
+//!    partitions untouched by a candidate split are never recomputed —
+//!    across sibling candidates *and* across rounds. Full evaluations
+//!    of a distance with an L1 form (`emd`, `tv`; level 3) skip the
+//!    memo: a lookup costs as much as their closed-form distance.
 //! 2. **Delta evaluation** — [`IncrementalEval`] maintains a keyed
 //!    pairwise averager over the current partitioning and scores
 //!    "replace partition p by its children" hypotheticals at
@@ -26,13 +28,19 @@
 //!    zero additional distance computations (the revert re-looks-up
 //!    distances that were just cached).
 //! 3. **Serial and chunked full evaluation** — [`EvalEngine::unfairness`]
-//!    sums the memo's pairs in one serial loop below 256 live
-//!    partitions. From 256 on, it classifies cache hits serially,
-//!    computes the misses in fixed chunks of 1024 pairs on the
-//!    persistent worker pool ([`crate::pool::WorkerPool`] — spawned
-//!    once per process, reused across calls and epochs), as wide as
-//!    [`crate::AuditConfig::threads`] allows, and takes the final sum
-//!    serially in pair order. Both give the same bits as
+//!    (and its `_union` and `_cross` forms) sums pair distances in (i, j)
+//!    pair order. When the distance declares an L1 form
+//!    ([`fairjob_hist::HistogramDistance::l1_form`], resolved once per
+//!    engine: `emd`, `tv`), it computes every pair with no memo lookup,
+//!    insert or registry entry. Otherwise each pair goes through the
+//!    memo. Below 256 live partitions this runs in one serial loop.
+//!    From 256 on, the pairs to compute (every pair, or the memo's
+//!    misses after a serial hit/miss pass) are computed in fixed chunks
+//!    of 1024 pairs on the persistent worker pool
+//!    ([`crate::pool::WorkerPool`] — spawned once per process, reused
+//!    across calls and epochs), as wide as
+//!    [`crate::AuditConfig::threads`] allows, and the final sum is taken
+//!    serially in pair order. Every path gives the same bits as
 //!    [`crate::unfairness::average_pairwise`], and the chunked path's
 //!    value and counters are independent of the thread count. A
 //!    distance error in a worker propagates as [`AuditError::Distance`],
@@ -53,9 +61,8 @@
 //!    bound, and names the winner when no other candidate is within
 //!    [`crate::unfairness::PRUNE_MARGIN`] of it. Ties fall back to
 //!    levels 2 and 4, so winners stay bit-identical; reported values
-//!    still come from full evaluations through the memo. Distances
-//!    without the form, and wrappers that do not forward it, keep
-//!    levels 2 and 4.
+//!    still come from level 3's full evaluations. Distances without the
+//!    form, and wrappers that do not forward it, keep levels 2 and 4.
 //!
 //! On top of the distance paths sits the **partition-materialisation
 //! fast path**:
@@ -89,12 +96,13 @@ use crate::partition::Partition;
 use crate::pool::{thread_budget, WorkerPool};
 use crate::scratch::with_scratch;
 use crate::unfairness::{PairwiseAverager, PRUNE_MARGIN};
-use fairjob_hist::{BinSpec, Histogram, ScratchStats};
+use fairjob_hist::{BinSpec, Histogram, L1Form, ScratchStats};
 use fairjob_store::{Predicate, RowSet};
 use std::borrow::Borrow;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The shared children of one materialised split: the engine hands the
@@ -504,9 +512,11 @@ fn patch_children(
 /// over the engine's lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Distances actually computed (cache misses).
+    /// Distances actually computed: memo misses, plus every pair of a
+    /// full evaluation that skips the memo (distances with an L1 form).
     pub distances_computed: u64,
-    /// Distance lookups served from the memo cache.
+    /// Distance lookups served from the memo cache (0 for the full
+    /// evaluations of distances with an L1 form, which skip it).
     pub cache_hits: u64,
     /// Splits materialised through the single-pass kernel (split-cache
     /// misses; includes non-viable attempts, which are negatively
@@ -701,6 +711,21 @@ fn pair_key(key_a: u128, key_b: u128) -> (u128, u128) {
     }
 }
 
+/// The pairs `(i, j)`, `i < j < n`, of a full evaluation over `n`
+/// partitions in its (i, j) order, from the pair numbered `start` on.
+fn pairs_from(n: usize, start: usize) -> impl Iterator<Item = (usize, usize)> {
+    // Row i holds the n − 1 − i pairs (i, i + 1..n).
+    let (mut first, mut skip) = (0, start);
+    while first < n && skip >= n - 1 - first {
+        skip -= n - 1 - first;
+        first += 1;
+    }
+    (first..n).flat_map(move |i| {
+        let from = if i == first { i + 1 + skip } else { i + 1 };
+        (from..n).map(move |j| (i, j))
+    })
+}
+
 /// The shared evaluation engine: a fingerprint-keyed distance memo
 /// cache over one [`AuditContext`], plus the cached/incremental/parallel
 /// evaluation paths built on it. Create one per algorithm run and route
@@ -735,6 +760,10 @@ pub struct EvalEngine<'c, 'a> {
     /// Pool width of the chunked paths, resolved once from the
     /// context's `threads` setting.
     threads: usize,
+    /// The distance's weighted-L1 form on the context's layout,
+    /// resolved once. `Some` sends full evaluations past the memo
+    /// ([`EvalEngine::unfairness`]) and enables the column screen.
+    l1_form: Option<L1Form>,
 }
 
 impl Drop for EvalEngine<'_, '_> {
@@ -781,6 +810,7 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
             scratch_reuses: Cell::new(0),
             warm_starts: Cell::new(0),
             threads,
+            l1_form: ctx.distance().l1_form(ctx.spec()),
         }
     }
 
@@ -835,6 +865,11 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
 
     fn note_exact_solves(&self, solves: u64) {
         self.exact_solves.set(self.exact_solves.get() + solves);
+    }
+
+    fn note_computed(&self, pairs: usize) {
+        self.distances_computed
+            .set(self.distances_computed.get() + pairs as u64);
     }
 
     fn note_pool_tasks(&self, chunks: u64) {
@@ -1018,11 +1053,14 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
         out
     }
 
-    /// Cached full evaluation of `unfairness(parts, f)` — identical to
+    /// Full evaluation of `unfairness(parts, f)` — identical to
     /// [`AuditContext::unfairness`] (pair order, skip rules, and final
-    /// division match exactly; only the distance computations are
-    /// memoised). From 256 live partitions on, the misses are computed
-    /// in chunks on the worker pool.
+    /// division match exactly). For a distance with an L1 form (`emd`,
+    /// `tv`) every pair is computed, with no memo lookup, insert or
+    /// registry entry: a lookup costs as much as the distance. For
+    /// every other distance the pairs go through the memo. From 256 live
+    /// partitions on, the pairs to compute are computed in chunks on the
+    /// worker pool.
     ///
     /// # Errors
     ///
@@ -1033,7 +1071,7 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
         self.unfairness_refs(&refs)
     }
 
-    /// Cached evaluation over the union of two partition groups, without
+    /// Full evaluation over the union of two partition groups, without
     /// cloning either: [`EvalEngine::unfairness`] of `group` followed by
     /// `siblings`.
     ///
@@ -1053,8 +1091,9 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
         self.unfairness_refs(&refs)
     }
 
-    /// Cached evaluation over cross pairs only (`group` × `siblings`),
-    /// mirroring [`AuditContext::unfairness_cross`].
+    /// Evaluation over cross pairs only (`group` × `siblings`), in one
+    /// serial loop, mirroring [`AuditContext::unfairness_cross`]; the
+    /// memo is used exactly when [`EvalEngine::unfairness`] uses it.
     ///
     /// # Errors
     ///
@@ -1077,15 +1116,26 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
         if ga.is_empty() || gb.is_empty() {
             return Ok(0.0);
         }
-        let ka: Vec<u128> = ga.iter().map(|p| self.register(p)).collect();
-        let kb: Vec<u128> = gb.iter().map(|p| self.register(p)).collect();
+        let pairs = ga.len() * gb.len();
         let mut sum = 0.0;
-        for (a, &key_a) in ga.iter().zip(&ka) {
-            for (b, &key_b) in gb.iter().zip(&kb) {
-                sum += self.cached_distance(key_a, &a.histogram, key_b, &b.histogram)?;
+        if self.l1_form.is_some() {
+            let distance = self.ctx.distance();
+            for a in &ga {
+                for b in &gb {
+                    sum += distance.distance(&a.histogram, &b.histogram)?;
+                }
+            }
+            self.note_computed(pairs);
+        } else {
+            let ka: Vec<u128> = ga.iter().map(|p| self.register(p)).collect();
+            let kb: Vec<u128> = gb.iter().map(|p| self.register(p)).collect();
+            for (a, &key_a) in ga.iter().zip(&ka) {
+                for (b, &key_b) in gb.iter().zip(&kb) {
+                    sum += self.cached_distance(key_a, &a.histogram, key_b, &b.histogram)?;
+                }
             }
         }
-        Ok(sum / (ga.len() * gb.len()) as f64)
+        Ok(sum / pairs as f64)
     }
 
     fn unfairness_refs(&self, parts: &[&Partition]) -> Result<f64, AuditError> {
@@ -1095,6 +1145,9 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
             return Ok(0.0);
         }
         let pairs = n * (n - 1) / 2;
+        if self.l1_form.is_some() {
+            return self.unfairness_direct(&live, pairs);
+        }
         let keys: Vec<u128> = live.iter().map(|p| self.register(p)).collect();
         // Note: no thread-count condition — at one thread the chunked
         // path runs its chunks inline, so counters (`pool_tasks`
@@ -1112,10 +1165,37 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
         Ok(sum / pairs as f64)
     }
 
-    /// The chunked full evaluation: serial hit/miss classification,
-    /// miss computation in fixed-size chunks on the persistent worker
-    /// pool, then a serial sum in (i, j) pair order so the
-    /// floating-point result is thread-count independent.
+    /// The full evaluation of a distance with an L1 form: every pair
+    /// computed and summed in (i, j) pair order — in one serial loop
+    /// below 256 live partitions, in [`EvalEngine::pair_chunks`] from
+    /// there — so the value is the memo path's bit for bit.
+    fn unfairness_direct(&self, live: &[&Partition], pairs: usize) -> Result<f64, AuditError> {
+        let n = live.len();
+        let mut sum = 0.0;
+        if n >= PARALLEL_THRESHOLD {
+            for chunk in self.pair_chunks(live, pairs, |range| {
+                pairs_from(n, range.start).take(range.len())
+            })? {
+                for v in chunk {
+                    sum += v;
+                }
+            }
+        } else {
+            let distance = self.ctx.distance();
+            for i in 0..n {
+                for j in i + 1..n {
+                    sum += distance.distance(&live[i].histogram, &live[j].histogram)?;
+                }
+            }
+            self.note_computed(pairs);
+        }
+        Ok(sum / pairs as f64)
+    }
+
+    /// The memo path's chunked full evaluation: serial hit/miss
+    /// classification, the misses computed in
+    /// [`EvalEngine::pair_chunks`], then a serial sum in (i, j) pair
+    /// order so the floating-point result is thread-count independent.
     fn unfairness_parallel(
         &self,
         live: &[&Partition],
@@ -1146,56 +1226,75 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
             self.cache_hits.set(self.cache_hits.get() + hits);
         }
         if !misses.is_empty() {
-            let chunk_count = misses.len().div_ceil(PAIR_CHUNK);
-            self.note_pool_tasks(chunk_count as u64);
-            let distance = self.ctx.distance();
-            // Build the shared ground matrix once, serially, so no chunk
-            // races to construct it and `ground_cache_hits` is identical
-            // for every thread count.
-            distance.prime(&live[misses[0].1].histogram)?;
-            let results: Vec<Result<(Vec<f64>, ScratchStats), AuditError>> = WorkerPool::global()
-                .run_chunks(self.threads, chunk_count, |c| {
-                    let lo = c * PAIR_CHUNK;
-                    let hi = (lo + PAIR_CHUNK).min(misses.len());
-                    with_scratch(|scratch| {
-                        scratch.begin_chunk();
-                        let vals: Result<Vec<f64>, AuditError> = misses[lo..hi]
-                            .iter()
-                            .map(|&(_, i, j)| {
-                                distance
-                                    .distance_with(&live[i].histogram, &live[j].histogram, scratch)
-                                    .map_err(AuditError::from)
-                            })
-                            .collect();
-                        vals.map(|v| (v, scratch.take_stats()))
-                    })
-                });
-            let mut computed: Vec<f64> = Vec::with_capacity(misses.len());
-            let mut solver = ScratchStats::default();
-            for r in results {
-                let (vals, stats) = r?;
-                computed.extend(vals);
-                solver.merge(stats);
+            let computed = self.pair_chunks(live, misses.len(), |range| {
+                misses[range].iter().map(|&(_, i, j)| (i, j))
+            })?;
+            let mut caches = self.caches.borrow_mut();
+            let mut evicted = 0u64;
+            for (&(at, i, j), &d) in misses.iter().zip(computed.iter().flatten()) {
+                vals[at] = d;
+                evicted += caches.insert_distance(pair_key(keys[i], keys[j]), d);
             }
-            self.note_scratch(solver);
-            self.distances_computed
-                .set(self.distances_computed.get() + computed.len() as u64);
-            {
-                let mut caches = self.caches.borrow_mut();
-                let mut evicted = 0u64;
-                for (&(at, i, j), &d) in misses.iter().zip(&computed) {
-                    vals[at] = d;
-                    evicted += caches.insert_distance(pair_key(keys[i], keys[j]), d);
-                }
-                self.cache_evictions
-                    .set(self.cache_evictions.get() + evicted);
-            }
+            self.cache_evictions
+                .set(self.cache_evictions.get() + evicted);
         }
         let mut sum = 0.0;
         for v in &vals {
             sum += v;
         }
         Ok(sum / pairs as f64)
+    }
+
+    /// Compute `count` pair distances in fixed [`PAIR_CHUNK`]-pair
+    /// chunks on the persistent worker pool: `pairs(range)` yields the
+    /// `(i, j)` positions in `live` of the pairs numbered `range`, in
+    /// order. Returns each chunk's values, chunks in order. The chunk
+    /// count, and with it `pool_tasks` and the solver counters (which
+    /// restart per chunk), does not depend on the thread count. A
+    /// distance error in a worker comes back as [`AuditError`].
+    fn pair_chunks<I>(
+        &self,
+        live: &[&Partition],
+        count: usize,
+        pairs: impl Fn(Range<usize>) -> I + Sync,
+    ) -> Result<Vec<Vec<f64>>, AuditError>
+    where
+        I: Iterator<Item = (usize, usize)>,
+    {
+        let chunk_count = count.div_ceil(PAIR_CHUNK);
+        self.note_pool_tasks(chunk_count as u64);
+        let distance = self.ctx.distance();
+        // Build the shared ground matrix once, serially, so no chunk
+        // races to construct it and `ground_cache_hits` is identical
+        // for every thread count.
+        distance.prime(&live[0].histogram)?;
+        let results: Vec<Result<(Vec<f64>, ScratchStats), AuditError>> = WorkerPool::global()
+            .run_chunks(self.threads, chunk_count, |c| {
+                let lo = c * PAIR_CHUNK;
+                let hi = (lo + PAIR_CHUNK).min(count);
+                with_scratch(|scratch| {
+                    scratch.begin_chunk();
+                    let mut vals = Vec::with_capacity(hi - lo);
+                    for (i, j) in pairs(lo..hi) {
+                        vals.push(distance.distance_with(
+                            &live[i].histogram,
+                            &live[j].histogram,
+                            scratch,
+                        )?);
+                    }
+                    Ok((vals, scratch.take_stats()))
+                })
+            });
+        let mut chunks: Vec<Vec<f64>> = Vec::with_capacity(chunk_count);
+        let mut solver = ScratchStats::default();
+        for r in results {
+            let (vals, stats) = r?;
+            chunks.push(vals);
+            solver.merge(stats);
+        }
+        self.note_scratch(solver);
+        self.note_computed(count);
+        Ok(chunks)
     }
 
     /// The column screen of the worst-attribute choice: score each
@@ -1219,7 +1318,7 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
         parts: &[Arc<Partition>],
         candidates: &[Replacements<'_>],
     ) -> Option<usize> {
-        let form = self.ctx.distance().l1_form(self.ctx.spec())?;
+        let form = self.l1_form.as_ref()?;
         let mut scores: Vec<f64> = Vec::with_capacity(candidates.len());
         let mut columns: Vec<&[f64]> = Vec::new();
         for replacements in candidates {
@@ -1253,9 +1352,10 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
 
 /// Delta evaluation of candidate splits over one partitioning.
 ///
-/// Seeded once per greedy round with the current partitioning (all pair
-/// distances already cached from the previous round, so seeding computes
-/// nothing new after round one), it answers "what would the average
+/// Seeded once per greedy round with the current partitioning (for a
+/// memoizing distance, all pair distances are already cached from the
+/// previous round, so seeding computes nothing new after round one), it
+/// answers "what would the average
 /// pairwise distance be if these partitions were replaced by their
 /// children?" at O(k · changed) distance lookups, restoring its state
 /// afterwards without recomputing a single distance.
@@ -1457,6 +1557,7 @@ mod tests {
     use crate::algorithms::Algorithm;
     use crate::context::AuditConfig;
     use fairjob_hist::distance::{DistanceError, Emd1d, HistogramDistance};
+    use fairjob_hist::DistanceBounds;
     use fairjob_marketplace::toy::toy_workers;
     use std::sync::Arc;
 
@@ -1517,10 +1618,33 @@ mod tests {
         }
     }
 
+    /// `Emd1d` without its L1 form: the same distances and exact
+    /// bounds, so full evaluations go through the memo.
+    struct PairwiseEmd;
+
+    impl HistogramDistance for PairwiseEmd {
+        fn distance(&self, a: &Histogram, b: &Histogram) -> Result<f64, DistanceError> {
+            Emd1d.distance(a, b)
+        }
+        fn bounds(&self, a: &Histogram, b: &Histogram) -> Option<DistanceBounds> {
+            Emd1d.bounds(a, b)
+        }
+        fn name(&self) -> &'static str {
+            "emd-pairwise"
+        }
+    }
+
+    fn pairwise_config(threads: usize) -> AuditConfig {
+        AuditConfig {
+            threads: Some(threads),
+            ..AuditConfig::with_distance(Arc::new(PairwiseEmd))
+        }
+    }
+
     #[test]
     fn cached_evaluation_is_bit_identical_to_naive() {
         let (t, scores) = toy_workers();
-        let ctx = toy_ctx(&t, &scores);
+        let ctx = AuditContext::new(&t, &scores, pairwise_config(1)).unwrap();
         let engine = EvalEngine::new(&ctx);
         let parts = ctx.split(&ctx.root(), 1).unwrap(); // 3 language groups
         let naive = ctx.unfairness(&parts).unwrap();
@@ -1533,6 +1657,39 @@ mod tests {
         let second = engine.stats();
         assert_eq!(second.distances_computed, 3);
         assert_eq!(second.cache_hits, 3);
+    }
+
+    #[test]
+    fn l1_evaluation_is_bit_identical_to_naive_and_skips_the_memo() {
+        let (t, scores) = toy_workers();
+        let ctx = toy_ctx(&t, &scores);
+        let engine = EvalEngine::new(&ctx);
+        let parts = ctx.split(&ctx.root(), 1).unwrap(); // 3 language groups
+        let naive = ctx.unfairness(&parts).unwrap();
+        for pass in 1..=2u64 {
+            assert_eq!(
+                engine.unfairness(&parts).unwrap().to_bits(),
+                naive.to_bits()
+            );
+            let stats = engine.stats();
+            assert_eq!(stats.distances_computed, 3 * pass);
+            assert_eq!(stats.cache_hits, 0);
+        }
+        assert_eq!(engine.caches.borrow().distances(), 0);
+        assert!(engine.caches.borrow().registry.is_empty());
+    }
+
+    #[test]
+    fn pairs_from_resumes_the_full_pair_order_anywhere() {
+        for n in 0..9 {
+            let all: Vec<(usize, usize)> = (0..n)
+                .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                .collect();
+            for start in 0..=all.len() {
+                let resumed: Vec<(usize, usize)> = pairs_from(n, start).collect();
+                assert_eq!(resumed, all[start..], "n {n}, start {start}");
+            }
+        }
     }
 
     #[test]
@@ -1602,11 +1759,7 @@ mod tests {
         let expected = crate::unfairness::average_pairwise(&hists, &Emd1d).unwrap();
         let mut reference: Option<EngineStats> = None;
         for threads in [1, 2, 3, 7] {
-            let cfg = AuditConfig {
-                threads: Some(threads),
-                ..AuditConfig::default()
-            };
-            let ctx = AuditContext::new(&workers, &scores, cfg).unwrap();
+            let ctx = AuditContext::new(&workers, &scores, pairwise_config(threads)).unwrap();
             let engine = EvalEngine::new(&ctx);
             // First pass: every pair misses and is computed in pool
             // chunks. Bit-identical because the final sum runs serially
@@ -1622,6 +1775,69 @@ mod tests {
             match &reference {
                 None => reference = Some(stats),
                 Some(want) => assert_eq!(&stats, want, "{threads}-thread counters diverged"),
+            }
+        }
+    }
+
+    /// Under a distance with an L1 form, the three full evaluations
+    /// compute every pair, in chunks from 256 live partitions, give the
+    /// naive references' bits at every thread count, and leave the memo
+    /// empty.
+    #[test]
+    fn l1_evaluations_match_the_naive_references_for_any_thread_count() {
+        use fairjob_hist::distance::TotalVariation;
+        let (workers, scores) = population_500();
+        let parts = chunked_input(&workers, &scores);
+        let (group, siblings) = parts.split_at(parts.len() / 3);
+        let hists: Vec<&Histogram> = parts.iter().map(|p| &p.histogram).collect();
+        let n = hists.len() as u64;
+        let distances: [Arc<dyn HistogramDistance>; 2] =
+            [Arc::new(Emd1d), Arc::new(TotalVariation)];
+        for distance in distances {
+            let name = distance.name();
+            let expected = crate::unfairness::average_pairwise(&hists, distance.as_ref()).unwrap();
+            let mut reference: Option<EngineStats> = None;
+            for threads in [1, 2, 3, 7] {
+                let cfg = AuditConfig {
+                    threads: Some(threads),
+                    ..AuditConfig::with_distance(Arc::clone(&distance))
+                };
+                let ctx = AuditContext::new(&workers, &scores, cfg).unwrap();
+                let cross = ctx.unfairness_cross(group, siblings).unwrap();
+                assert_eq!(
+                    ctx.unfairness(&parts).unwrap().to_bits(),
+                    expected.to_bits()
+                );
+                let engine = EvalEngine::new(&ctx);
+                let values = [
+                    (engine.unfairness(&parts).unwrap(), expected),
+                    (engine.unfairness_union(group, siblings).unwrap(), expected),
+                    (engine.unfairness_cross(group, siblings).unwrap(), cross),
+                ];
+                for (at, (got, want)) in values.into_iter().enumerate() {
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{name}, {threads} threads, #{at}"
+                    );
+                }
+                let stats = engine_local(engine.stats());
+                let cross_pairs = (group.len() * siblings.len()) as u64;
+                assert_eq!(
+                    stats.distances_computed,
+                    n * (n - 1) + cross_pairs,
+                    "{name}"
+                );
+                assert_eq!(stats.cache_hits, 0, "{name}");
+                assert!(stats.pool_tasks > 0, "{name}: the chunked path never ran");
+                assert_eq!(engine.caches.borrow().distances(), 0, "{name}");
+                assert!(engine.caches.borrow().registry.is_empty(), "{name}");
+                match &reference {
+                    None => reference = Some(stats),
+                    Some(want) => {
+                        assert_eq!(&stats, want, "{name}: {threads}-thread counters diverged")
+                    }
+                }
             }
         }
     }
@@ -1654,6 +1870,49 @@ mod tests {
             matches!(err, AuditError::Distance(DistanceError::EmptyHistogram)),
             "{err:?}"
         );
+    }
+
+    /// A failing distance that declares `Emd1d`'s L1 form, so full
+    /// evaluations take the direct path.
+    struct FailsWithL1Form;
+
+    impl HistogramDistance for FailsWithL1Form {
+        fn distance(&self, _: &Histogram, _: &Histogram) -> Result<f64, DistanceError> {
+            Err(DistanceError::EmptyHistogram)
+        }
+        fn name(&self) -> &'static str {
+            "fails-with-l1-form"
+        }
+        fn l1_form(&self, spec: &BinSpec) -> Option<L1Form> {
+            Emd1d.l1_form(spec)
+        }
+    }
+
+    #[test]
+    fn distance_error_on_the_direct_path_propagates_as_audit_error() {
+        let (workers, scores) = population_500();
+        let parts = chunked_input(&workers, &scores);
+        let cfg = AuditConfig {
+            threads: Some(4),
+            ..AuditConfig::with_distance(Arc::new(FailsWithL1Form))
+        };
+        let ctx = AuditContext::new(&workers, &scores, cfg).unwrap();
+        let engine = EvalEngine::new(&ctx);
+        // From a pool worker (chunked) and from the serial loop alike:
+        // an `Err`, not a panic.
+        let small = &parts[..3];
+        for result in [
+            engine.unfairness(&parts),
+            engine.unfairness(small),
+            engine.unfairness_cross(&small[..1], &small[1..]),
+        ] {
+            let err = result.unwrap_err();
+            assert!(
+                matches!(err, AuditError::Distance(DistanceError::EmptyHistogram)),
+                "{err:?}"
+            );
+        }
+        assert_eq!(engine.stats().distances_computed, 0);
     }
 
     #[test]
@@ -1849,8 +2108,9 @@ mod tests {
 
     /// The fingerprint hasher spreads the engine's real keys like a
     /// uniform hash would. The keys are every memo key an
-    /// `all-attributes` audit of a 500-worker population inserts (the
-    /// `prepare_population` recipe of the bench harness), then the same
+    /// `all-attributes` audit of a 500-worker population inserts under
+    /// [`PairwiseEmd`] (the `prepare_population` recipe of the bench
+    /// harness; `Emd1d` itself skips the memo), then the same
     /// keys with the high or the low 64-bit half of each fingerprint
     /// zeroed: a hasher that drops either half of a key word, or one of
     /// the pair's two fingerprints, piles them into a few buckets.
@@ -1860,7 +2120,7 @@ mod tests {
         use std::hash::BuildHasher;
 
         let (workers, scores) = population_500();
-        let ctx = AuditContext::new(&workers, &scores, AuditConfig::default()).unwrap();
+        let ctx = AuditContext::new(&workers, &scores, pairwise_config(1)).unwrap();
         ctx.seed_engine_caches(EngineCaches::new());
         AllAttributes.run(&ctx).unwrap();
         let caches = ctx

@@ -9,9 +9,12 @@
 //!
 //! Between statements the session keeps the engine's caches warm: a
 //! repeated audit shape (same source epoch, same `WHERE`, same bins
-//! and metric) re-adopts the previous run's distance memo
-//! and split cache, so `EXPLAIN ANALYZE` on the second statement shows
-//! `split_cache_hits`/`cache_hits` climbing instead of recomputation.
+//! and metric) re-adopts the previous run's split cache and distance
+//! memo, so `EXPLAIN ANALYZE` on the second statement shows
+//! `split_cache_hits` climbing instead of recomputation. `cache_hits`
+//! climbs too for metrics without an L1 form (`ks`, `jsd`,
+//! `emd-exact`, …); `emd` and `tv` sum their full evaluations without
+//! the memo, so their `cache_hits` stay 0.
 //! The caches are keyed by partition-predicate fingerprints, which do
 //! not encode the population — reusing them across a *different*
 //! filter or epoch would alias, so the warm hand-off is gated on an

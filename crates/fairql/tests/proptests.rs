@@ -3,7 +3,7 @@
 //! bit-identical `QueryResult` rows across engine thread counts).
 
 use fairjob_fairql::ast::{AuditStmt, Condition, Ident, SelectItem, SelectStmt, Statement};
-use fairjob_fairql::{parse, Defaults, QueryOutput, Session, Source, Value};
+use fairjob_fairql::{parse, Defaults, QueryError, QueryOutput, Session, Source, Value};
 use fairjob_marketplace::scoring::{LinearScore, ScoringFunction};
 use fairjob_marketplace::{bucketise_numeric_protected, generate_uniform};
 use fairjob_store::ShardPolicy;
@@ -134,6 +134,101 @@ proptest! {
         let reparsed = parse(&printed).unwrap();
         prop_assert_eq!(reparsed, stmts);
     }
+}
+
+// ---------------------------------------------------------------------
+// Never panic: mutated statements parse to `Ok` or to a typed parse
+// error whose offset lies within the text.
+// ---------------------------------------------------------------------
+
+/// What a mutation inserts: quotes, separators, huge, negative or NaN
+/// numbers, and non-ASCII text.
+const FRAGMENTS: &[&str] = &[
+    "'",
+    "\"",
+    "''",
+    ";",
+    ",",
+    "(",
+    ")",
+    "=",
+    "*",
+    ".",
+    "-",
+    " ",
+    "\n",
+    "\t",
+    "99999999999999999999999999",
+    "18446744073709551616",
+    "1e400",
+    "-1",
+    "NaN",
+    "inf",
+    "é",
+    "日本語",
+    "\u{200b}",
+    "🦀",
+    "\u{0}",
+];
+
+/// The largest char boundary of `text` at or before `at`.
+fn floor_boundary(text: &str, mut at: usize) -> usize {
+    while !text.is_char_boundary(at) {
+        at -= 1;
+    }
+    at
+}
+
+/// One to three seed-driven edits of `text`: a fragment inserted
+/// anywhere, a fragment inserted right after a digit (growing a number
+/// into a huge or malformed one), or a truncation.
+fn mutate(text: &str, rng: &mut StdRng) -> String {
+    let mut out = text.to_string();
+    for _ in 0..rng.gen_range(1..=3) {
+        let fragment = FRAGMENTS[rng.gen_range(0..FRAGMENTS.len())];
+        let digits: Vec<usize> = out
+            .char_indices()
+            .filter(|(_, c)| c.is_ascii_digit())
+            .map(|(at, _)| at + 1)
+            .collect();
+        match rng.gen_range(0..4) {
+            0 => out.truncate(floor_boundary(&out, rng.gen_range(0..=out.len()))),
+            1 if !digits.is_empty() => {
+                out.insert_str(digits[rng.gen_range(0..digits.len())], fragment)
+            }
+            _ => {
+                let at = floor_boundary(&out, rng.gen_range(0..=out.len()));
+                out.insert_str(at, fragment);
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn mutated_statements_never_panic_the_parser() {
+    let mut rng = StdRng::seed_from_u64(0x00F4_12C0);
+    let (mut parsed, mut rejected) = (0, 0);
+    for case in 0..12_000 {
+        let text = mutate(&gen_statement(&mut rng).to_string(), &mut rng);
+        match std::panic::catch_unwind(|| parse(&text)) {
+            Err(_) => panic!("case {case}: parse panicked on {text:?}"),
+            Ok(Ok(_)) => parsed += 1,
+            Ok(Err(QueryError::Parse { offset, .. })) => {
+                assert!(
+                    offset <= text.len(),
+                    "case {case}: offset {offset} past the end of {text:?}"
+                );
+                rejected += 1;
+            }
+            Ok(Err(other)) => panic!("case {case}: {text:?} gave a non-parse error {other:?}"),
+        }
+    }
+    // Both outcomes occur, so the mutations reach past the lexer.
+    assert!(
+        parsed > 0 && rejected > 0,
+        "{parsed} parsed, {rejected} rejected"
+    );
 }
 
 // ---------------------------------------------------------------------

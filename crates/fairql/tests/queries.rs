@@ -133,6 +133,23 @@ fn repeated_audit_reuses_warm_caches() {
     assert_eq!(cold.unfairness_bits(), warm.unfairness_bits());
     assert_eq!(warm.engine.splits_computed, 0, "warm run re-split");
     assert!(warm.engine.split_cache_hits >= cold.engine.splits_computed);
+    // The default `emd` sums its full evaluations without the distance
+    // memo: the warm run serves no distance from it.
+    assert_eq!(warm.engine.cache_hits, 0);
+    assert_eq!(
+        warm.engine.distances_computed,
+        cold.engine.distances_computed
+    );
+    // A metric without an L1 form memoizes, and the warm run reuses it.
+    let outputs = session
+        .execute("AUDIT workers METRIC ks; AUDIT workers METRIC ks")
+        .unwrap();
+    let (QueryOutput::Audit { summary: cold, .. }, QueryOutput::Audit { summary: warm, .. }) =
+        (&outputs[0], &outputs[1])
+    else {
+        panic!("not audit outputs")
+    };
+    assert_eq!(cold.unfairness_bits(), warm.unfairness_bits());
     assert!(warm.engine.distances_computed < cold.engine.distances_computed);
 }
 

@@ -550,6 +550,113 @@ mod tests {
         }
     }
 
+    /// What a mutation inserts into a record: quotes, separators, record
+    /// kinds, huge, negative or NaN numbers, and non-ASCII text.
+    const FRAGMENTS: &[&str] = &[
+        "\"",
+        "\"\"",
+        ",",
+        ",,",
+        "\n",
+        "\r",
+        "\r\n",
+        "#",
+        " ",
+        "epoch",
+        "add",
+        "99999999999999999999999999",
+        "4294967296",
+        "1e400",
+        "-1",
+        "NaN",
+        "-inf",
+        "é",
+        "日本語",
+        "\u{200b}",
+        "🦀",
+        "\u{0}",
+    ];
+
+    /// The largest char boundary of `text` at or before `at`.
+    fn floor_boundary(text: &str, mut at: usize) -> usize {
+        while !text.is_char_boundary(at) {
+            at -= 1;
+        }
+        at
+    }
+
+    /// One to three seed-driven edits of one record of `log`: a fragment
+    /// inserted anywhere in it, a fragment inserted right after one of
+    /// its digits, or the record truncated; sometimes the whole log is
+    /// cut short after the edits.
+    fn mutate(log: &str, rng: &mut StdRng) -> String {
+        let mut lines: Vec<String> = log.lines().map(str::to_string).collect();
+        let line = &mut lines[rng.gen_range(0..log.lines().count())];
+        for _ in 0..rng.gen_range(1..=3) {
+            let fragment = FRAGMENTS[rng.gen_range(0..FRAGMENTS.len())];
+            let digits: Vec<usize> = line
+                .char_indices()
+                .filter(|(_, c)| c.is_ascii_digit())
+                .map(|(at, _)| at + 1)
+                .collect();
+            match rng.gen_range(0..4) {
+                0 => line.truncate(floor_boundary(line, rng.gen_range(0..=line.len()))),
+                1 if !digits.is_empty() => {
+                    line.insert_str(digits[rng.gen_range(0..digits.len())], fragment)
+                }
+                _ => {
+                    let at = floor_boundary(line, rng.gen_range(0..=line.len()));
+                    line.insert_str(at, fragment);
+                }
+            }
+        }
+        let mut text = lines.join("\n");
+        if rng.gen_range(0..8) == 0 {
+            text.truncate(floor_boundary(&text, rng.gen_range(0..=text.len())));
+        }
+        text
+    }
+
+    #[test]
+    fn mutated_records_never_panic_the_parser() {
+        let logs: Vec<(String, Schema)> = (0..4)
+            .map(|seed| {
+                let scenario = generate_stream(&StreamConfig {
+                    initial: 8,
+                    epochs: 3,
+                    events_per_epoch: 5,
+                    seed,
+                    alpha: 0.5,
+                });
+                let schema = scenario.initial.schema().clone();
+                (scenario.events.render(&schema), schema)
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(0x0E7E_4715);
+        let (mut parsed, mut rejected) = (0, 0);
+        for case in 0..12_000 {
+            let (log, schema) = &logs[case % logs.len()];
+            let text = mutate(log, &mut rng);
+            match std::panic::catch_unwind(|| EventLog::parse(&text, schema)) {
+                Err(_) => panic!("case {case}: parse panicked on {text:?}"),
+                Ok(Ok(_)) => parsed += 1,
+                Ok(Err(err)) => {
+                    assert!(
+                        (1..=text.lines().count() + 1).contains(&err.line)
+                            && !err.reason.is_empty(),
+                        "case {case}: {err:?} for {text:?}"
+                    );
+                    rejected += 1;
+                }
+            }
+        }
+        // Both outcomes occur, so the mutations reach past the header.
+        assert!(
+            parsed > 0 && rejected > 0,
+            "{parsed} parsed, {rejected} rejected"
+        );
+    }
+
     #[test]
     fn generator_is_deterministic_and_respects_shape() {
         let cfg = StreamConfig {

@@ -55,8 +55,7 @@ impl Predicate {
     /// A cheap 128-bit structural fingerprint, equal for structurally
     /// equal predicates (constraints are kept sorted by attribute, so
     /// build order does not matter). Used as a memo-cache key by the
-    /// audit layer's evaluation engine; the top bit is always clear so
-    /// callers can reserve it as a sentinel.
+    /// audit layer's evaluation engine.
     pub fn fingerprint(&self) -> u128 {
         // Two independent 64-bit FNV-1a passes over the (attr, code)
         // stream; 128 bits makes accidental collisions across the few
@@ -76,7 +75,7 @@ impl Predicate {
             mix(c.attr as u64);
             mix(u64::from(c.code));
         }
-        (u128::from(hi) << 64 | u128::from(lo)) & !(1u128 << 127)
+        u128::from(hi) << 64 | u128::from(lo)
     }
 
     /// True when this predicate has no constraints.
@@ -277,8 +276,6 @@ mod tests {
             Predicate::eq(0, 1).and(1, 2).and(2, 0),
         ];
         for (i, a) in variants.iter().enumerate() {
-            // Top bit stays clear (callers may use it as a sentinel).
-            assert_eq!(a.fingerprint() >> 127, 0);
             for (j, b) in variants.iter().enumerate() {
                 if i != j {
                     assert_ne!(a.fingerprint(), b.fingerprint(), "{a} vs {b}");

@@ -156,9 +156,46 @@ mod tests {
     use super::*;
     use crate::same_partitioning;
     use fairjob_core::algorithms::{balanced::Balanced, AttributeChoice};
+    use fairjob_hist::distance::{DistanceError, Emd1d, HistogramDistance};
+    use fairjob_hist::{DistanceBounds, Histogram};
     use fairjob_marketplace::stream::{generate_stream, StreamConfig};
+    use std::sync::Arc;
+
+    /// `Emd1d` without its L1 form: the same distances and exact
+    /// bounds, so full evaluations go through the distance memo, which
+    /// the default `emd` skips.
+    struct PairwiseEmd;
+
+    impl HistogramDistance for PairwiseEmd {
+        fn distance(&self, a: &Histogram, b: &Histogram) -> Result<f64, DistanceError> {
+            Emd1d.distance(a, b)
+        }
+        fn bounds(&self, a: &Histogram, b: &Histogram) -> Option<DistanceBounds> {
+            Emd1d.bounds(a, b)
+        }
+        fn name(&self) -> &'static str {
+            "emd-pairwise"
+        }
+    }
 
     fn auditor(workers: usize, seed: u64) -> (StreamAuditor, Vec<Vec<Event>>) {
+        auditor_with(workers, seed, AuditConfig::default())
+    }
+
+    /// An auditor whose distance memoizes full evaluations.
+    fn pairwise_auditor(workers: usize, seed: u64) -> (StreamAuditor, Vec<Vec<Event>>) {
+        auditor_with(
+            workers,
+            seed,
+            AuditConfig::with_distance(Arc::new(PairwiseEmd)),
+        )
+    }
+
+    fn auditor_with(
+        workers: usize,
+        seed: u64,
+        config: AuditConfig,
+    ) -> (StreamAuditor, Vec<Vec<Event>>) {
         let scenario = generate_stream(&StreamConfig {
             initial: workers,
             epochs: 4,
@@ -167,8 +204,13 @@ mod tests {
             alpha: 0.5,
         });
         let view = StreamView::new(scenario.initial, scenario.scores, 10).unwrap();
-        let auditor = StreamAuditor::new(view, AuditConfig::default()).unwrap();
+        let auditor = StreamAuditor::new(view, config).unwrap();
         (auditor, scenario.events.epochs().to_vec())
+    }
+
+    /// Distances held in the auditor's warm memo.
+    fn memo_size(auditor: &StreamAuditor) -> usize {
+        auditor.caches.as_ref().map_or(0, EngineCaches::distances)
     }
 
     #[test]
@@ -209,7 +251,21 @@ mod tests {
     #[test]
     fn warm_epochs_reuse_cached_work() {
         let algorithm = Balanced::new(AttributeChoice::Worst);
+        // The default `emd` reuses splits and keeps no distance memo.
         let (mut auditor, epochs) = auditor(150, 13);
+        auditor.audit(&algorithm).unwrap();
+        let warm = auditor.run_epoch(&epochs[0], &algorithm).unwrap();
+        let cold = auditor.cold_audit(&algorithm).unwrap();
+        assert!(
+            warm.audit.engine.rows_scanned < cold.engine.rows_scanned,
+            "warm run scanned as many rows as cold ({} vs {})",
+            warm.audit.engine.rows_scanned,
+            cold.engine.rows_scanned
+        );
+        assert_eq!(warm.invalidation.distances_retained, 0);
+        assert_eq!(memo_size(&auditor), 0);
+        // A memoizing metric with the same distances reuses them.
+        let (mut auditor, epochs) = pairwise_auditor(150, 13);
         auditor.audit(&algorithm).unwrap();
         let warm = auditor.run_epoch(&epochs[0], &algorithm).unwrap();
         let cold = auditor.cold_audit(&algorithm).unwrap();
@@ -224,17 +280,12 @@ mod tests {
             warm.audit.engine.distances_computed,
             cold.engine.distances_computed
         );
-        assert!(
-            warm.audit.engine.rows_scanned < cold.engine.rows_scanned,
-            "warm run scanned as many rows as cold ({} vs {})",
-            warm.audit.engine.rows_scanned,
-            cold.engine.rows_scanned
-        );
     }
 
     #[test]
     fn empty_epoch_retains_everything() {
         let algorithm = Balanced::new(AttributeChoice::Worst);
+        // The default `emd`: every split retained, no distance memo.
         let (mut auditor, _) = auditor(60, 21);
         let first = auditor.audit(&algorithm).unwrap();
         assert_eq!(first.invalidation, InvalidationReport::default());
@@ -243,13 +294,20 @@ mod tests {
         assert_eq!(second.changes, 0);
         assert_eq!(second.invalidation.distances_evicted, 0);
         assert_eq!(second.invalidation.splits_evicted, 0);
-        assert!(second.invalidation.distances_retained > 0);
-        // Everything the audit needs is already cached.
+        assert_eq!(second.invalidation.distances_retained, 0);
+        assert_eq!(memo_size(&auditor), 0);
+        // Every split the audit needs is already cached.
         assert_eq!(second.audit.engine.rows_scanned, 0);
-        assert_eq!(second.audit.engine.distances_computed, 0);
         assert_eq!(
             first.audit.unfairness.to_bits(),
             second.audit.unfairness.to_bits()
         );
+        // A memoizing metric with the same distances retains them all.
+        let (mut auditor, _) = pairwise_auditor(60, 21);
+        auditor.audit(&algorithm).unwrap();
+        let second = auditor.run_epoch(&[], &algorithm).unwrap();
+        assert_eq!(second.invalidation.distances_evicted, 0);
+        assert!(second.invalidation.distances_retained > 0);
+        assert_eq!(second.audit.engine.distances_computed, 0);
     }
 }
