@@ -28,7 +28,10 @@
 //! least twice as fast as the seed's allocate-per-solve path — the PR-4
 //! solver, reproduced in [`seed`] with its original allocation shape
 //! (fresh graph per solve, fresh Dijkstra buffers per augmentation) and
-//! value-checked against the arena path to 1e-9 before being timed.
+//! value-checked against the arena path to 1e-9 before being timed. The
+//! two sweeps are timed interleaved, one of each per round over three
+//! rounds, so a change in host load hits both sides; each side keeps
+//! its best round, and every round's pair of times is printed.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fairjob_bench::prepare_population;
@@ -427,14 +430,15 @@ fn assert_batch_counters(workers: &Table, scores: &[f64]) {
     );
 }
 
-fn min_of_3(mut f: impl FnMut()) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..3 {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed());
-    }
-    best
+/// Rounds of the speedup gate. Each round times one seed sweep and then
+/// one arena sweep, so both sides of a round run under the same host
+/// load; each side keeps its best round.
+const SPEEDUP_ROUNDS: usize = 3;
+
+fn time(f: impl FnOnce()) -> Duration {
+    let t = Instant::now();
+    f();
+    t.elapsed()
 }
 
 /// The speedup gate, on the exact-survivor profile (sparse deep
@@ -457,21 +461,30 @@ fn assert_speedup(survivors: &[&Histogram]) {
             );
         }
     }
-    let seed_time = min_of_3(|| {
-        for (i, a) in survivors.iter().enumerate() {
-            for b in &survivors[i + 1..] {
-                black_box(seed::emd_distance(a, b));
+    let (mut seed_time, mut arena) = (Duration::MAX, Duration::MAX);
+    for round in 1..=SPEEDUP_ROUNDS {
+        let seed_round = time(|| {
+            for (i, a) in survivors.iter().enumerate() {
+                for b in &survivors[i + 1..] {
+                    black_box(seed::emd_distance(a, b));
+                }
             }
-        }
-    });
-    let arena = min_of_3(|| {
-        scratch.begin_chunk();
-        for (i, a) in survivors.iter().enumerate() {
-            for b in &survivors[i + 1..] {
-                black_box(flow.distance_with(a, b, &mut scratch).expect("arena solve"));
+        });
+        let arena_round = time(|| {
+            scratch.begin_chunk();
+            for (i, a) in survivors.iter().enumerate() {
+                for b in &survivors[i + 1..] {
+                    black_box(flow.distance_with(a, b, &mut scratch).expect("arena solve"));
+                }
             }
-        }
-    });
+        });
+        println!(
+            "speedup round {round}/{SPEEDUP_ROUNDS}: seed {seed_round:?}, arena {arena_round:?} — {:.2}x",
+            seed_round.as_secs_f64() / arena_round.as_secs_f64().max(1e-12)
+        );
+        seed_time = seed_time.min(seed_round);
+        arena = arena.min(arena_round);
+    }
     let pairs = survivors.len() * (survivors.len() - 1) / 2;
     let mean_support: f64 = survivors
         .iter()

@@ -4,14 +4,21 @@
 //! pairs. At 360 live partitions (256 or more) [`EvalEngine::unfairness`]
 //! computes its pairs in fixed chunks on the persistent worker pool,
 //! then sums them serially in pair order. Under `Emd1d`, whose L1 form
-//! sends full evaluations past the memo, it computes every pair; under
-//! `PairwiseEmd` (`Emd1d` without the form) it computes the memo's
-//! misses and inserts them.
+//! sends full evaluations past the memo, it computes every pair from
+//! the distance's batch form (every histogram's CDF gathered into one
+//! flat buffer); under `PairwiseEmd` (`Emd1d` without the form or the
+//! batch) it computes the memo's misses one `distance` call at a time
+//! and inserts them.
 //!
 //! Four paths are timed: a cold `Emd1d` evaluation (a fresh engine) on
 //! one thread and on four, a cold `PairwiseEmd` evaluation on one
 //! thread (every pair computed and inserted into the memo), and a warm
-//! `PairwiseEmd` one (every pair a memo hit).
+//! `PairwiseEmd` one (every pair a memo hit). Before them, the two cold
+//! `Emd1d` evaluations and the naive [`average_pairwise`] reference run
+//! nine times each, interleaved, and `BENCH_pairwise.json` at the
+//! workspace root records each one's median and interquartile range in
+//! microseconds, with the machine's available parallelism (`nproc`).
+//! No bound is set on those times.
 //!
 //! Beyond timing, this bench *asserts* the evaluation's contract with
 //! real counters before any timing runs:
@@ -33,7 +40,7 @@
 //!   spawned once and reused, never per call.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fairjob_bench::{prepare_population, PairwiseEmd};
+use fairjob_bench::{prepare_population, quartiles, PairwiseEmd};
 use fairjob_core::algorithms::{balanced::Balanced, Algorithm, AttributeChoice};
 use fairjob_core::pool::WorkerPool;
 use fairjob_core::unfairness::average_pairwise;
@@ -44,6 +51,7 @@ use fairjob_marketplace::scoring::{LinearScore, ScoringFunction};
 use fairjob_store::Table;
 use std::hint::black_box;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// `Emd1d` stripped of its bound provider: identical distances, but
 /// the candidate search can never prune — the unpruned baseline.
@@ -264,6 +272,75 @@ fn assert_pool_persistence(ctx: &AuditContext<'_>, parts: &[Partition]) {
     );
 }
 
+/// Cold evaluations per path in the `BENCH_pairwise.json` trajectory.
+const TRAJECTORY_RUNS: usize = 9;
+
+/// Time [`TRAJECTORY_RUNS`] cold evaluations of `parts` per path — a
+/// fresh engine at one thread and at four, and the naive
+/// [`average_pairwise`] reference — one run of each path per round, so
+/// drift in the host's speed hits every path alike, and write their
+/// median and interquartile range to `BENCH_pairwise.json` at the
+/// workspace root, with the machine's available parallelism.
+fn write_trajectory(
+    parts: &[Partition],
+    one_thread: &AuditContext<'_>,
+    four_threads: &AuditContext<'_>,
+) {
+    let hists: Vec<&Histogram> = parts.iter().map(|p| &p.histogram).collect();
+    let live = hists.iter().filter(|h| !h.is_empty()).count();
+    let paths: [(&str, &dyn Fn() -> f64); 3] = [
+        ("engine_1_thread", &|| {
+            EvalEngine::new(one_thread)
+                .unfairness(parts)
+                .expect("cold evaluation")
+        }),
+        ("engine_4_threads", &|| {
+            EvalEngine::new(four_threads)
+                .unfairness(parts)
+                .expect("cold evaluation")
+        }),
+        ("average_pairwise", &|| {
+            average_pairwise(&hists, &Emd1d).expect("naive evaluation")
+        }),
+    ];
+    let mut samples_us = vec![Vec::with_capacity(TRAJECTORY_RUNS); paths.len()];
+    for _ in 0..TRAJECTORY_RUNS {
+        for ((_, run), samples) in paths.iter().zip(&mut samples_us) {
+            let started = Instant::now();
+            black_box(run());
+            samples.push(started.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let timings: Vec<String> = paths
+        .iter()
+        .zip(&samples_us)
+        .map(|((name, _), samples)| {
+            let [q1, median, q3] = quartiles(samples).expect("timed runs");
+            format!(
+                "\"{name}\":{{\"median\":{median:.1},\"q1\":{q1:.1},\"q3\":{q3:.1},\"iqr\":{:.1}}}",
+                q3 - q1
+            )
+        })
+        .collect();
+    let json = format!(
+        "{{\"bench\":\"pairwise_kernel\",\"partitions\":{live},\"pairs\":{},\"runs\":{TRAJECTORY_RUNS},\"nproc\":{nproc},\"cold_us\":{{{}}}}}\n",
+        live * (live - 1) / 2,
+        timings.join(",")
+    );
+    // `cargo bench` runs with the package directory as cwd; BENCH_*.json
+    // lands at the workspace root either way.
+    let path = if std::path::Path::new("../../Cargo.toml").exists() {
+        "../../BENCH_pairwise.json"
+    } else {
+        "BENCH_pairwise.json"
+    };
+    if let Err(e) = std::fs::write(path, &json) {
+        eprintln!("pairwise_kernel: could not write {path}: {e}");
+    }
+    println!("pairwise_kernel trajectory: {json}");
+}
+
 fn bench_pairwise_kernel(c: &mut Criterion) {
     let workers = prepare_population(4000, 0xEDB7_2019);
     let scores = LinearScore::alpha("f1", 0.5)
@@ -288,6 +365,7 @@ fn bench_pairwise_kernel(c: &mut Criterion) {
     let pairwise = assert_search_prunes(&pairwise_ctx, &unpruned_ctx);
     assert_column_screen(&ctx, &pairwise);
     assert_pool_persistence(&four_threads, &parts);
+    write_trajectory(&parts, &one_thread, &four_threads);
 
     let mut group = c.benchmark_group("pairwise_kernel");
     group.sample_size(10);

@@ -3,8 +3,9 @@
 //! Each table/figure of the paper has a binary in `src/bin/` that prints
 //! the regenerated numbers next to the paper's; this library holds the
 //! pieces they share: population preparation, the five-way algorithm
-//! sweep, plain-text table rendering, and the `PairwiseEmd` distance the
-//! gated benches run the memo path on.
+//! sweep, plain-text table rendering, the `PairwiseEmd` distance the
+//! gated benches run the memo path on, and the quartiles their
+//! trajectory files report.
 
 use fairjob_core::algorithms::paper_algorithms;
 use fairjob_core::{AuditConfig, AuditContext, AuditResult};
@@ -139,6 +140,32 @@ impl HistogramDistance for PairwiseEmd {
     }
 }
 
+/// First quartile, median and third quartile of `values`, computed as
+/// Python's `statistics.quantiles(values, n=4)` (its default `exclusive`
+/// method), the quartiles fairbench reports. A single value is its own
+/// quartiles; `None` when empty.
+pub fn quartiles(values: &[f64]) -> Option<[f64; 3]> {
+    let mut data = values.to_vec();
+    data.sort_by(f64::total_cmp);
+    let ld = data.len();
+    match ld {
+        0 => return None,
+        1 => return Some([data[0]; 3]),
+        _ => {}
+    }
+    let m = ld as i64 + 1;
+    let mut out = [0.0; 3];
+    for (slot, i) in out.iter_mut().zip(1..4i64) {
+        let j = (i * m / 4).clamp(1, ld as i64 - 1);
+        // Negative when the clamp moved `j` up (two values): Python
+        // extrapolates below the first value there, and so does this.
+        let delta = (i * m - j * 4) as f64;
+        let j = j as usize;
+        *slot = (data[j - 1] * (4.0 - delta) + data[j] * delta) / 4.0;
+    }
+    Some(out)
+}
+
 /// Render a simple aligned table from a header and rows of strings.
 pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let cols = header.len();
@@ -171,6 +198,22 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
 mod tests {
     use super::*;
     use fairjob_marketplace::scoring::LinearScore;
+
+    #[test]
+    fn quartiles_match_python_statistics_quantiles() {
+        // statistics.quantiles([...], n=4) in CPython 3.
+        assert_eq!(quartiles(&[]), None);
+        assert_eq!(quartiles(&[4.0]), Some([4.0; 3]));
+        assert_eq!(quartiles(&[1.0, 2.0]), Some([0.75, 1.5, 2.25]));
+        assert_eq!(
+            quartiles(&[7.0, 1.0, 3.0, 5.0, 9.0, 2.0, 8.0]),
+            Some([2.0, 5.0, 8.0])
+        );
+        assert_eq!(
+            quartiles(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]),
+            Some([2.75, 5.5, 8.25])
+        );
+    }
 
     #[test]
     fn prepare_population_is_splittable_on_six_attributes() {

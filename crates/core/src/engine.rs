@@ -32,7 +32,13 @@
 //!    pair order. When the distance declares an L1 form
 //!    ([`fairjob_hist::HistogramDistance::l1_form`], resolved once per
 //!    engine: `emd`, `tv`), it computes every pair with no memo lookup,
-//!    insert or registry entry. Otherwise each pair goes through the
+//!    insert or registry entry, from the distance's batch form
+//!    ([`fairjob_hist::HistogramDistance::pair_batch`]: every live
+//!    histogram gathered once into one flat buffer, several pairs per
+//!    inner loop, each pair's value `distance`'s bits) — or one
+//!    `distance` call per pair when the distance has no batch form or
+//!    declines the set (an empty histogram, mixed layouts), which then
+//!    names the error. Otherwise each pair goes through the
 //!    memo. Below 256 live partitions this runs in one serial loop.
 //!    From 256 on, the pairs to compute (every pair, or the memo's
 //!    misses after a serial hit/miss pass) are computed in fixed chunks
@@ -96,7 +102,7 @@ use crate::partition::Partition;
 use crate::pool::{thread_budget, WorkerPool};
 use crate::scratch::with_scratch;
 use crate::unfairness::{PairwiseAverager, PRUNE_MARGIN};
-use fairjob_hist::{BinSpec, Histogram, L1Form, ScratchStats};
+use fairjob_hist::{BinSpec, Histogram, L1Form, PairBatch, ScratchStats};
 use fairjob_store::{Predicate, RowSet};
 use std::borrow::Borrow;
 use std::cell::{Cell, RefCell};
@@ -714,15 +720,26 @@ fn pair_key(key_a: u128, key_b: u128) -> (u128, u128) {
 /// The pairs `(i, j)`, `i < j < n`, of a full evaluation over `n`
 /// partitions in its (i, j) order, from the pair numbered `start` on.
 fn pairs_from(n: usize, start: usize) -> impl Iterator<Item = (usize, usize)> {
+    let end = n * n.saturating_sub(1) / 2;
+    row_segments(n, start..end).flat_map(|(i, js)| js.map(move |j| (i, j)))
+}
+
+/// The pairs numbered `range` of a full evaluation over `n` partitions,
+/// in its (i, j) order, as row segments `(i, js)`: the pairs `(i, j)`
+/// for `j` in `js`.
+fn row_segments(n: usize, range: Range<usize>) -> impl Iterator<Item = (usize, Range<usize>)> {
     // Row i holds the n − 1 − i pairs (i, i + 1..n).
-    let (mut first, mut skip) = (0, start);
+    let (mut first, mut skip) = (0, range.start);
     while first < n && skip >= n - 1 - first {
         skip -= n - 1 - first;
         first += 1;
     }
-    (first..n).flat_map(move |i| {
+    let mut left = range.len();
+    (first..n).map_while(move |i| {
         let from = if i == first { i + 1 + skip } else { i + 1 };
-        (from..n).map(move |j| (i, j))
+        let to = n.min(from + left);
+        left -= to - from;
+        (from < to).then_some((i, from..to))
     })
 }
 
@@ -1057,10 +1074,11 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
     /// [`AuditContext::unfairness`] (pair order, skip rules, and final
     /// division match exactly). For a distance with an L1 form (`emd`,
     /// `tv`) every pair is computed, with no memo lookup, insert or
-    /// registry entry: a lookup costs as much as the distance. For
-    /// every other distance the pairs go through the memo. From 256 live
-    /// partitions on, the pairs to compute are computed in chunks on the
-    /// worker pool.
+    /// registry entry: a lookup costs as much as the distance. Those
+    /// pairs come from the distance's batch form when it takes every
+    /// live histogram. For every other distance the pairs go through the
+    /// memo. From 256 live partitions on, the pairs to compute are
+    /// computed in chunks on the worker pool.
     ///
     /// # Errors
     ///
@@ -1119,10 +1137,22 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
         let pairs = ga.len() * gb.len();
         let mut sum = 0.0;
         if self.l1_form.is_some() {
-            let distance = self.ctx.distance();
-            for a in &ga {
-                for b in &gb {
-                    sum += distance.distance(&a.histogram, &b.histogram)?;
+            let both: Vec<&Partition> = ga.iter().chain(&gb).copied().collect();
+            if let Some(batch) = self.pair_batch(&both) {
+                let mut row = Vec::with_capacity(gb.len());
+                for a in 0..ga.len() {
+                    row.clear();
+                    batch.distances_into(a, ga.len()..both.len(), &mut row);
+                    for d in &row {
+                        sum += d;
+                    }
+                }
+            } else {
+                let distance = self.ctx.distance();
+                for a in &ga {
+                    for b in &gb {
+                        sum += distance.distance(&a.histogram, &b.histogram)?;
+                    }
                 }
             }
             self.note_computed(pairs);
@@ -1165,21 +1195,46 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
         Ok(sum / pairs as f64)
     }
 
+    /// The distance's batch form over the partitions' histograms
+    /// ([`fairjob_hist::HistogramDistance::pair_batch`]), or `None` when
+    /// it has none or declines this set.
+    fn pair_batch(&self, parts: &[&Partition]) -> Option<PairBatch> {
+        let hists: Vec<&Histogram> = parts.iter().map(|p| &p.histogram).collect();
+        self.ctx.distance().pair_batch(&hists)
+    }
+
     /// The full evaluation of a distance with an L1 form: every pair
     /// computed and summed in (i, j) pair order — in one serial loop
-    /// below 256 live partitions, in [`EvalEngine::pair_chunks`] from
-    /// there — so the value is the memo path's bit for bit.
+    /// below 256 live partitions, in fixed chunks on the pool from
+    /// there — so the value is the memo path's bit for bit. Pairs come
+    /// from the distance's batch form over all `live` histograms; when
+    /// it has none or declines the set, each pair from `distance`.
     fn unfairness_direct(&self, live: &[&Partition], pairs: usize) -> Result<f64, AuditError> {
         let n = live.len();
+        let batch = self.pair_batch(live);
         let mut sum = 0.0;
         if n >= PARALLEL_THRESHOLD {
-            for chunk in self.pair_chunks(live, pairs, |range| {
-                pairs_from(n, range.start).take(range.len())
-            })? {
+            let chunks = match &batch {
+                Some(batch) => self.batch_chunks(batch, pairs),
+                None => self.pair_chunks(live, pairs, |range| {
+                    pairs_from(n, range.start).take(range.len())
+                })?,
+            };
+            for chunk in chunks {
                 for v in chunk {
                     sum += v;
                 }
             }
+        } else if let Some(batch) = batch {
+            let mut row = Vec::with_capacity(n);
+            for i in 0..n {
+                row.clear();
+                batch.distances_into(i, i + 1..n, &mut row);
+                for v in &row {
+                    sum += v;
+                }
+            }
+            self.note_computed(pairs);
         } else {
             let distance = self.ctx.distance();
             for i in 0..n {
@@ -1190,6 +1245,28 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
             self.note_computed(pairs);
         }
         Ok(sum / pairs as f64)
+    }
+
+    /// The batch form of [`EvalEngine::pair_chunks`]: every pair of
+    /// `batch`'s histograms in the same fixed [`PAIR_CHUNK`]-pair chunks
+    /// on the pool, all reading the one shared buffer, so the chunk
+    /// count and `pool_tasks` are the per-pair path's. Returns each
+    /// chunk's values, chunks in (i, j) pair order.
+    fn batch_chunks(&self, batch: &PairBatch, pairs: usize) -> Vec<Vec<f64>> {
+        let n = batch.len();
+        let chunk_count = pairs.div_ceil(PAIR_CHUNK);
+        self.note_pool_tasks(chunk_count as u64);
+        let chunks = WorkerPool::global().run_chunks(self.threads, chunk_count, |c| {
+            let lo = c * PAIR_CHUNK;
+            let hi = (lo + PAIR_CHUNK).min(pairs);
+            let mut vals = Vec::with_capacity(hi - lo);
+            for (i, js) in row_segments(n, lo..hi) {
+                batch.distances_into(i, js, &mut vals);
+            }
+            vals
+        });
+        self.note_computed(pairs);
+        chunks
     }
 
     /// The memo path's chunked full evaluation: serial hit/miss
@@ -1911,6 +1988,51 @@ mod tests {
                 matches!(err, AuditError::Distance(DistanceError::EmptyHistogram)),
                 "{err:?}"
             );
+        }
+        assert_eq!(engine.stats().distances_computed, 0);
+    }
+
+    /// A set the batch form declines — one live partition whose
+    /// histogram is empty or on another layout — takes the per-pair
+    /// path and returns the error `distance` names, from the chunked
+    /// path, the serial loop and the cross evaluation alike.
+    #[test]
+    fn declined_batches_return_the_per_pair_error() {
+        let (workers, scores) = population_500();
+        let parts = chunked_input(&workers, &scores);
+        let cfg = AuditConfig {
+            threads: Some(2),
+            ..AuditConfig::default()
+        };
+        let ctx = AuditContext::new(&workers, &scores, cfg).unwrap();
+        let engine = EvalEngine::new(&ctx);
+        let other = BinSpec::equal_width(0.0, 1.0, 7).unwrap();
+        for (odd, want) in [
+            (
+                Histogram::empty(ctx.spec().clone()),
+                DistanceError::EmptyHistogram,
+            ),
+            (
+                Histogram::from_counts(other, vec![1.0; 7]),
+                DistanceError::SpecMismatch,
+            ),
+        ] {
+            let mut parts = parts.clone();
+            // The rows stay, so the partition stays live.
+            parts[5].histogram = odd;
+            let hists: Vec<&Histogram> = parts.iter().map(|p| &p.histogram).collect();
+            assert!(ctx.distance().pair_batch(&hists).is_none());
+            assert_eq!(
+                ctx.distance().distance(hists[0], hists[5]),
+                Err(want.clone())
+            );
+            for result in [
+                engine.unfairness(&parts),
+                engine.unfairness(&parts[..10]),
+                engine.unfairness_cross(&parts[..3], &parts[3..10]),
+            ] {
+                assert_eq!(result, Err(AuditError::Distance(want.clone())));
+            }
         }
         assert_eq!(engine.stats().distances_computed, 0);
     }

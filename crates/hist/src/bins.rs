@@ -5,6 +5,7 @@
 //! builds non-uniform layouts from explicit edges.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// The most bins a layout may have. Bin counts arrive from CLI flags and
 /// FairQL text, and an audit holds one dense count vector per histogram,
@@ -47,12 +48,27 @@ impl std::error::Error for BinError {}
 /// the last edge clamp into the last bin, so every finite value maps to a
 /// bin; scoring functions are supposed to emit values in `[lo, hi]` but
 /// clamping makes histogramming total.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Clones share one edge buffer, so every histogram of an audit holds
+/// its context's layout for a reference-count bump, and comparing two
+/// of them is a pointer check. Specs built separately still compare by
+/// their edges.
+#[derive(Debug, Clone)]
 pub struct BinSpec {
-    edges: Vec<f64>,
+    edges: Arc<[f64]>,
     /// True when the layout is an equal-width grid (enables the
     /// closed-form EMD fast path keyed on `(lo, hi, n)`).
     uniform: bool,
+}
+
+impl PartialEq for BinSpec {
+    fn eq(&self, other: &Self) -> bool {
+        // Both constructors keep every edge finite, so a shared buffer
+        // equals itself element by element: the pointer check only
+        // skips the compare.
+        self.uniform == other.uniform
+            && (Arc::ptr_eq(&self.edges, &other.edges) || self.edges == other.edges)
+    }
 }
 
 impl BinSpec {
@@ -60,7 +76,8 @@ impl BinSpec {
     ///
     /// # Errors
     ///
-    /// [`BinError::BadSpec`] for non-finite bounds, `lo >= hi`, `n == 0`
+    /// [`BinError::BadSpec`] for non-finite bounds, `lo >= hi`, a range
+    /// wider than `f64::MAX` (its edges would not be finite), `n == 0`
     /// or `n > MAX_BINS`.
     // `!(lo < hi)` deliberately treats NaN bounds as invalid.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -75,7 +92,10 @@ impl BinSpec {
             return Err(BinError::BadSpec(TOO_MANY_BINS));
         }
         let width = (hi - lo) / n as f64;
-        let edges = (0..=n).map(|i| lo + i as f64 * width).collect();
+        let edges: Arc<[f64]> = (0..=n).map(|i| lo + i as f64 * width).collect();
+        if !edges.iter().all(|e| e.is_finite()) {
+            return Err(BinError::BadSpec("range too wide"));
+        }
         Ok(BinSpec {
             edges,
             uniform: true,
@@ -106,7 +126,7 @@ impl BinSpec {
             }
         }
         Ok(BinSpec {
-            edges,
+            edges: edges.into(),
             uniform: false,
         })
     }
@@ -265,6 +285,41 @@ mod tests {
     }
 
     #[test]
+    fn shared_edges_compare_and_print_as_separate_ones() {
+        let spec = BinSpec::equal_width(0.0, 1.0, 4).unwrap();
+        let clone = spec.clone();
+        assert!(Arc::ptr_eq(&spec.edges, &clone.edges));
+        let separate = BinSpec::equal_width(0.0, 1.0, 4).unwrap();
+        assert!(!Arc::ptr_eq(&spec.edges, &separate.edges));
+        let mut edges = spec.edges().to_vec();
+        edges[2] = f64::from_bits(edges[2].to_bits() + 1);
+        let one_edge = BinSpec::from_edges(edges).unwrap();
+        let explicit = BinSpec::from_edges(spec.edges().to_vec()).unwrap();
+        assert_eq!(explicit.edges(), spec.edges());
+        let specs = [&spec, &clone, &separate, &one_edge, &explicit];
+        // Equality is the field-by-field comparison of edges and layout
+        // kind, whether or not the edges are shared.
+        for a in specs {
+            for b in specs {
+                let by_fields = a.edges() == b.edges() && a.is_uniform() == b.is_uniform();
+                assert_eq!(a == b, by_fields, "{a:?} vs {b:?}");
+            }
+        }
+        assert_eq!(clone, spec);
+        assert_eq!(separate, spec);
+        assert_ne!(one_edge, spec);
+        assert_ne!(explicit, spec);
+        let printed = "BinSpec { edges: [0.0, 0.25, 0.5, 0.75, 1.0], uniform: true }";
+        assert_eq!(format!("{spec:?}"), printed);
+        assert_eq!(format!("{clone:?}"), printed);
+        assert_eq!(
+            format!("{explicit:#?}"),
+            "BinSpec {\n    edges: [\n        0.0,\n        0.25,\n        0.5,\n        \
+             0.75,\n        1.0,\n    ],\n    uniform: false,\n}"
+        );
+    }
+
+    #[test]
     fn equal_width_layout() {
         let s = BinSpec::equal_width(0.0, 1.0, 10).unwrap();
         assert_eq!(s.len(), 10);
@@ -280,6 +335,11 @@ mod tests {
         assert!(BinSpec::equal_width(1.0, 0.0, 10).is_err());
         assert!(BinSpec::equal_width(0.0, 1.0, 0).is_err());
         assert!(BinSpec::equal_width(f64::NAN, 1.0, 3).is_err());
+        // The span overflows: the edges would be NaN and infinite.
+        assert_eq!(
+            BinSpec::equal_width(-1e308, 1e308, 10),
+            Err(BinError::BadSpec("range too wide"))
+        );
     }
 
     #[test]

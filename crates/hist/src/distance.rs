@@ -14,6 +14,7 @@ use fairjob_emd::{
     EmdError, GridL1, GroundCache, GroundMatrix, PositionsL1, SolveScratch, Thresholded,
 };
 use std::fmt;
+use std::ops::Range;
 
 /// Errors from distance computation.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,6 +133,139 @@ impl L1Form {
     }
 }
 
+/// The per-pair arithmetic of a [`PairBatch`]: the operations of the
+/// distance it came from, in that distance's order.
+#[derive(Debug)]
+enum BatchKernel {
+    /// [`Emd1d`] on a uniform layout ([`bounds::cdf_l1_grid`]):
+    /// `Σ |cdf_a − cdf_b|` over the interior cuts, times the bin width.
+    Grid { width: f64 },
+    /// [`Emd1d`] on explicit edges ([`bounds::cdf_l1_positions`]):
+    /// `Σ |cdf_a − cdf_b| · gap` over the gaps between bin centres.
+    Positions { gaps: Vec<f64> },
+    /// [`TotalVariation`]: `½ · Σ |f_a − f_b|` over the frequencies.
+    HalfL1,
+}
+
+/// Pairs of one batch computed side by side: each keeps its own
+/// accumulator, so the lanes only add instruction-level parallelism.
+const BATCH_LANES: usize = 4;
+
+/// A set of histograms gathered once for many pair distances
+/// ([`HistogramDistance::pair_batch`]): one row per histogram in one flat
+/// row-major buffer, holding what the distance reads of it.
+///
+/// [`PairBatch::distances_into`] runs several pairs per inner loop, each
+/// with its own accumulator taking exactly the distance's floating-point
+/// operations in the distance's order, so every value has
+/// [`HistogramDistance::distance`]'s bits.
+#[derive(Debug)]
+pub struct PairBatch {
+    kernel: BatchKernel,
+    /// Number of histograms (rows).
+    len: usize,
+    /// Row length: the values the kernel reads per histogram.
+    width: usize,
+    rows: Vec<f64>,
+}
+
+impl PairBatch {
+    /// Gather one row per histogram with `fill`, which writes a row and
+    /// returns `false` for a histogram the batch cannot take. `None` when
+    /// any histogram is declined or a gathered value is not finite.
+    fn gather(
+        kernel: BatchKernel,
+        width: usize,
+        histograms: &[&Histogram],
+        mut fill: impl FnMut(&Histogram, &mut [f64]) -> bool,
+    ) -> Option<PairBatch> {
+        let mut rows = vec![0.0; histograms.len() * width];
+        for (r, h) in histograms.iter().enumerate() {
+            let row = &mut rows[r * width..(r + 1) * width];
+            if !fill(h, row) || !row.iter().all(|x| x.is_finite()) {
+                return None;
+            }
+        }
+        Some(PairBatch {
+            kernel,
+            len: histograms.len(),
+            width,
+            rows,
+        })
+    }
+
+    /// Number of histograms (rows).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the batch holds no histogram.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn row(&self, r: usize) -> &[f64] {
+        &self.rows[r * self.width..(r + 1) * self.width]
+    }
+
+    /// Append `distance(h_i, h_j)` for every `j` in `js`, in order, to
+    /// `out`, where `h_r` is the `r`-th histogram the batch was built
+    /// from. Each value is bit-identical to
+    /// [`HistogramDistance::distance`] on that pair.
+    ///
+    /// # Panics
+    ///
+    /// When `i` or a `j` is not below [`PairBatch::len`].
+    pub fn distances_into(&self, i: usize, js: Range<usize>, out: &mut Vec<f64>) {
+        assert!(i < self.len() && js.end <= self.len(), "row out of range");
+        match &self.kernel {
+            BatchKernel::Grid { width } => {
+                self.run(i, js, out, |a, b, _| (a - b).abs(), |acc| acc * width)
+            }
+            BatchKernel::Positions { gaps } => {
+                self.run(i, js, out, |a, b, k| (a - b).abs() * gaps[k], |acc| acc)
+            }
+            BatchKernel::HalfL1 => self.run(i, js, out, |a, b, _| (a - b).abs(), |acc| 0.5 * acc),
+        }
+    }
+
+    /// The lane loop: `term(x_i[k], x_j[k], k)` accumulated over `k` in
+    /// order from `0.0` for each pair, then `finish`ed.
+    fn run(
+        &self,
+        i: usize,
+        js: Range<usize>,
+        out: &mut Vec<f64>,
+        term: impl Fn(f64, f64, usize) -> f64,
+        finish: impl Fn(f64) -> f64,
+    ) {
+        let w = self.width;
+        let x = self.row(i);
+        out.reserve(js.len());
+        let mut j = js.start;
+        while j + BATCH_LANES <= js.end {
+            let ys: [&[f64]; BATCH_LANES] = std::array::from_fn(|l| self.row(j + l));
+            let mut acc = [0.0f64; BATCH_LANES];
+            for k in 0..w {
+                let xk = x[k];
+                for (a, y) in acc.iter_mut().zip(&ys) {
+                    *a += term(xk, y[k], k);
+                }
+            }
+            out.extend(acc.map(&finish));
+            j += BATCH_LANES;
+        }
+        for j in j..js.end {
+            let y = self.row(j);
+            let mut acc = 0.0f64;
+            for k in 0..w {
+                acc += term(x[k], y[k], k);
+            }
+            out.push(finish(acc));
+        }
+    }
+}
+
 /// A distance (or divergence) between two histograms over the same bins.
 ///
 /// Implementations must be symmetric unless documented otherwise
@@ -199,6 +333,18 @@ pub trait HistogramDistance: Send + Sync {
     /// pairwise path, which is correct, only slower.
     fn l1_form(&self, spec: &BinSpec) -> Option<L1Form> {
         let _ = spec;
+        None
+    }
+
+    /// `histograms` gathered for batched pair distances, or `None` (the
+    /// default) when this distance has no batch form or cannot take the
+    /// whole set (an empty histogram, mixed layouts): callers then call
+    /// [`HistogramDistance::distance`] per pair, which names the error.
+    /// `Some` promises that every [`PairBatch::distances_into`] value is
+    /// bit-identical to `distance` on the same pair. A wrapper that does
+    /// not forward this method keeps callers on the per-pair path.
+    fn pair_batch(&self, histograms: &[&Histogram]) -> Option<PairBatch> {
+        let _ = histograms;
         None
     }
 }
@@ -313,6 +459,43 @@ impl HistogramDistance for Emd1d {
         weights.iter().all(|w| w.is_finite()).then_some(L1Form {
             column: L1Column::PrefixCdf,
             weights,
+        })
+    }
+
+    /// Rows of the first `B − 1` cached prefix-CDF values, run through
+    /// [`Emd1d::bounds`]' closed form: the bin width on uniform layouts,
+    /// the gaps between centres otherwise. Declines every set that has a
+    /// pair `bounds` cannot answer: mixed layouts, a histogram without
+    /// cached CDF statistics (empty or invalid counts), an invalid grid
+    /// or a non-finite centre.
+    // `!(lo < hi)` deliberately treats NaN bounds as invalid.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    fn pair_batch(&self, histograms: &[&Histogram]) -> Option<PairBatch> {
+        let spec = histograms.first()?.spec();
+        let n = spec.len();
+        let kernel = if spec.is_uniform() {
+            let (lo, hi) = (spec.lo(), spec.hi());
+            if !(lo < hi) || !lo.is_finite() || !hi.is_finite() {
+                return None;
+            }
+            BatchKernel::Grid {
+                width: (hi - lo) / n as f64,
+            }
+        } else {
+            let centres = spec.centres();
+            if !centres.iter().all(|c| c.is_finite()) {
+                return None;
+            }
+            BatchKernel::Positions {
+                gaps: centres.windows(2).map(|w| w[1] - w[0]).collect(),
+            }
+        };
+        PairBatch::gather(kernel, n - 1, histograms, |h, row| match h.cdf_stats() {
+            Some(stats) if h.spec() == spec => {
+                row.copy_from_slice(&stats.cdf.cdf()[..n - 1]);
+                true
+            }
+            _ => false,
         })
     }
 }
@@ -490,6 +673,24 @@ impl HistogramDistance for TotalVariation {
         Some(L1Form {
             column: L1Column::Frequencies,
             weights: vec![0.5; spec.len()],
+        })
+    }
+
+    /// Rows of frequencies divided out as [`Histogram::frequencies`]
+    /// does, by each histogram's own total (which can differ in the last
+    /// bit from the cached CDF's normalisation). Declines mixed layouts,
+    /// an empty histogram and non-finite frequencies.
+    fn pair_batch(&self, histograms: &[&Histogram]) -> Option<PairBatch> {
+        let spec = histograms.first()?.spec();
+        PairBatch::gather(BatchKernel::HalfL1, spec.len(), histograms, |h, row| {
+            if h.spec() != spec || h.is_empty() {
+                return false;
+            }
+            let total = h.total();
+            for (f, c) in row.iter_mut().zip(h.counts()) {
+                *f = c / total;
+            }
+            true
         })
     }
 }

@@ -32,6 +32,6 @@ pub mod distance;
 pub mod histogram;
 
 pub use bins::BinSpec;
-pub use distance::{DistanceBounds, DistanceError, HistogramDistance, L1Form};
+pub use distance::{DistanceBounds, DistanceError, HistogramDistance, L1Form, PairBatch};
 pub use fairjob_emd::{ScratchStats, SolveScratch};
 pub use histogram::{CdfStats, Histogram};

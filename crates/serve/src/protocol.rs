@@ -170,6 +170,8 @@ pub fn parse_f64_bits(hex: &str) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn parses_every_verb() {
@@ -204,6 +206,154 @@ mod tests {
         assert!(Request::parse("EPOCH 3 4").is_err());
         assert!(Request::parse("QUERY").is_err());
         assert!(Request::parse("QUERY   ").is_err());
+    }
+
+    /// Valid request lines: every verb, the `QUERY` statements of the
+    /// end-to-end benchmark's reader, and `EPOCH` counts.
+    const VALID_LINES: &[&str] = &[
+        "AUDIT",
+        "audit",
+        "QUERY AUDIT workers WHERE country = 'India' PROTECT gender, language",
+        "QUERY AUDIT workers USING unbalanced METRIC emd-exact",
+        "QUERY SELECT gender, COUNT(*), MEAN(approval_rate) FROM workers GROUP BY gender",
+        "query DESCRIBE",
+        "EPOCH 12",
+        "EPOCH 0",
+        "epoch 4000",
+        "METRICS",
+        "HEALTH",
+        "STATS",
+        "PING",
+        "QUIT",
+        "SHUTDOWN",
+    ];
+
+    /// Fragments spliced into request lines: huge, negative, signed and
+    /// non-ASCII-digit counts, Unicode whitespace, NUL, U+FFFD, and
+    /// other text a client could send.
+    const FRAGMENTS: &[&str] = &[
+        "99999999999999999999999999",
+        "18446744073709551616",
+        "18446744073709551615",
+        "-1",
+        "-0",
+        "+7",
+        "+",
+        "١٢",
+        "３",
+        "²",
+        "\u{a0}",
+        "\u{2003}",
+        "\u{3000}",
+        "\u{85}",
+        "\u{2028}",
+        "\u{feff}",
+        "\u{0}",
+        "\u{fffd}",
+        " ",
+        "\t",
+        "\r",
+        "\n",
+        "EPOCH",
+        "QUERY",
+        "AUDIT",
+        "'",
+        ";",
+        "=",
+        "é",
+        "🦀",
+    ];
+
+    /// The largest char boundary of `text` at or before `at`.
+    fn floor_boundary(text: &str, mut at: usize) -> usize {
+        while !text.is_char_boundary(at) {
+            at -= 1;
+        }
+        at
+    }
+
+    /// One to three seed-driven edits of `line`: a fragment inserted
+    /// anywhere, a fragment inserted right after a digit (growing a
+    /// count into a huge or malformed one), a fragment replacing the
+    /// operand, or a truncation.
+    fn mutate(line: &str, rng: &mut StdRng) -> String {
+        let mut out = line.to_string();
+        for _ in 0..rng.gen_range(1..=3) {
+            let fragment = FRAGMENTS[rng.gen_range(0..FRAGMENTS.len())];
+            let digits: Vec<usize> = out
+                .char_indices()
+                .filter(|(_, c)| c.is_ascii_digit())
+                .map(|(at, _)| at + 1)
+                .collect();
+            match rng.gen_range(0..5) {
+                0 => out.truncate(floor_boundary(&out, rng.gen_range(0..=out.len()))),
+                1 if !digits.is_empty() => {
+                    out.insert_str(digits[rng.gen_range(0..digits.len())], fragment)
+                }
+                2 => {
+                    let verb = out.split_whitespace().next().unwrap_or("").to_string();
+                    out = format!("{verb} {fragment}");
+                }
+                _ => {
+                    let at = floor_boundary(&out, rng.gen_range(0..=out.len()));
+                    out.insert_str(at, fragment);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn mutated_request_lines_never_panic_the_parser() {
+        let mut rng = StdRng::seed_from_u64(0x5E12_7E11);
+        let (mut parsed, mut rejected) = (0, 0);
+        for case in 0..12_000 {
+            let line = mutate(VALID_LINES[rng.gen_range(0..VALID_LINES.len())], &mut rng);
+            match std::panic::catch_unwind(|| Request::parse(&line)) {
+                Err(_) => panic!("case {case}: parse panicked on {line:?}"),
+                Ok(Ok(request)) => {
+                    if let Request::Query(text) = &request {
+                        assert!(
+                            !text.is_empty() && text.trim() == text,
+                            "case {case}: {line:?} gave statement {text:?}"
+                        );
+                    }
+                    parsed += 1;
+                }
+                Ok(Err(reason)) => {
+                    assert!(!reason.is_empty(), "case {case}: {line:?}");
+                    rejected += 1;
+                }
+            }
+        }
+        assert!(
+            parsed > 0 && rejected > 0,
+            "{parsed} parsed, {rejected} rejected"
+        );
+    }
+
+    #[test]
+    fn epoch_counts_are_plain_ascii_numbers_in_range() {
+        assert_eq!(Request::parse("EPOCH +7"), Ok(Request::Epoch(7)));
+        assert_eq!(
+            Request::parse(&format!("EPOCH {}", usize::MAX)),
+            Ok(Request::Epoch(usize::MAX))
+        );
+        for bad in [
+            "EPOCH 18446744073709551616",
+            "EPOCH -1",
+            "EPOCH -0",
+            "EPOCH +",
+            "EPOCH ١٢",
+            "EPOCH ３",
+            "EPOCH 4\u{0}",
+            "EPOCH \u{fffd}",
+        ] {
+            assert!(Request::parse(bad).is_err(), "{bad:?}");
+        }
+        // Unicode whitespace separates tokens like ASCII space.
+        assert_eq!(Request::parse("EPOCH\u{3000}5"), Ok(Request::Epoch(5)));
+        assert_eq!(Request::parse("\u{a0}PING\u{2003}"), Ok(Request::Ping));
     }
 
     #[test]

@@ -6,13 +6,13 @@
 #
 # Usage: scripts/bench_trajectory.sh [--run]
 #   --run  first run every bench that emits a BENCH_*.json trajectory
-#          (shard_scale, paged_scan, serve_load, query_plan), then
-#          collect.
+#          (shard_scale, paged_scan, serve_load, query_plan,
+#          pairwise_kernel), then collect.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [[ "${1:-}" == "--run" ]]; then
-    for bench in shard_scale paged_scan serve_load query_plan; do
+    for bench in shard_scale paged_scan serve_load query_plan pairwise_kernel; do
         echo "== $bench =="
         cargo bench -p fairjob-bench --bench "$bench"
     done
