@@ -64,13 +64,7 @@ fn workload<'a>(workers: &'a fairjob_store::table::Table, scores: &'a [f64]) -> 
     let parallel_ctx = AuditContext::new(workers, scores, at(4)).expect("parallel context");
     let attrs = ctx.attributes().to_vec();
     let (pre_split, last) = (&attrs[..attrs.len() - 1], attrs[attrs.len() - 1]);
-    let mut base = vec![ctx.root()];
-    for &a in pre_split {
-        base = base
-            .iter()
-            .flat_map(|p| ctx.split(p, a).unwrap_or_else(|| vec![p.clone()]))
-            .collect();
-    }
+    let base = ctx.cells(pre_split);
     assert!(
         base.len() >= 256,
         "bench workload must audit >= 256 partitions, got {}",

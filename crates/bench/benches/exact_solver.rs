@@ -210,14 +210,8 @@ mod seed {
 /// The ≥100-partition workload of the pairwise-kernel bench: five of
 /// the six attributes pre-split over the standard generated population.
 fn partitions(ctx: &AuditContext<'_>) -> Vec<Partition> {
-    let attrs = ctx.attributes().to_vec();
-    let mut parts = vec![ctx.root()];
-    for &a in &attrs[..attrs.len() - 1] {
-        parts = parts
-            .iter()
-            .flat_map(|p| ctx.split(p, a).unwrap_or_else(|| vec![p.clone()]))
-            .collect();
-    }
+    let attrs = ctx.attributes();
+    let parts = ctx.cells(&attrs[..attrs.len() - 1]);
     assert!(
         parts.len() >= 100,
         "bench workload must cover >= 100 partitions, got {}",

@@ -71,14 +71,8 @@ impl HistogramDistance for NoBounds {
 /// six attributes pre-split over the standard generated population.
 /// At 256 partitions or more, a full evaluation takes the chunked path.
 fn partitions(ctx: &AuditContext<'_>) -> Vec<Partition> {
-    let attrs = ctx.attributes().to_vec();
-    let mut parts = vec![ctx.root()];
-    for &a in &attrs[..attrs.len() - 1] {
-        parts = parts
-            .iter()
-            .flat_map(|p| ctx.split(p, a).unwrap_or_else(|| vec![p.clone()]))
-            .collect();
-    }
+    let attrs = ctx.attributes();
+    let parts = ctx.cells(&attrs[..attrs.len() - 1]);
     assert!(
         parts.len() >= 256,
         "bench workload must cover >= 256 partitions, got {}",

@@ -267,13 +267,7 @@ fn main() {
     let ctx = at_threads(1);
     let attrs = ctx.attributes().to_vec();
     let (pre_split, last) = (&attrs[..attrs.len() - 1], attrs[attrs.len() - 1]);
-    let mut base: Vec<Partition> = vec![ctx.root()];
-    for &a in pre_split {
-        base = base
-            .iter()
-            .flat_map(|p| ctx.split(p, a).unwrap_or_else(|| vec![p.clone()]))
-            .collect();
-    }
+    let base = ctx.cells(pre_split);
     let candidates: Vec<(usize, Vec<Partition>)> = base
         .iter()
         .enumerate()

@@ -4,10 +4,9 @@
 use super::Algorithm;
 use crate::engine::EvalEngine;
 use crate::error::AuditError;
-use crate::partition::{Partition, Partitioning};
+use crate::partition::Partitioning;
 use crate::report::AuditResult;
 use crate::AuditContext;
-use fairjob_store::Predicate;
 use std::time::Instant;
 
 /// The `all-attributes` baseline of the paper's evaluation.
@@ -21,25 +20,7 @@ impl Algorithm for AllAttributes {
 
     fn run(&self, ctx: &AuditContext<'_>) -> Result<AuditResult, AuditError> {
         let start = Instant::now();
-        let table = ctx.table().ok_or(AuditError::OutOfCore {
-            what: "the all-attributes cartesian group-by",
-        })?;
-        let groups = fairjob_store::groupby::group_by_many(
-            table,
-            &fairjob_store::RowSet::all(table.len()),
-            ctx.attributes(),
-        )?;
-        let partitions: Vec<Partition> = groups
-            .into_iter()
-            .map(|(codes, rows)| {
-                let mut pred = Predicate::always();
-                for (&attr, &code) in ctx.attributes().iter().zip(&codes) {
-                    pred = pred.and(attr, code);
-                }
-                ctx.partition(pred, rows)
-            })
-            .collect();
-        let partitioning = Partitioning::new(partitions);
+        let partitioning = Partitioning::new(ctx.cells(ctx.attributes()));
         let engine = EvalEngine::new(ctx);
         let unfairness = engine.unfairness(partitioning.partitions())?;
         Ok(AuditResult {

@@ -25,7 +25,6 @@ use crate::report::AuditResult;
 use crate::unfairness::average_pairwise;
 use crate::AuditContext;
 use fairjob_hist::Histogram;
-use fairjob_store::RowSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -166,11 +165,9 @@ pub fn count_tree_partitionings(
 pub struct CellSearchOutcome {
     /// The best unfairness value found.
     pub unfairness: f64,
-    /// The winning grouping: per block, the member cells as
-    /// `(codes, rows)` in the order of [`CellSearchOutcome::attributes`].
-    pub blocks: Vec<Vec<(Vec<u32>, RowSet)>>,
-    /// The attribute indexes the cell codes refer to.
-    pub attributes: Vec<usize>,
+    /// The winning grouping: per block, its member cells
+    /// ([`AuditContext::cells`] over the audited attributes).
+    pub blocks: Vec<Vec<Partition>>,
     /// Number of set partitions evaluated.
     pub evaluated: usize,
 }
@@ -187,16 +184,11 @@ pub fn exhaustive_cells(
     ctx: &AuditContext<'_>,
     budget: usize,
 ) -> Result<CellSearchOutcome, AuditError> {
-    let table = ctx.table().ok_or(AuditError::OutOfCore {
-        what: "the exhaustive cell enumeration",
-    })?;
-    let groups =
-        fairjob_store::groupby::group_by_many(table, &RowSet::all(table.len()), ctx.attributes())?;
-    let histograms: Vec<Histogram> = groups.iter().map(|(_, rows)| ctx.histogram(rows)).collect();
+    let cells = ctx.cells(ctx.attributes());
 
     // Enumerate set partitions by assigning each cell to an existing
     // block or a fresh one (restricted-growth strings).
-    let n = groups.len();
+    let n = cells.len();
     let mut assignment = vec![0usize; n];
     let mut best: Option<(Vec<usize>, f64)> = None;
     let mut evaluated = 0usize;
@@ -205,15 +197,14 @@ pub fn exhaustive_cells(
     fn assign(
         i: usize,
         max_block: usize,
-        n: usize,
         assignment: &mut Vec<usize>,
-        histograms: &[Histogram],
+        cells: &[Partition],
         ctx: &AuditContext<'_>,
         best: &mut Option<(Vec<usize>, f64)>,
         evaluated: &mut usize,
         budget: usize,
     ) -> Result<(), AuditError> {
-        if i == n {
+        if i == cells.len() {
             *evaluated += 1;
             if *evaluated > budget {
                 return Err(AuditError::BudgetExceeded { budget });
@@ -221,10 +212,10 @@ pub fn exhaustive_cells(
             // Merge histograms per block and score.
             let blocks = max_block + 1;
             let mut merged: Vec<Histogram> = (0..blocks)
-                .map(|_| Histogram::empty(histograms[0].spec().clone()))
+                .map(|_| Histogram::empty(ctx.spec().clone()))
                 .collect();
             for (cell, &block) in assignment.iter().enumerate() {
-                merged[block].merge(&histograms[cell]);
+                merged[block].merge(&cells[cell].histogram);
             }
             let refs: Vec<&Histogram> = merged.iter().collect();
             let value = average_pairwise(&refs, ctx.distance())?;
@@ -238,9 +229,8 @@ pub fn exhaustive_cells(
             assign(
                 i + 1,
                 max_block.max(block),
-                n,
                 assignment,
-                histograms,
+                cells,
                 ctx,
                 best,
                 evaluated,
@@ -255,9 +245,8 @@ pub fn exhaustive_cells(
         assign(
             1,
             0,
-            n,
             &mut assignment,
-            &histograms,
+            &cells,
             ctx,
             &mut best,
             &mut evaluated,
@@ -266,14 +255,13 @@ pub fn exhaustive_cells(
     }
     let (winner, unfairness) = best.unwrap_or((vec![0; n], 0.0));
     let blocks_count = winner.iter().copied().max().map_or(0, |m| m + 1);
-    let mut blocks: Vec<Vec<(Vec<u32>, RowSet)>> = vec![Vec::new(); blocks_count];
-    for (cell, &block) in winner.iter().enumerate() {
-        blocks[block].push(groups[cell].clone());
+    let mut blocks: Vec<Vec<Partition>> = vec![Vec::new(); blocks_count];
+    for (cell, block) in cells.into_iter().zip(winner) {
+        blocks[block].push(cell);
     }
     Ok(CellSearchOutcome {
         unfairness,
         blocks,
-        attributes: ctx.attributes().to_vec(),
         evaluated,
     })
 }

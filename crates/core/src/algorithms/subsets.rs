@@ -16,7 +16,6 @@ use crate::error::AuditError;
 use crate::partition::{Partition, Partitioning};
 use crate::report::AuditResult;
 use crate::AuditContext;
-use fairjob_store::Predicate;
 use std::time::Instant;
 
 /// Exact optimum over attribute subsets (the balanced space).
@@ -59,24 +58,7 @@ impl Algorithm for SubsetExact {
                 .filter(|(i, _)| mask & (1 << i) != 0)
                 .map(|(_, &a)| a)
                 .collect();
-            let table = ctx.table().ok_or(AuditError::OutOfCore {
-                what: "the subset search's cartesian group-by",
-            })?;
-            let groups = fairjob_store::groupby::group_by_many(
-                table,
-                &fairjob_store::RowSet::all(table.len()),
-                &selection,
-            )?;
-            let partitions: Vec<Partition> = groups
-                .into_iter()
-                .map(|(codes, rows)| {
-                    let mut pred = Predicate::always();
-                    for (&attr, &code) in selection.iter().zip(&codes) {
-                        pred = pred.and(attr, code);
-                    }
-                    ctx.partition(pred, rows)
-                })
-                .collect();
+            let partitions = ctx.cells(&selection);
             let value = engine.unfairness(&partitions)?;
             evaluated += 1;
             if best.as_ref().is_none_or(|(_, b)| value > *b) {

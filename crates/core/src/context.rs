@@ -580,15 +580,6 @@ impl<'a> AuditContext<'a> {
         self.seed_engine_caches(caches);
     }
 
-    /// The audited table, when the context holds one in memory (`None`
-    /// for paged out-of-core contexts).
-    pub fn table(&self) -> Option<&'a Table> {
-        match self.source {
-            DataSource::Mem(table) => Some(table),
-            DataSource::Paged(_) => None,
-        }
-    }
-
     /// The raw per-row scores, when resident (`None` for paged
     /// contexts, which bin scores page-by-page and never hold the
     /// vector).
@@ -723,6 +714,36 @@ impl<'a> AuditContext<'a> {
         if part.predicate.constrains(attr) {
             return None;
         }
+        self.refine(part, attr)
+            .filter(|children| children.len() > 1)
+    }
+
+    /// The full cartesian partitioning of the audited rows by `attrs`
+    /// (non-empty cells only): the root refined by each attribute in
+    /// turn, so every cell carries one `attribute = code` constraint per
+    /// attribute, including those all its members share. Cells come in
+    /// code order within parent order — lexicographic in the code
+    /// vector, `fairjob_store::groupby::group_by_many`'s key order —
+    /// and follow the context's audited rows on every source, paged
+    /// ones included. Attributes the context does not audit are
+    /// ignored.
+    pub fn cells(&self, attrs: &[usize]) -> Vec<Partition> {
+        let mut cells = vec![self.root()];
+        for &attr in attrs {
+            cells = cells
+                .into_iter()
+                .flat_map(|part| self.refine(&part, attr).unwrap_or_else(|| vec![part]))
+                .collect();
+        }
+        cells
+    }
+
+    /// The split kernel behind [`AuditContext::split`] and
+    /// [`AuditContext::cells`]: `part` grouped by `attr`'s code, one
+    /// child per code present (one child when every member shares a
+    /// value), each child constrained on `attr`. `None` when `attr` is
+    /// not an audited attribute.
+    fn refine(&self, part: &Partition, attr: usize) -> Option<Vec<Partition>> {
         let index = self.indexes.get(attr)?;
         let bins = self.spec.len();
         let rows = &part.rows;
@@ -740,9 +761,6 @@ impl<'a> AuditContext<'a> {
         } else {
             index.split_rows(rows.rows(), &self.bin_of, bins)
         };
-        if groups.len() <= 1 {
-            return None;
-        }
         Some(
             groups
                 .into_iter()
@@ -781,7 +799,7 @@ impl<'a> AuditContext<'a> {
     /// 2's `unfairness(P, f)`, computed naively by
     /// [`crate::unfairness::average_pairwise`]: the reference the
     /// engine's evaluations are checked against. Zero for fewer than two
-    /// non-empty partitions; empty partitions are skipped.
+    /// live partitions ([`Partition::is_live`]); the others are skipped.
     ///
     /// # Errors
     ///
@@ -790,7 +808,7 @@ impl<'a> AuditContext<'a> {
     pub fn unfairness(&self, parts: &[Partition]) -> Result<f64, AuditError> {
         let live: Vec<&Histogram> = parts
             .iter()
-            .filter(|p| !p.is_empty())
+            .filter(|p| p.is_live())
             .map(|p| &p.histogram)
             .collect();
         average_pairwise(&live, self.distance.as_ref())
@@ -809,8 +827,8 @@ impl<'a> AuditContext<'a> {
         group: &[Partition],
         siblings: &[Partition],
     ) -> Result<f64, AuditError> {
-        let ga: Vec<&Partition> = group.iter().filter(|p| !p.is_empty()).collect();
-        let gb: Vec<&Partition> = siblings.iter().filter(|p| !p.is_empty()).collect();
+        let ga: Vec<&Partition> = group.iter().filter(|p| p.is_live()).collect();
+        let gb: Vec<&Partition> = siblings.iter().filter(|p| p.is_live()).collect();
         if ga.is_empty() || gb.is_empty() {
             return Ok(0.0);
         }

@@ -1071,14 +1071,14 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
     }
 
     /// Full evaluation of `unfairness(parts, f)` — identical to
-    /// [`AuditContext::unfairness`] (pair order, skip rules, and final
-    /// division match exactly). For a distance with an L1 form (`emd`,
-    /// `tv`) every pair is computed, with no memo lookup, insert or
-    /// registry entry: a lookup costs as much as the distance. Those
-    /// pairs come from the distance's batch form when it takes every
-    /// live histogram. For every other distance the pairs go through the
-    /// memo. From 256 live partitions on, the pairs to compute are
-    /// computed in chunks on the worker pool.
+    /// [`AuditContext::unfairness`] (pair order, the liveness rule
+    /// [`Partition::is_live`], and final division match exactly). For a
+    /// distance with an L1 form (`emd`, `tv`) every pair is computed,
+    /// with no memo lookup, insert or registry entry: a lookup costs as
+    /// much as the distance. Those pairs come from the distance's batch
+    /// form when it takes every live histogram. For every other distance
+    /// the pairs go through the memo. From 256 live partitions on, the
+    /// pairs to compute are computed in chunks on the worker pool.
     ///
     /// # Errors
     ///
@@ -1124,12 +1124,12 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
         let ga: Vec<&Partition> = group
             .iter()
             .map(Borrow::borrow)
-            .filter(|p| !p.is_empty())
+            .filter(|p| p.is_live())
             .collect();
         let gb: Vec<&Partition> = siblings
             .iter()
             .map(Borrow::borrow)
-            .filter(|p| !p.is_empty())
+            .filter(|p| p.is_live())
             .collect();
         if ga.is_empty() || gb.is_empty() {
             return Ok(0.0);
@@ -1169,7 +1169,7 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
     }
 
     fn unfairness_refs(&self, parts: &[&Partition]) -> Result<f64, AuditError> {
-        let live: Vec<&Partition> = parts.iter().copied().filter(|p| !p.is_empty()).collect();
+        let live: Vec<&Partition> = parts.iter().copied().filter(|p| p.is_live()).collect();
         let n = live.len();
         if n < 2 {
             return Ok(0.0);
@@ -1406,7 +1406,7 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
                     Some(&(_, children)) => children,
                     None => std::slice::from_ref(part),
                 };
-                for p in live.iter().filter(|p| !p.is_empty()) {
+                for p in live.iter().filter(|p| p.is_live()) {
                     columns.push(form.column(&p.histogram)?);
                 }
             }
@@ -1440,13 +1440,14 @@ pub struct IncrementalEval<'e, 'c, 'a> {
     engine: &'e EvalEngine<'c, 'a>,
     averager: PairwiseAverager<'e, 'c, 'a>,
     /// Averager slot of each seeded partition, by position in the seed
-    /// slice ([`EMPTY_SLOT`] for empty partitions, which are excluded
-    /// from the average exactly as in [`AuditContext::unfairness`]).
+    /// slice ([`EMPTY_SLOT`] for partitions that are not live, which are
+    /// excluded from the average exactly as in
+    /// [`AuditContext::unfairness`]).
     slots: Vec<usize>,
 }
 
-/// Slot sentinel for seeded partitions that are empty (and therefore not
-/// in the averager).
+/// Slot sentinel for seeded partitions that are not live (and therefore
+/// not in the averager).
 const EMPTY_SLOT: usize = usize::MAX;
 
 /// Outcome of a bounded candidate scoring
@@ -1467,8 +1468,9 @@ pub enum CandidateScore {
 }
 
 impl<'e, 'c, 'a> IncrementalEval<'e, 'c, 'a> {
-    /// Seed the evaluator with the current partitioning. Empty
-    /// partitions are skipped, matching the naive evaluation's filter.
+    /// Seed the evaluator with the current partitioning. Partitions that
+    /// are not live ([`Partition::is_live`]) are skipped, matching the
+    /// naive evaluation's filter.
     ///
     /// # Errors
     ///
@@ -1481,7 +1483,7 @@ impl<'e, 'c, 'a> IncrementalEval<'e, 'c, 'a> {
         let mut slots = Vec::with_capacity(parts.len());
         for p in parts {
             let p = p.borrow();
-            slots.push(if p.is_empty() {
+            slots.push(if !p.is_live() {
                 EMPTY_SLOT
             } else {
                 averager.insert_keyed(engine.register(p), p.histogram.clone())?
@@ -1561,11 +1563,7 @@ impl<'e, 'c, 'a> IncrementalEval<'e, 'c, 'a> {
         let before = self.engine.stats().distances_computed;
         let mut child_slots: Vec<usize> = Vec::new();
         for &(_, children) in replacements {
-            for child in children
-                .iter()
-                .map(Borrow::borrow)
-                .filter(|c| !c.is_empty())
-            {
+            for child in children.iter().map(Borrow::borrow).filter(|c| c.is_live()) {
                 child_slots.push(
                     self.averager
                         .insert_keyed(self.engine.register(child), child.histogram.clone())?,
@@ -1598,7 +1596,7 @@ impl<'e, 'c, 'a> IncrementalEval<'e, 'c, 'a> {
         let children: Vec<(u128, &Histogram)> = replacements
             .iter()
             .flat_map(|&(_, kids)| kids.iter().map(Borrow::borrow))
-            .filter(|c| !c.is_empty())
+            .filter(|c| c.is_live())
             .map(|c| (self.engine.register(c), &c.histogram))
             .collect();
         let total = self.averager.len() + children.len();
@@ -1992,10 +1990,12 @@ mod tests {
         assert_eq!(engine.stats().distances_computed, 0);
     }
 
-    /// A set the batch form declines — one live partition whose
-    /// histogram is empty or on another layout — takes the per-pair
-    /// path and returns the error `distance` names, from the chunked
-    /// path, the serial loop and the cross evaluation alike.
+    /// A set the batch form declines takes the per-pair path. A live
+    /// partition on another layout makes every evaluation return the
+    /// error `distance` names, from the chunked path, the serial loop
+    /// and the cross evaluation alike. A partition whose histogram is
+    /// empty is not live, whatever its rows: every evaluation skips it
+    /// and gives the naive reference's value.
     #[test]
     fn declined_batches_return_the_per_pair_error() {
         let (workers, scores) = population_500();
@@ -2007,34 +2007,95 @@ mod tests {
         let ctx = AuditContext::new(&workers, &scores, cfg).unwrap();
         let engine = EvalEngine::new(&ctx);
         let other = BinSpec::equal_width(0.0, 1.0, 7).unwrap();
-        for (odd, want) in [
-            (
-                Histogram::empty(ctx.spec().clone()),
-                DistanceError::EmptyHistogram,
-            ),
-            (
-                Histogram::from_counts(other, vec![1.0; 7]),
-                DistanceError::SpecMismatch,
-            ),
+        let mut foreign = parts.clone();
+        foreign[5].histogram = Histogram::from_counts(other, vec![1.0; 7]);
+        let mut emptied = parts;
+        // The rows stay; only the histogram decides liveness.
+        emptied[5].histogram = Histogram::empty(ctx.spec().clone());
+        for (parts, want) in [
+            (&foreign, DistanceError::SpecMismatch),
+            (&emptied, DistanceError::EmptyHistogram),
         ] {
-            let mut parts = parts.clone();
-            // The rows stay, so the partition stays live.
-            parts[5].histogram = odd;
             let hists: Vec<&Histogram> = parts.iter().map(|p| &p.histogram).collect();
             assert!(ctx.distance().pair_batch(&hists).is_none());
+            assert_eq!(ctx.distance().distance(hists[0], hists[5]), Err(want));
+        }
+        for result in [
+            engine.unfairness(&foreign),
+            engine.unfairness(&foreign[..10]),
+            engine.unfairness_cross(&foreign[..3], &foreign[3..10]),
+        ] {
             assert_eq!(
-                ctx.distance().distance(hists[0], hists[5]),
-                Err(want.clone())
+                result,
+                Err(AuditError::Distance(DistanceError::SpecMismatch))
             );
-            for result in [
-                engine.unfairness(&parts),
-                engine.unfairness(&parts[..10]),
-                engine.unfairness_cross(&parts[..3], &parts[3..10]),
-            ] {
-                assert_eq!(result, Err(AuditError::Distance(want.clone())));
-            }
         }
         assert_eq!(engine.stats().distances_computed, 0);
+        for (got, want) in [
+            (engine.unfairness(&emptied), ctx.unfairness(&emptied)),
+            (
+                engine.unfairness(&emptied[..10]),
+                ctx.unfairness(&emptied[..10]),
+            ),
+            (
+                engine.unfairness_cross(&emptied[..3], &emptied[3..10]),
+                ctx.unfairness_cross(&emptied[..3], &emptied[3..10]),
+            ),
+        ] {
+            assert_eq!(got.unwrap().to_bits(), want.unwrap().to_bits());
+        }
+    }
+
+    /// One liveness rule ([`Partition::is_live`]) for the naive
+    /// reference and every engine evaluation: `population_500`'s
+    /// `all-attributes` partitioning with partition 5's histogram
+    /// emptied (its rows kept) gives the reference's bits on the serial
+    /// and the chunked route, through the batch form and the memo, at
+    /// 1 and 4 threads, and seeds `IncrementalEval` to the same average.
+    #[test]
+    fn partitions_without_mass_are_skipped_by_every_evaluation() {
+        let (workers, scores) = population_500();
+        let mut parts = chunked_input(&workers, &scores);
+        let spec = parts[5].histogram.spec().clone();
+        parts[5].histogram = Histogram::empty(spec);
+        assert!(!parts[5].is_empty() && !parts[5].is_live());
+        let (group, siblings) = parts.split_at(parts.len() / 3);
+        for threads in [1, 4] {
+            for cfg in [
+                AuditConfig {
+                    threads: Some(threads),
+                    ..AuditConfig::default()
+                },
+                pairwise_config(threads),
+            ] {
+                let ctx = AuditContext::new(&workers, &scores, cfg).unwrap();
+                let name = ctx.distance().name();
+                let full = ctx.unfairness(&parts).unwrap();
+                assert_eq!(full, 0.2311205237504325, "{name}");
+                let engine = EvalEngine::new(&ctx);
+                for (got, want) in [
+                    (engine.unfairness(&parts), full),
+                    (engine.unfairness_union(group, siblings), full),
+                    (
+                        engine.unfairness(&parts[..10]),
+                        ctx.unfairness(&parts[..10]).unwrap(),
+                    ),
+                    (
+                        engine.unfairness_cross(&parts[..3], &parts[3..10]),
+                        ctx.unfairness_cross(&parts[..3], &parts[3..10]).unwrap(),
+                    ),
+                ] {
+                    assert_eq!(
+                        got.unwrap().to_bits(),
+                        want.to_bits(),
+                        "{name}, {threads} threads"
+                    );
+                }
+                let seeded = IncrementalEval::new(&engine, &parts[..10]).unwrap();
+                let naive = ctx.unfairness(&parts[..10]).unwrap();
+                assert!((seeded.average() - naive).abs() < 1e-12, "{name}");
+            }
+        }
     }
 
     #[test]

@@ -42,8 +42,9 @@ pub enum AuditError {
         /// The configured budget (number of candidate partitionings).
         budget: usize,
     },
-    /// The operation needs in-memory table data (raw columns or the raw
-    /// score vector) that a paged out-of-core context does not hold.
+    /// The operation needs the raw score vector, which a paged
+    /// out-of-core context does not hold (the permutation test shuffles
+    /// it; every search runs on the derived columns).
     OutOfCore {
         /// What was attempted.
         what: &'static str,

@@ -33,6 +33,15 @@ impl Partition {
         self.rows.is_empty()
     }
 
+    /// True when the partition's histogram holds mass: the one liveness
+    /// rule of every unfairness evaluation, naive and engine alike. A
+    /// partition that is not live takes no part in Definition 2's
+    /// average, whatever its rows (splits never build one; hand-built
+    /// partitions can).
+    pub fn is_live(&self) -> bool {
+        !self.histogram.is_empty()
+    }
+
     /// Human-readable description against a table's schema.
     pub fn describe(&self, table: &Table) -> String {
         self.describe_in(table.schema())

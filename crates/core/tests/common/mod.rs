@@ -7,7 +7,12 @@ use fairjob_core::algorithms::{
 use fairjob_core::{AuditConfig, AuditContext, AuditResult};
 use fairjob_marketplace::scoring::{LinearScore, RuleBasedScore, ScoringFunction};
 use fairjob_marketplace::{bucketise_numeric_protected, generate_uniform};
-use fairjob_store::{ShardPolicy, Table};
+use fairjob_store::column::CodeColumn;
+use fairjob_store::index::IndexSet;
+use fairjob_store::paged::write_paged;
+use fairjob_store::{RowSet, ShardPolicy, Table};
+use std::path::PathBuf;
+use std::sync::Arc;
 
 /// A generated population scored by the rule-based f7 (`rule`) or the
 /// linear f1.
@@ -50,4 +55,46 @@ pub fn run_mem(
 ) -> AuditResult {
     let ctx = AuditContext::new(workers, scores, layout(shards, threads)).unwrap();
     worst_audit(&ctx, balanced)
+}
+
+/// The in-memory context over the `live` subset of `workers`, through
+/// the stream layer's validated parts path.
+pub fn live_context<'a>(workers: &'a Table, scores: &'a [f64], live: &RowSet) -> AuditContext<'a> {
+    let indexes = Arc::new(IndexSet::build(workers, &workers.schema().splittable()).unwrap());
+    let bins = fairjob_hist::BinSpec::equal_width(0.0, 1.0, 10).unwrap();
+    let bin_of = Arc::new(CodeColumn::from_values(10, &bins.bin_indices(scores)));
+    AuditContext::from_parts(
+        workers,
+        scores,
+        AuditConfig::default(),
+        indexes,
+        bin_of,
+        Some(live.clone()),
+        0,
+    )
+    .unwrap()
+}
+
+/// A scratch paged file, removed on drop. Named by test + params so
+/// concurrent proptest cases never collide.
+pub struct TempPaged(pub PathBuf);
+
+impl TempPaged {
+    /// Write `workers` and `scores` (restricted to `live`, when given)
+    /// to a fresh paged file.
+    pub fn write(tag: &str, workers: &Table, scores: &[f64], live: Option<&RowSet>) -> Self {
+        let mut path = std::env::temp_dir();
+        path.push(format!(
+            "fairjob-core-test-{}-{tag}.fjp",
+            std::process::id()
+        ));
+        write_paged(&path, workers, Some(scores), live, 0, 10).unwrap();
+        TempPaged(path)
+    }
+}
+
+impl Drop for TempPaged {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
 }

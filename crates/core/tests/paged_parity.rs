@@ -8,40 +8,11 @@
 
 mod common;
 
-use common::{layout, population, run_mem, worst_audit};
-use fairjob_core::algorithms::{balanced::Balanced, Algorithm, AttributeChoice};
+use common::{layout, live_context, population, run_mem, worst_audit, TempPaged};
+use fairjob_core::algorithms::{balanced::Balanced, by_name, Algorithm, AttributeChoice};
 use fairjob_core::{AuditConfig, AuditContext, AuditResult, EngineStats};
-use fairjob_store::paged::write_paged;
 use fairjob_store::{PagedStore, RowSet, ShardPolicy};
 use proptest::prelude::*;
-use std::path::PathBuf;
-
-/// A scratch paged file, removed on drop. Named by test + params so
-/// concurrent proptest cases never collide.
-struct TempPaged(PathBuf);
-
-impl TempPaged {
-    fn write(
-        tag: &str,
-        workers: &fairjob_store::table::Table,
-        scores: &[f64],
-        live: Option<&RowSet>,
-    ) -> Self {
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "fairjob-paged-parity-{}-{tag}.fjp",
-            std::process::id()
-        ));
-        write_paged(&path, workers, Some(scores), live, 0, 10).unwrap();
-        TempPaged(path)
-    }
-}
-
-impl Drop for TempPaged {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
 
 fn run_paged(
     store: &PagedStore,
@@ -98,27 +69,8 @@ fn live_subset_roundtrips_and_audits_identically() {
     let store = PagedStore::open(&tmp.0, 1 << 20).unwrap();
     assert_eq!(store.live(), Some(&live));
 
-    // In-memory baseline over the same subset, through the stream
-    // layer's validated parts path.
-    let indexes = std::sync::Arc::new(
-        fairjob_store::index::IndexSet::build(&workers, &workers.schema().splittable()).unwrap(),
-    );
-    let bin_of = std::sync::Arc::new(fairjob_store::column::CodeColumn::from_values(
-        10,
-        &fairjob_hist::BinSpec::equal_width(0.0, 1.0, 10)
-            .unwrap()
-            .bin_indices(&scores),
-    ));
-    let ctx_mem = AuditContext::from_parts(
-        &workers,
-        &scores,
-        AuditConfig::default(),
-        indexes,
-        bin_of,
-        Some(live.clone()),
-        0,
-    )
-    .unwrap();
+    // In-memory baseline over the same subset.
+    let ctx_mem = live_context(&workers, &scores, &live);
     let algorithm = Balanced::new(AttributeChoice::Worst);
     let mem = algorithm.run(&ctx_mem).unwrap();
 
@@ -127,6 +79,48 @@ fn live_subset_roundtrips_and_audits_identically() {
     assert_eq!(paged.unfairness.to_bits(), mem.unfairness.to_bits());
     assert_eq!(paged.partitioning.len(), mem.partitioning.len());
     assert_eq!(engine_local(&paged.engine), engine_local(&mem.engine));
+}
+
+/// `all-attributes` and `subset-exact` take their cells from the split
+/// kernel, so they run paged: with and without a live bitmap they give
+/// the in-memory audit's bits and partitions (predicates, rows,
+/// histograms, in order) and its engine-local counters.
+#[test]
+fn cell_algorithms_run_paged_bit_identically() {
+    let (workers, scores) = population(500, 9, true);
+    let live = RowSet::from_sorted(
+        (0..workers.len() as u32)
+            .filter(|row| row % 5 != 2)
+            .collect(),
+    );
+    let full = TempPaged::write("cells-full", &workers, &scores, None);
+    let subset = TempPaged::write("cells-live", &workers, &scores, Some(&live));
+    let mem_full = AuditContext::new(&workers, &scores, AuditConfig::default()).unwrap();
+    let mem_live = live_context(&workers, &scores, &live);
+    for name in ["all-attributes", "subset-exact"] {
+        let algorithm = by_name(name, 0).unwrap();
+        for (tmp, mem) in [(&full, &mem_full), (&subset, &mem_live)] {
+            let store = PagedStore::open(&tmp.0, 1 << 20).unwrap();
+            let ctx = AuditContext::from_paged(&store, AuditConfig::default(), None, None).unwrap();
+            let paged = algorithm.run(&ctx).unwrap();
+            let want = algorithm.run(mem).unwrap();
+            assert_eq!(
+                paged.unfairness.to_bits(),
+                want.unfairness.to_bits(),
+                "{name}"
+            );
+            assert_eq!(
+                paged.partitioning.partitions(),
+                want.partitioning.partitions(),
+                "{name}"
+            );
+            assert_eq!(
+                engine_local(&paged.engine),
+                engine_local(&want.engine),
+                "{name}"
+            );
+        }
+    }
 }
 
 #[test]

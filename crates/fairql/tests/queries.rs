@@ -120,6 +120,60 @@ fn filtered_audit_audits_only_matching_rows() {
     assert_eq!(total as usize, india);
 }
 
+/// The cell algorithms audit exactly the rows a `WHERE` keeps: the
+/// filtered audit's bits and partition listing equal the same audit
+/// over a table of only the matching rows, and no cell is Female.
+#[test]
+fn filtered_cell_audits_equal_audits_of_the_matching_rows() {
+    let (table, scores) = population(500);
+    let gender = table.schema().index_of("gender").unwrap();
+    let male = table.schema().attribute(gender).code_of("Male").unwrap();
+    let mut men = Table::new(table.schema().clone());
+    let mut men_scores = Vec::new();
+    for (row, &score) in scores.iter().enumerate() {
+        if table.code_at(gender, row).unwrap() == male {
+            men.push_row(&table.row(row).unwrap()).unwrap();
+            men_scores.push(score);
+        }
+    }
+    let audit = |table: &Table, scores: &[f64], query: &str| {
+        let mut outputs = session(table, scores).execute(query).unwrap();
+        match outputs.remove(0) {
+            QueryOutput::Audit { summary, rows } => (summary, rows),
+            other => panic!("not an audit output: {other:?}"),
+        }
+    };
+    for algorithm in ["all-attributes", "subset-exact"] {
+        let (filtered, filtered_rows) = audit(
+            &table,
+            &scores,
+            &format!("AUDIT workers WHERE gender = 'Male' USING {algorithm}"),
+        );
+        let (direct, direct_rows) = audit(
+            &men,
+            &men_scores,
+            &format!("AUDIT workers USING {algorithm}"),
+        );
+        assert_eq!(filtered.population, men.len(), "{algorithm}");
+        assert_eq!(
+            filtered.unfairness_bits(),
+            direct.unfairness_bits(),
+            "{algorithm}"
+        );
+        assert_eq!(filtered.partitions, direct.partitions, "{algorithm}");
+        assert_eq!(filtered_rows, direct_rows, "{algorithm}");
+        for row in &filtered_rows.rows {
+            let Value::Str(partition) = &row[0] else {
+                panic!("unexpected {row:?}")
+            };
+            assert!(
+                !partition.contains("gender=Female"),
+                "{algorithm}: {partition}"
+            );
+        }
+    }
+}
+
 #[test]
 fn repeated_audit_reuses_warm_caches() {
     let (table, scores) = population(400);

@@ -41,7 +41,11 @@ pub fn group_by(
 
 /// Group `within` by several categorical attributes at once: the full
 /// cartesian refinement (only non-empty cells are returned). Each group
-/// is keyed by its code vector, aligned with `attrs`.
+/// is keyed by its code vector, aligned with `attrs`, in key order.
+///
+/// No audit builds its partitions here: the audit layer's
+/// `AuditContext::cells` refines through the split kernel instead, and
+/// this scan is kept as that builder's test oracle.
 ///
 /// # Errors
 ///

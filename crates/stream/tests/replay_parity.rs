@@ -5,8 +5,11 @@
 //! retained memo entry is exactly the distance a recompute would
 //! produce, and a patched split entry is exactly the kernel's output.
 
-use fairjob_core::algorithms::{balanced::Balanced, unbalanced::Unbalanced, AttributeChoice};
-use fairjob_core::AuditConfig;
+use fairjob_core::algorithms::{
+    balanced::Balanced, by_name, unbalanced::Unbalanced, Algorithm, AttributeChoice,
+    ALGORITHM_NAMES,
+};
+use fairjob_core::{AuditConfig, AuditContext};
 use fairjob_marketplace::stream::{generate_stream, StreamConfig};
 use fairjob_store::ShardPolicy;
 use fairjob_stream::{same_partitioning, StreamAuditor, StreamView};
@@ -20,7 +23,7 @@ fn assert_replay_parity(
     events_per_epoch: usize,
     seed: u64,
     threads: usize,
-    balanced: bool,
+    algorithm: &dyn Algorithm,
 ) {
     let scenario = generate_stream(&StreamConfig {
         initial,
@@ -35,20 +38,15 @@ fn assert_replay_parity(
     };
     let view = StreamView::new(scenario.initial, scenario.scores, config.bins).unwrap();
     let mut auditor = StreamAuditor::new(view, config).unwrap();
-    let balanced_algo = Balanced::new(AttributeChoice::Worst);
-    let unbalanced_algo = Unbalanced::new(AttributeChoice::Worst);
-    let algorithm: &dyn fairjob_core::algorithms::Algorithm = if balanced {
-        &balanced_algo
-    } else {
-        &unbalanced_algo
-    };
+    let name = algorithm.name();
     auditor.audit(algorithm).unwrap();
     for events in scenario.events.epochs() {
         let warm = auditor.run_epoch(events, algorithm).unwrap();
         let cold = auditor.cold_audit(algorithm).unwrap();
         prop_assert!(
             same_partitioning(&warm.audit.partitioning, &cold.partitioning),
-            "epoch {} ({} threads): warm partitioning {:?} != cold {:?}",
+            "{}, epoch {} ({} threads): warm partitioning {:?} != cold {:?}",
+            name,
             warm.epoch,
             threads,
             warm.audit
@@ -66,7 +64,8 @@ fn assert_replay_parity(
         prop_assert_eq!(
             warm.audit.unfairness.to_bits(),
             cold.unfairness.to_bits(),
-            "epoch {} ({} threads): warm unfairness {} != cold {}",
+            "{}, epoch {} ({} threads): warm unfairness {} != cold {}",
+            name,
             warm.epoch,
             threads,
             warm.audit.unfairness,
@@ -87,7 +86,8 @@ proptest! {
         events_per_epoch in 3usize..12,
     ) {
         for threads in [1usize, 2, 3] {
-            assert_replay_parity(initial, 4, events_per_epoch, seed, threads, true);
+            let algorithm = Balanced::new(AttributeChoice::Worst);
+            assert_replay_parity(initial, 4, events_per_epoch, seed, threads, &algorithm);
         }
     }
 
@@ -100,7 +100,22 @@ proptest! {
         events_per_epoch in 3usize..10,
     ) {
         for threads in [1usize, 3] {
-            assert_replay_parity(initial, 3, events_per_epoch, seed, threads, false);
+            let algorithm = Unbalanced::new(AttributeChoice::Worst);
+            assert_replay_parity(initial, 3, events_per_epoch, seed, threads, &algorithm);
+        }
+    }
+
+    /// Every algorithm `by_name` knows, the cell searches included,
+    /// under the same contract: removed workers leave every partition.
+    #[test]
+    fn every_algorithm_replays_like_a_cold_batch(
+        initial in 40usize..100,
+        seed in 0u64..1_000,
+        events_per_epoch in 4usize..10,
+    ) {
+        for name in ALGORITHM_NAMES {
+            let algorithm = by_name(name, seed).unwrap();
+            assert_replay_parity(initial, 3, events_per_epoch, seed, 2, algorithm.as_ref());
         }
     }
 
@@ -153,5 +168,47 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// The cell searches follow a snapshot's live rows: on a stream state
+/// with removed workers, `all-attributes` and `subset-exact` over the
+/// snapshot equal a cold audit of the compacted table.
+#[test]
+fn cell_searches_on_a_snapshot_with_removed_workers_match_a_cold_audit() {
+    let scenario = generate_stream(&StreamConfig {
+        initial: 120,
+        epochs: 3,
+        events_per_epoch: 20,
+        seed: 11,
+        alpha: 0.5,
+    });
+    let mut view = StreamView::new(scenario.initial, scenario.scores, 10).unwrap();
+    for events in scenario.events.epochs() {
+        view.apply_epoch(events).unwrap();
+    }
+    let snapshot = view.snapshot();
+    assert!(
+        snapshot.live_count() < snapshot.table().len(),
+        "the scenario must remove workers"
+    );
+    let (table, scores) = snapshot.compact().unwrap();
+    for name in ["all-attributes", "subset-exact"] {
+        let algorithm = by_name(name, 0).unwrap();
+        let ctx = snapshot.context(AuditConfig::default()).unwrap();
+        let warm = algorithm.run(&ctx).unwrap();
+        let ctx = AuditContext::new(&table, &scores, AuditConfig::default()).unwrap();
+        let cold = algorithm.run(&ctx).unwrap();
+        assert!(
+            same_partitioning(&warm.partitioning, &cold.partitioning),
+            "{name}: {} partitions != cold {}",
+            warm.partitioning.len(),
+            cold.partitioning.len()
+        );
+        assert_eq!(
+            warm.unfairness.to_bits(),
+            cold.unfairness.to_bits(),
+            "{name}"
+        );
     }
 }
