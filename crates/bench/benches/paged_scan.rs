@@ -7,8 +7,8 @@
 //!
 //! - the 4×-over-budget paged audit finishes in **at most 1.5×** the
 //!   in-memory end-to-end runtime — the gate that keeps the paged scan
-//!   path (fused per-page classification, page-ordered index build,
-//!   page-aligned shards) honest;
+//!   path (fused per-page classification, code pages folded page by
+//!   page into the cell cube) honest;
 //! - paged and in-memory audits are **bit-identical** (unfairness bits
 //!   and partition count) — at the tight budget and at an unbounded
 //!   one;

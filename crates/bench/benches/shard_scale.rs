@@ -12,7 +12,9 @@
 //!
 //! It also extends the machine-readable perf trajectory: a
 //! `BENCH_shard.json` next to the workspace root with the 1M-row
-//! end-to-end timing, uploaded as a CI artifact.
+//! end-to-end timing of the two-attribute audit (best of three, one
+//! thread) and of the six-attribute `balanced` audit (median of five,
+//! the machine's threads; no bound), uploaded as a CI artifact.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fairjob_core::algorithms::{balanced::Balanced, Algorithm, AttributeChoice};
@@ -42,15 +44,15 @@ fn population(rows: usize) -> (Table, Vec<f64>) {
 }
 
 /// Protected attributes of the scale audit. Two low-cardinality
-/// attributes keep the workload dominated by the per-row kernels
-/// (classification, index build, split walks); auditing every attribute
-/// instead drowns them in exact-EMD solves over ~1800 partitions and
-/// measures the solver, not the layout.
+/// attributes keep the workload dominated by the per-row passes
+/// (classification into the cell cube, the returned partitioning's row
+/// sets); auditing every attribute adds the pairwise distances of up to
+/// 1 800 partitions, timed separately by [`time_all_attributes_audit`].
 const SCALE_ATTRS: &[&str] = &["gender", "country"];
 
-/// One end-to-end audit: context build (validation + classification +
-/// index build) plus the balanced search — everything the shard layout
-/// touches. `attrs = None` audits every protected attribute.
+/// One end-to-end audit: context build (validation + classification
+/// into the cell cube) plus the balanced search — everything the shard
+/// layout touches. `attrs = None` audits every protected attribute.
 fn run_audit(
     table: &Table,
     scores: &[f64],
@@ -107,6 +109,22 @@ fn time_scale_audit(table: &Table, scores: &[f64]) -> u128 {
     })
 }
 
+/// Median of five end-to-end six-attribute `balanced` audits of the
+/// [`SCALE_ROWS`]-row population (context build included) at the
+/// machine's thread count, in microseconds, with that thread count.
+fn time_all_attributes_audit(table: &Table, scores: &[f64]) -> (u128, usize) {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut runs: Vec<u128> = (0..5)
+        .map(|_| {
+            let started = Instant::now();
+            black_box(run_audit(table, scores, ShardPolicy::Auto, threads, None));
+            started.elapsed().as_micros()
+        })
+        .collect();
+    runs.sort_unstable();
+    (runs[runs.len() / 2], threads)
+}
+
 /// Bit-identity and counter attribution across shard × thread layouts.
 fn assert_layout_parity(table: &Table, scores: &[f64]) {
     let baseline = run_audit(table, scores, ShardPolicy::Fixed(1), 1, None);
@@ -140,10 +158,11 @@ fn assert_layout_parity(table: &Table, scores: &[f64]) {
 }
 
 /// Write the machine-readable trajectory next to the workspace root.
-fn write_bench_json(sharded_us: u128) {
+fn write_bench_json(sharded_us: u128, (all_attrs_us, all_attrs_threads): (u128, usize)) {
     let json = format!(
         "{{\"bench\":\"shard_scale\",\"rows\":{SCALE_ROWS},\
-\"attrs\":\"{}\",\"sharded_us\":{sharded_us}}}\n",
+\"attrs\":\"{}\",\"sharded_us\":{sharded_us},\
+\"all_attrs_balanced_us\":{all_attrs_us},\"all_attrs_threads\":{all_attrs_threads}}}\n",
         SCALE_ATTRS.join(","),
     );
     // `cargo bench` runs with the package directory as cwd; BENCH_*.json
@@ -165,7 +184,8 @@ fn bench_shard_scale(c: &mut Criterion) {
 
     let (scale_table, scale_scores) = population(SCALE_ROWS);
     let sharded_us = time_scale_audit(&scale_table, &scale_scores);
-    write_bench_json(sharded_us);
+    let all_attrs = time_all_attributes_audit(&scale_table, &scale_scores);
+    write_bench_json(sharded_us, all_attrs);
     drop((scale_table, scale_scores));
 
     let (table, scores) = population(BENCH_ROWS);

@@ -7,15 +7,18 @@
 //! Two paths are compared. The naive path re-runs the
 //! posting-intersection oracle ([`AuditContext::split_legacy`]) for every
 //! request, every round. The engine path answers through
-//! [`EvalEngine::split_batch`]: the split kernel on first touch, the
+//! [`EvalEngine::split_batch`]: the context's cell cube on first touch
+//! (a partition's cells grouped by the attribute's code), the
 //! fingerprint-keyed split cache afterwards.
 //!
 //! Beyond timing, this bench *asserts* the fast path's contract with
 //! real counters (row scans and split computations, not wall-clock):
-//! the engine must scan at least 5× fewer rows and compute at least 3×
-//! fewer splits than the naive path over the same trajectory, the final
-//! unfairness must stay within 1e-9 of the naive value, and the engine
-//! trajectory must be bit-identical for every worker-thread count.
+//! the engine must read at least 5× fewer rows (`rows_scanned`: the
+//! rows read into the cube at context build; splits read cells) and
+//! compute at least 3× fewer splits than the naive path over the same
+//! trajectory, the final unfairness must stay within 1e-9 of the naive
+//! value, and the engine trajectory must be bit-identical for every
+//! worker-thread count.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fairjob_bench::prepare_population;
@@ -113,8 +116,8 @@ fn naive_search(w: &Workload<'_>) -> (Vec<Partition>, u64, u64) {
     (current, splits, rows)
 }
 
-/// The same greedy search answered through the engine's split cache and
-/// deterministic parallel candidate batches.
+/// The same greedy search answered through the engine's split cache
+/// and the context's cell cube.
 fn engine_search(engine: &EvalEngine<'_, '_>, w: &Workload<'_>) -> Vec<Arc<Partition>> {
     let mut current: Vec<Arc<Partition>> = w.base.iter().cloned().map(Arc::new).collect();
     for _ in 0..ROUNDS {

@@ -11,8 +11,11 @@
 //! partitioning and unfairness value:
 //!
 //! * under the default `emd` the warm audit scans at least 5× fewer
-//!   rows than the cold rebuild, and keeps no distance memo (`emd` sums
-//!   its full evaluations directly);
+//!   rows than the cold rebuild (`rows_scanned`: rows read into the
+//!   cell cube — the cold context reads every live row, while the view
+//!   patches its cube as events apply and the warm context projects it,
+//!   reading none), and keeps no distance memo (`emd` sums its full
+//!   evaluations directly);
 //! * under `PairwiseEmd`, `Emd1d` without its L1 form (the same
 //!   distances, so the same splits), which memoizes full evaluations,
 //!   the warm audit computes at least 5× fewer distances than the cold
@@ -21,9 +24,8 @@
 //! The workload (size, seed) is deterministic and chosen so no epoch
 //! flips a greedy split decision: when an epoch *does* change which
 //! split the search commits, the affected subtree legitimately
-//! recomputes (cold does the same work) and the row ratio for that one
-//! epoch can drop below 5× even though parity always holds. Typical
-//! stable-structure epochs here reuse >99.9% of the cached work.
+//! recomputes (cold does the same work), so the distance ratio for that
+//! one epoch can drop below 5× even though parity always holds.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fairjob_bench::PairwiseEmd;

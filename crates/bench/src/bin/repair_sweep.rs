@@ -58,7 +58,7 @@ fn main() {
             .partitioning
             .partitions()
             .iter()
-            .map(|p| p.rows.clone())
+            .map(|p| p.rows().clone())
             .collect();
 
         let mut audited_row = vec![format!("{} audited", function.name())];

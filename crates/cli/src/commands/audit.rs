@@ -65,68 +65,108 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     let scorer =
         crate::commands::resolve_scorer(args.optional("function"), args.optional("alpha"), seed)?;
     let algorithm = resolve_algorithm(args.optional("algorithm").unwrap_or("balanced"), seed)?;
-    let bins: usize = args.parsed_or("bins", 10)?;
-    let metric = resolve_metric(args.optional("metric").unwrap_or("emd"))?;
-    let permutations: usize = args.parsed_or("permutations", 0)?;
-
+    let config = audit_config(&args)?;
     let scores = scorer
         .score_all(&workers)
         .map_err(|e| CliError::Run(format!("scoring with {}: {e}", scorer.name())))?;
-    let config = AuditConfig {
-        bins,
-        distance: metric,
-        shards: crate::commands::parse_shards(&args)?,
-        ..Default::default()
-    };
     let ctx = AuditContext::new(&workers, &scores, config)
         .map_err(|e| CliError::Run(format!("audit setup: {e}")))?;
-    let result = algorithm
-        .run(&ctx)
-        .map_err(|e| CliError::Run(format!("{}: {e}", algorithm.name())))?;
-
-    if args.switch("json") {
-        return Ok(format!("{}\n", result.to_json(&ctx)));
-    }
-    let mut out = format!("scoring function: {}\n", scorer.name());
-    out.push_str(&result.render(&ctx, args.switch("histograms")));
-    if permutations > 0 {
-        let test = permutation_test(&ctx, &result.partitioning, permutations, seed)
-            .map_err(|e| CliError::Run(format!("permutation test: {e}")))?;
-        out.push_str(&format!(
-            "permutation test ({} replicates): null mean {:.4}, null max {:.4}, p = {:.4}\n",
-            test.replicates, test.null_mean, test.null_max, test.p_value
-        ));
-    }
-    Ok(out)
+    report(
+        &args,
+        &ctx,
+        algorithm.as_ref(),
+        format!("scoring function: {}\n", scorer.name()),
+    )
 }
+
+/// The flags only an in-memory audit reads: the population and its
+/// scoring function.
+const IN_MEMORY_ONLY: &[&str] = &["workers", "function", "alpha"];
 
 /// The out-of-core path: stream the audit off a paged snapshot file
 /// through a bounded page cache instead of loading the population.
-/// Scores come from the file, so `--function`/`--alpha` do not apply;
-/// results are bit-identical to the in-memory audit of the same
-/// population at every `--mem-budget`.
+/// Scores come from the file, so `--workers`, `--function` and
+/// `--alpha` are usage errors; results are bit-identical to the
+/// in-memory audit of the same population at every `--mem-budget`.
+/// The permutation test needs the scores in memory, so
+/// `--permutations N` (N > 0) fails with its out-of-core error.
 fn run_paged(args: &Args, path: &str) -> Result<String, CliError> {
+    if let Some(flag) = IN_MEMORY_ONLY
+        .iter()
+        .find(|flag| args.optional(flag).is_some())
+    {
+        return Err(CliError::Usage(format!(
+            "`--{flag}` does not apply to `--paged` audits: the population and its scores come from the file"
+        )));
+    }
     let seed: u64 = args.parsed_or("seed", 0xBEEF)?;
     let algorithm = resolve_algorithm(args.optional("algorithm").unwrap_or("balanced"), seed)?;
-    let bins: usize = args.parsed_or("bins", 10)?;
-    let metric = resolve_metric(args.optional("metric").unwrap_or("emd"))?;
+    let config = audit_config(args)?;
     let store = crate::commands::open_paged(path, crate::commands::parse_mem_budget(args)?)?;
-    let config = AuditConfig {
-        bins,
-        distance: metric,
-        shards: crate::commands::parse_shards(args)?,
-        ..Default::default()
-    };
     let ctx = AuditContext::from_paged(&store, config, None, None)
         .map_err(|e| CliError::Run(format!("audit setup: {e}")))?;
+    report(
+        args,
+        &ctx,
+        algorithm.as_ref(),
+        format!("paged store: {path} ({} rows)\n", ctx.rows()),
+    )
+}
+
+/// The audit config of the `--bins`, `--metric` and `--shards` flags.
+fn audit_config(args: &Args) -> Result<AuditConfig, CliError> {
+    Ok(AuditConfig {
+        bins: args.parsed_or("bins", 10)?,
+        distance: resolve_metric(args.optional("metric").unwrap_or("emd"))?,
+        shards: crate::commands::parse_shards(args)?,
+        ..Default::default()
+    })
+}
+
+/// Run `algorithm` on `ctx`, then the permutation test when
+/// `--permutations N` asks for one (N > 0), and render the report:
+/// `--json`, or `header` followed by the text report.
+fn report(
+    args: &Args,
+    ctx: &AuditContext<'_>,
+    algorithm: &(dyn Algorithm + Send + Sync),
+    header: String,
+) -> Result<String, CliError> {
+    let seed: u64 = args.parsed_or("seed", 0xBEEF)?;
+    let permutations: usize = args.parsed_or("permutations", 0)?;
     let result = algorithm
-        .run(&ctx)
+        .run(ctx)
         .map_err(|e| CliError::Run(format!("{}: {e}", algorithm.name())))?;
+    let test = if permutations > 0 {
+        Some(
+            permutation_test(ctx, &result.partitioning, permutations, seed)
+                .map_err(|e| CliError::Run(format!("permutation test: {e}")))?,
+        )
+    } else {
+        None
+    };
     if args.switch("json") {
-        return Ok(format!("{}\n", result.to_json(&ctx)));
+        let json = result.to_json(ctx);
+        return Ok(match test {
+            None => format!("{json}\n"),
+            Some(t) => format!(
+                "{},\"permutation_test\":{{\"replicates\":{},\"null_mean\":{},\"null_max\":{},\"p_value\":{}}}}}\n",
+                json.strip_suffix('}').expect("a JSON object"),
+                t.replicates,
+                t.null_mean,
+                t.null_max,
+                t.p_value
+            ),
+        });
     }
-    let mut out = format!("paged store: {path} ({} rows)\n", ctx.rows());
-    out.push_str(&result.render(&ctx, args.switch("histograms")));
+    let mut out = header;
+    out.push_str(&result.render(ctx, args.switch("histograms")));
+    if let Some(t) = test {
+        out.push_str(&format!(
+            "permutation test ({} replicates): null mean {:.4}, null max {:.4}, p = {:.4}\n",
+            t.replicates, t.null_mean, t.null_max, t.p_value
+        ));
+    }
     Ok(out)
 }
 

@@ -49,7 +49,7 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         .partitioning
         .partitions()
         .iter()
-        .map(|p| p.rows.clone())
+        .map(|p| p.rows().clone())
         .collect();
     let repaired = repair_scores(&scores, &groups, &RepairConfig { lambda, target })
         .map_err(|e| CliError::Run(format!("repair: {e}")))?;

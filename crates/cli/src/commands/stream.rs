@@ -23,16 +23,13 @@ fn render_epoch(report: &EpochReport, initial: bool, checked: bool) -> String {
         )
     } else {
         format!(
-            "epoch {}: {} events, {} row changes, live {}\n  invalidation: distances {} evicted / {} retained; splits {} evicted / {} patched / {} retained",
+            "epoch {}: {} events, {} row changes, live {}\n  invalidation: distances {} evicted / {} retained",
             report.epoch,
             report.events,
             report.changes,
             report.live_workers,
             report.invalidation.distances_evicted,
             report.invalidation.distances_retained,
-            report.invalidation.splits_evicted,
-            report.invalidation.splits_patched,
-            report.invalidation.splits_retained,
         )
     };
     out.push_str(&format!(
@@ -58,7 +55,7 @@ fn render_epoch(report: &EpochReport, initial: bool, checked: bool) -> String {
 fn json_epoch(report: &EpochReport) -> String {
     format!(
         "{{\"epoch\":{},\"events\":{},\"changes\":{},\"live\":{},\"unfairness\":{},\"partitions\":{},\
-\"invalidation\":{{\"distances_evicted\":{},\"distances_retained\":{},\"splits_evicted\":{},\"splits_patched\":{},\"splits_retained\":{}}},\
+\"invalidation\":{{\"distances_evicted\":{},\"distances_retained\":{}}},\
 \"engine\":{{\"distances_computed\":{},\"cache_hits\":{},\"rows_scanned\":{},\"bounds_screened\":{},\"exact_solves\":{},\"pool_tasks\":{},\"ground_cache_hits\":{},\"scratch_reuses\":{},\"warm_starts\":{}}}}}",
         report.epoch,
         report.events,
@@ -68,9 +65,6 @@ fn json_epoch(report: &EpochReport) -> String {
         report.audit.partitioning.partitions().len(),
         report.invalidation.distances_evicted,
         report.invalidation.distances_retained,
-        report.invalidation.splits_evicted,
-        report.invalidation.splits_patched,
-        report.invalidation.splits_retained,
         report.audit.engine.distances_computed,
         report.audit.engine.cache_hits,
         report.audit.engine.rows_scanned,

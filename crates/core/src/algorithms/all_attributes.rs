@@ -4,7 +4,6 @@
 use super::Algorithm;
 use crate::engine::EvalEngine;
 use crate::error::AuditError;
-use crate::partition::Partitioning;
 use crate::report::AuditResult;
 use crate::AuditContext;
 use std::time::Instant;
@@ -20,9 +19,10 @@ impl Algorithm for AllAttributes {
 
     fn run(&self, ctx: &AuditContext<'_>) -> Result<AuditResult, AuditError> {
         let start = Instant::now();
-        let partitioning = Partitioning::new(ctx.cells(ctx.attributes()));
+        let cells = ctx.cells(ctx.attributes());
         let engine = EvalEngine::new(ctx);
-        let unfairness = engine.unfairness(partitioning.partitions())?;
+        let unfairness = engine.unfairness(&cells)?;
+        let partitioning = ctx.partitioning(&cells);
         Ok(AuditResult {
             algorithm: self.name(),
             partitioning,

@@ -9,7 +9,7 @@
 //! Because every round splits all leaves with the same attribute, the
 //! resulting partition tree is balanced.
 
-use super::{choose_attribute, into_partitioning, Algorithm, AttributeChoice};
+use super::{choose_attribute, Algorithm, AttributeChoice};
 use crate::engine::EvalEngine;
 use crate::error::AuditError;
 use crate::report::AuditResult;
@@ -98,7 +98,7 @@ impl Algorithm for Balanced {
 
         Ok(AuditResult {
             algorithm: self.name(),
-            partitioning: into_partitioning(current),
+            partitioning: ctx.partitioning(&current),
             unfairness: current_avg,
             elapsed: start.elapsed(),
             candidates_evaluated: evaluations,

@@ -7,7 +7,7 @@
 //! predictable `width ×` cost factor. Used in the ablation bench to ask
 //! how much the greedy commitment loses.
 
-use super::{into_partitioning, Algorithm};
+use super::Algorithm;
 use crate::engine::EvalEngine;
 use crate::error::AuditError;
 use crate::partition::Partition;
@@ -97,7 +97,7 @@ impl Algorithm for Beam {
 
         Ok(AuditResult {
             algorithm: self.name(),
-            partitioning: into_partitioning(best.0),
+            partitioning: ctx.partitioning(&best.0),
             unfairness: best.1,
             elapsed: start.elapsed(),
             candidates_evaluated: evaluations,

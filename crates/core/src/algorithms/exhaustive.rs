@@ -17,7 +17,7 @@
 //!   Bell number of the cell count; it exists to measure how much the
 //!   tree restriction gives up on small instances.
 
-use super::{into_partitioning, Algorithm};
+use super::Algorithm;
 use crate::engine::EvalEngine;
 use crate::error::AuditError;
 use crate::partition::Partition;
@@ -53,8 +53,8 @@ impl Algorithm for ExhaustiveTree {
         // Candidate partitionings share almost all their partitions, so
         // the memo cache turns the brute force's O(candidates × k²)
         // distance computations into one computation per distinct pair,
-        // and the split cache materialises each subtree's splits once
-        // even though sibling enumeration orders revisit them.
+        // and the split cache computes each subtree's splits once even
+        // though sibling enumeration orders revisit them.
         let engine = EvalEngine::new(ctx);
         let mut counter = 0usize;
         let all = options(
@@ -74,7 +74,7 @@ impl Algorithm for ExhaustiveTree {
         let (partitions, unfairness) = best.expect("at least the no-split partitioning exists");
         Ok(AuditResult {
             algorithm: self.name(),
-            partitioning: into_partitioning(partitions),
+            partitioning: ctx.partitioning(&partitions),
             unfairness,
             elapsed: start.elapsed(),
             candidates_evaluated: counter,

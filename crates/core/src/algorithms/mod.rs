@@ -101,7 +101,7 @@ type Splits = Vec<(usize, SplitChildren)>;
 
 /// The outcome of [`choose_attribute`]: the winning attribute and the
 /// partitioning obtained by splitting every splittable partition by it
-/// (already materialised — callers must not re-split).
+/// (already split — callers must not re-split).
 pub(crate) struct ChosenSplit {
     /// The chosen attribute.
     pub attr: usize,
@@ -114,11 +114,10 @@ pub(crate) struct ChosenSplit {
 /// given partitions, under `choice`. Returns `None` when no remaining
 /// attribute can split anything.
 ///
-/// Candidate materialisation goes through one
-/// [`EvalEngine::split_batch`] over `remaining × parts`: splits seen in
-/// an earlier round come straight from the split cache, the rest run the
-/// single-pass kernel on worker threads, and losing candidates stay
-/// cached for the next round.
+/// Candidates come from one [`EvalEngine::split_batch`] over
+/// `remaining × parts`: splits seen in an earlier round come straight
+/// from the split cache, the rest group the partitions' cube cells, and
+/// losing candidates stay cached for the next round.
 ///
 /// For [`AttributeChoice::Worst`] the attribute whose split yields the
 /// highest average pairwise distance wins (ties: first), decided in up
@@ -246,16 +245,4 @@ fn materialise(parts: &[Arc<crate::Partition>], splits: &Splits) -> Vec<Arc<crat
         }
     }
     out
-}
-
-/// Deep-copy a shared partitioning into an owned [`crate::Partitioning`]
-/// (done once per run, at the very end — the search itself only moves
-/// `Arc`s around).
-pub(crate) fn into_partitioning(parts: Vec<Arc<crate::Partition>>) -> crate::Partitioning {
-    crate::Partitioning::new(
-        parts
-            .into_iter()
-            .map(|p| Arc::try_unwrap(p).unwrap_or_else(|shared| shared.as_ref().clone()))
-            .collect(),
-    )
 }

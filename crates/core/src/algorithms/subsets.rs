@@ -13,7 +13,7 @@
 use super::Algorithm;
 use crate::engine::EvalEngine;
 use crate::error::AuditError;
-use crate::partition::{Partition, Partitioning};
+use crate::partition::Partition;
 use crate::report::AuditResult;
 use crate::AuditContext;
 use std::time::Instant;
@@ -68,7 +68,7 @@ impl Algorithm for SubsetExact {
         let (partitions, unfairness) = best.unwrap_or_else(|| (vec![ctx.root()], 0.0));
         Ok(AuditResult {
             algorithm: self.name(),
-            partitioning: Partitioning::new(partitions),
+            partitioning: ctx.partitioning(&partitions),
             unfairness,
             elapsed: start.elapsed(),
             candidates_evaluated: evaluated,

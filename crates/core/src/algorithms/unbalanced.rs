@@ -18,7 +18,7 @@
 //!   default here) or over *cross* pairs only
 //!   ([`Unbalanced::with_cross_stopping`]).
 
-use super::{into_partitioning, Algorithm, AttributeChoice};
+use super::{Algorithm, AttributeChoice};
 use crate::engine::{EvalEngine, SplitChildren};
 use crate::error::AuditError;
 use crate::partition::Partition;
@@ -217,8 +217,8 @@ impl Algorithm for Unbalanced {
             }
         }
 
-        let partitioning = into_partitioning(std::mem::take(&mut run.output));
-        let unfairness = run.engine.unfairness(partitioning.partitions())?;
+        let unfairness = run.engine.unfairness(&run.output)?;
+        let partitioning = ctx.partitioning(&run.output);
         Ok(AuditResult {
             algorithm: self.name(),
             partitioning,

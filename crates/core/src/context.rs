@@ -1,24 +1,26 @@
 //! Audit configuration and the shared evaluation context.
 
+use crate::cube::{self, CellCube, KeyFold};
 use crate::engine::EngineCaches;
 use crate::error::AuditError;
-use crate::partition::Partition;
+use crate::partition::{Partition, Partitioning};
 use crate::pool::{thread_budget, WorkerPool};
 use crate::unfairness::average_pairwise;
 use fairjob_hist::distance::Emd1d;
 use fairjob_hist::{BinSpec, Histogram, HistogramDistance};
 use fairjob_store::column::CodeColumn;
-use fairjob_store::index::{CategoricalIndex, IndexSet};
-use fairjob_store::paged::{PageCacheStats, PageCounters, PageData, PagedColumn, PAGE_ALIGN_ROWS};
+use fairjob_store::index::CategoricalIndex;
+use fairjob_store::paged::{PageCacheStats, PageCounters, PageData, PagedColumn};
 use fairjob_store::{PagedStore, Predicate, RowSet, Schema, ShardPlan, ShardPolicy, Table};
+use std::borrow::Borrow;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Row-count floor below which a sharded split/classify runs its shards
-/// inline instead of dispatching them to the worker pool: small
-/// partitions are dominated by per-task overhead, and audits split far
-/// more small partitions than large ones. The choice affects scheduling
-/// only — results and counters are identical either way.
+/// Row-count floor below which the sharded classify pass runs its
+/// shards inline instead of dispatching them to the worker pool: small
+/// tables are dominated by per-task overhead. The choice affects
+/// scheduling only — results and counters are identical either way.
 const SHARD_DISPATCH_MIN_ROWS: usize = 65_536;
 
 /// Configuration of an audit.
@@ -91,10 +93,10 @@ impl AuditConfig {
     }
 }
 
-/// Where an audit's underlying data lives. The split/histogram kernels
-/// never read it after the context is built — they run entirely on the
-/// derived columns (`bin_of`, indexes) — so the paged variant audits
-/// datasets whose raw columns never fit in memory.
+/// Where an audit's underlying data lives. The split and histogram
+/// kernels never read it after the context is built — they run on the
+/// cell cube and the bin column — so the paged variant audits datasets
+/// whose raw columns never fit in memory.
 enum DataSource<'a> {
     /// An in-memory table (batch and streaming audits).
     Mem(&'a Table),
@@ -104,7 +106,7 @@ enum DataSource<'a> {
 
 /// Everything an algorithm needs to evaluate candidate partitionings:
 /// the data source, the scores, the bin layout, the distance, the
-/// candidate attributes and their inverted indexes.
+/// candidate attributes and their cell cube.
 pub struct AuditContext<'a> {
     source: DataSource<'a>,
     /// The raw score vector, when resident. Paged contexts bin scores
@@ -113,31 +115,26 @@ pub struct AuditContext<'a> {
     spec: BinSpec,
     distance: Arc<dyn HistogramDistance>,
     attributes: Vec<usize>,
-    /// Shared so a streaming view can hand its maintained indexes to a
-    /// fresh per-epoch context without a rebuild or deep copy.
-    indexes: Arc<IndexSet>,
     threads: Option<usize>,
     /// `bin_of.get(row)` = the histogram bin of the row's score,
     /// computed once at build (scores are immutable per audit), one byte
-    /// per row when the layout has at most 256 bins. Every histogram
-    /// built during the search reads this column instead of re-binning
-    /// floats. Shared for the same reason as `indexes`.
+    /// per row when the layout has at most 256 bins. Histograms of row
+    /// sets ([`AuditContext::histogram`]) read this column. Shared so a
+    /// streaming view can hand its maintained column to a fresh
+    /// per-epoch context without a copy.
     bin_of: Arc<CodeColumn>,
-    /// The audited rows. `None` = every table row (the batch case);
-    /// `Some` = the live subset of a streaming view whose table keeps
-    /// tombstoned rows in place.
-    live: Option<RowSet>,
+    /// The audited rows counted into the cells of the audited
+    /// attributes (see [`crate::cube`]); it also holds the audited row
+    /// subset, when restricted.
+    cube: CellCube,
+    /// Rows read to build the cube (0 when a stream view maintains it).
+    cube_rows: u64,
     /// Epoch stamp of the underlying data version (0 for batch audits).
     epoch: u64,
-    /// Resolved shard layout, fixed at build from `(rows, policy,
-    /// thread budget)`, so every split of this context shards the same
-    /// way.
-    shard_plan: ShardPlan,
-    /// Data-parallel work counters, accumulated across the context's
-    /// lifetime and folded into [`crate::EngineStats`] by
-    /// [`crate::EvalEngine::stats`]. Relaxed atomics: every increment
-    /// is a fixed amount per kernel invocation, so totals are exact and
-    /// thread-schedule independent.
+    /// Data-parallel work counters of the build, folded into
+    /// [`crate::EngineStats`] by [`crate::EvalEngine::stats`]. Relaxed
+    /// atomics: every increment is a fixed amount per kernel
+    /// invocation, so totals are exact and thread-schedule independent.
     shard_counters: ShardCounters,
     /// Warm engine caches handed across engine lifetimes: seeded before
     /// a run via [`AuditContext::seed_engine_caches`], adopted by the
@@ -174,7 +171,7 @@ impl std::fmt::Debug for AuditContext<'_> {
             .field("bins", &self.spec.len())
             .field("distance", &self.distance.name())
             .field("attributes", &self.attributes)
-            .field("shards", &self.shard_plan.shards())
+            .field("cells", &self.cube.cells())
             .finish()
     }
 }
@@ -202,6 +199,125 @@ pub(crate) fn check_scores(first_row: usize, scores: &[f64]) -> Result<(), Audit
     })
 }
 
+/// A shard's window onto a [`CodeColumn`].
+enum CodeSliceMut<'c> {
+    Narrow(&'c mut [u8]),
+    Wide(&'c mut [u32]),
+}
+
+impl CodeSliceMut<'_> {
+    /// Overwrite `at..at + values.len()`.
+    fn write(&mut self, at: usize, values: &[u32]) {
+        match self {
+            CodeSliceMut::Narrow(v) => {
+                for (dst, &value) in v[at..at + values.len()].iter_mut().zip(values) {
+                    *dst = value as u8;
+                }
+            }
+            CodeSliceMut::Wide(v) => v[at..at + values.len()].copy_from_slice(values),
+        }
+    }
+}
+
+/// `column` cut into one window per range (`ranges` tile it in order).
+fn windows<'c>(column: &'c mut CodeColumn, ranges: &[Range<usize>]) -> Vec<CodeSliceMut<'c>> {
+    fn cut<'c, T>(mut rest: &'c mut [T], ranges: &[Range<usize>]) -> Vec<&'c mut [T]> {
+        ranges
+            .iter()
+            .map(|range| {
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+                rest = tail;
+                head
+            })
+            .collect()
+    }
+    match column {
+        CodeColumn::Narrow(v) => cut(v, ranges)
+            .into_iter()
+            .map(CodeSliceMut::Narrow)
+            .collect(),
+        CodeColumn::Wide(v) => cut(v, ranges).into_iter().map(CodeSliceMut::Wide).collect(),
+    }
+}
+
+/// The fused pass of one shard: check and bin the scores of rows
+/// `first_row..`, key each row by its codes in `columns` (mixed radix
+/// over `domains`, `space` keys; no column keys every row 0) and count
+/// it into `counts[key * bins + bin]`, writing bins and keys through
+/// the shard's windows. Chunked so the check, the binning and the
+/// keying re-read each chunk from L1.
+#[allow(clippy::too_many_arguments)]
+fn classify_shard(
+    spec: &BinSpec,
+    scores: &[f64],
+    first_row: usize,
+    columns: &[&[u32]],
+    domains: &[u32],
+    space: usize,
+    mut bins_out: CodeSliceMut<'_>,
+    mut keys_out: CodeSliceMut<'_>,
+) -> Result<Vec<u32>, AuditError> {
+    const CHUNK: usize = 4096;
+    let bins = spec.len();
+    let mut counts = vec![0u32; space * bins];
+    let mut keys = vec![0u32; CHUNK];
+    for (c, chunk) in scores.chunks(CHUNK).enumerate() {
+        let at = c * CHUNK;
+        let row = first_row + at;
+        check_scores(row, chunk)?;
+        let bin = spec.bin_indices(chunk);
+        let keys = &mut keys[..chunk.len()];
+        keys.fill(0);
+        for (column, &domain) in columns.iter().zip(domains) {
+            for (key, &code) in keys.iter_mut().zip(&column[row..row + chunk.len()]) {
+                *key = *key * domain + code;
+            }
+        }
+        for (&key, &b) in keys.iter().zip(&bin) {
+            counts[key as usize * bins + b as usize] += 1;
+        }
+        bins_out.write(at, &bin);
+        keys_out.write(at, keys);
+    }
+    Ok(counts)
+}
+
+/// What a constructor derives before it becomes a context.
+struct Built {
+    spec: BinSpec,
+    attributes: Vec<usize>,
+    bin_of: Arc<CodeColumn>,
+    cube: CellCube,
+    cube_rows: u64,
+    counters: ShardCounters,
+}
+
+impl Built {
+    fn into_context<'a>(
+        self,
+        source: DataSource<'a>,
+        scores: Option<&'a [f64]>,
+        config: AuditConfig,
+        epoch: u64,
+    ) -> AuditContext<'a> {
+        AuditContext {
+            source,
+            scores,
+            spec: self.spec,
+            distance: config.distance,
+            attributes: self.attributes,
+            threads: config.threads,
+            bin_of: self.bin_of,
+            cube: self.cube,
+            cube_rows: self.cube_rows,
+            epoch,
+            shard_counters: self.counters,
+            engine_caches: Mutex::new(None),
+            page_stats: None,
+        }
+    }
+}
+
 impl<'a> AuditContext<'a> {
     /// Validate inputs and build the context (scores row-aligned with
     /// `table`, each in `[0, 1]`).
@@ -220,26 +336,25 @@ impl<'a> AuditContext<'a> {
             Self::validate(table.schema(), table.len(), &[scores.len()], None, &config)?;
         let parallelism = thread_budget(config.threads);
         let shard_plan = config.shards.plan(table.len(), parallelism);
-        let shard_counters = ShardCounters::default();
-        let bin_of = Self::classify(&spec, scores, &shard_plan, parallelism, &shard_counters)?;
-        // Index exactly the audited attributes: splits only touch those.
-        let indexes = IndexSet::build(table, &attributes)?;
-        Ok(AuditContext {
-            source: DataSource::Mem(table),
-            scores: Some(scores),
+        let counters = ShardCounters::default();
+        let (bin_of, cube) = Self::classify(
+            table,
+            &attributes,
+            &spec,
+            scores,
+            &shard_plan,
+            parallelism,
+            &counters,
+        )?;
+        let built = Built {
             spec,
-            distance: config.distance,
             attributes,
-            indexes: Arc::new(indexes),
-            threads: config.threads,
             bin_of: Arc::new(bin_of),
-            live: None,
-            epoch: 0,
-            shard_plan,
-            shard_counters,
-            engine_caches: Mutex::new(None),
-            page_stats: None,
-        })
+            cube,
+            cube_rows: table.len() as u64,
+            counters,
+        };
+        Ok(built.into_context(DataSource::Mem(table), Some(scores), config, 0))
     }
 
     /// The one validation path of every constructor, in a fixed order:
@@ -250,7 +365,7 @@ impl<'a> AuditContext<'a> {
     /// 2. config — the bin count, then the attribute selection.
     ///
     /// Per-row data (score values, paged codes) is checked last, by the
-    /// classification and index passes that read it anyway.
+    /// classification and cube passes that read it anyway.
     pub(crate) fn validate(
         schema: &Schema,
         rows: usize,
@@ -279,69 +394,128 @@ impl<'a> AuditContext<'a> {
         Ok((spec, Self::resolve_attributes_in(schema, config)?))
     }
 
-    /// Classify every score through the chunked [`BinSpec::bin_indices`]
-    /// kernel into the bin column — one task per shard on the worker
-    /// pool when parallel, written back in shard order — with the
-    /// `[0, 1]` check fused in (each chunk is checked while it is
-    /// cache-hot, so the scores are read once). Classification is
-    /// elementwise, so the column equals the serial `bin_index`-per-row
-    /// loop exactly.
+    /// The fused classify pass: check every score, bin it through the
+    /// chunked [`BinSpec::bin_indices`] kernel into the bin column, and
+    /// count the row into its cell of the audited attributes — one task
+    /// per shard on the worker pool when parallel, per-shard counts
+    /// added in shard order. Classification is elementwise and counts
+    /// are integers, so the column and the cube equal a serial pass
+    /// exactly. Key spaces too wide (or too sparse) to count directly
+    /// are keyed as one cell here and folded from the table afterwards.
     ///
     /// # Errors
     ///
     /// [`AuditError::BadScore`] with the **first** offending row.
     fn classify(
+        table: &Table,
+        attrs: &[usize],
         spec: &BinSpec,
         scores: &[f64],
         plan: &ShardPlan,
         parallelism: usize,
         counters: &ShardCounters,
-    ) -> Result<CodeColumn, AuditError> {
-        const CHUNK: usize = 4096;
+    ) -> Result<(CodeColumn, CellCube), AuditError> {
         counters.note(plan.shards(), scores.len());
-        let mut bin_of = CodeColumn::zeroed(spec.len(), scores.len());
-        if scores.len() < SHARD_DISPATCH_MIN_ROWS || parallelism <= 1 {
-            // Chunked so the check and the narrowing re-read each chunk
-            // from L1, not from DRAM.
-            for (i, chunk) in scores.chunks(CHUNK).enumerate() {
-                check_scores(i * CHUNK, chunk)?;
-                bin_of.write_at(i * CHUNK, &spec.bin_indices(chunk));
-            }
+        let bins = spec.len();
+        let all_domains = cube::domains(table.schema(), attrs);
+        let space = cube::key_space(&all_domains);
+        let direct = cube::counts_directly(space, bins, scores.len());
+        let (columns, domains): (Vec<&[u32]>, &[u32]) = if direct {
+            let columns = attrs
+                .iter()
+                .map(|&a| {
+                    table
+                        .column(a)
+                        .as_categorical()
+                        .expect("audited attributes are categorical")
+                })
+                .collect();
+            (columns, &all_domains)
         } else {
-            let per_shard = WorkerPool::global().run_chunks(parallelism, plan.shards(), |s| {
-                let range = plan.range(s);
-                check_scores(range.start, &scores[range.clone()])
-                    .map(|()| spec.bin_indices(&scores[range]))
-            });
-            for (s, bins) in per_shard.into_iter().enumerate() {
-                bin_of.write_at(plan.range(s).start, &bins?);
+            (Vec::new(), &[])
+        };
+        let space = if direct { space as usize } else { 1 };
+        // Small tables and one thread run one shard: the whole table.
+        let shards = if scores.len() < SHARD_DISPATCH_MIN_ROWS || parallelism <= 1 {
+            1
+        } else {
+            plan.shards()
+        };
+        let ranges: Vec<Range<usize>> = (0..shards)
+            .map(|s| {
+                if shards == 1 {
+                    0..scores.len()
+                } else {
+                    plan.range(s)
+                }
+            })
+            .collect();
+        let mut bin_of = CodeColumn::zeroed(bins, scores.len());
+        let mut keys = CodeColumn::zeroed(space, scores.len());
+        let slots: Vec<Mutex<Option<(CodeSliceMut<'_>, CodeSliceMut<'_>)>>> =
+            windows(&mut bin_of, &ranges)
+                .into_iter()
+                .zip(windows(&mut keys, &ranges))
+                .map(|pair| Mutex::new(Some(pair)))
+                .collect();
+        let per_shard = WorkerPool::global().run_chunks(parallelism, ranges.len(), |s| {
+            let (bins_out, keys_out) = slots[s]
+                .lock()
+                .expect("shard slot")
+                .take()
+                .expect("each shard runs once");
+            let range = ranges[s].clone();
+            classify_shard(
+                spec,
+                &scores[range.clone()],
+                range.start,
+                &columns,
+                domains,
+                space,
+                bins_out,
+                keys_out,
+            )
+        });
+        drop(slots);
+        let mut counts = vec![0u32; space * bins];
+        for shard in per_shard {
+            for (acc, c) in counts.iter_mut().zip(shard?) {
+                *acc += c;
             }
         }
-        Ok(bin_of)
+        let cube = if direct {
+            cube::direct_cube(attrs.to_vec(), keys, counts, domains, bins, None)
+        } else {
+            CellCube::from_table(table, attrs, &bin_of, bins, None, false)?
+        };
+        Ok((bin_of, cube))
     }
 
-    /// Build a context from pre-maintained parts — the streaming fast
-    /// path: the view hands over its in-place-maintained indexes and
-    /// bin column (shared `Arc`s, no rebuild), the live row subset, and
-    /// an epoch stamp. Only the shared `validate` step runs here; the
-    /// caller guarantees that every **live** row's score is finite in
-    /// `[0, 1]` and binned consistently with `config.bins` (the stream
-    /// view validates incrementally on mutation). Results over the live
-    /// subset are bit-identical to a cold [`AuditContext::new`] over a
+    /// Build a context over the `live` rows of `table` (`None` = every
+    /// row) from a prebuilt bin column. The filtered paths (FairQL
+    /// `WHERE`, a stream snapshot's subset) pass no `base`: the cube is
+    /// counted from the table's codes of the audited rows. The
+    /// streaming fast path passes `base`, a cube of the `live` rows over
+    /// every attribute the context may audit that a stream view keeps
+    /// current; the context projects it onto its audited attributes in
+    /// O(cells) and reads no row. Only the shared `validate` step runs
+    /// here; the caller guarantees that every audited row's score is
+    /// finite in `[0, 1]` and binned consistently with `config.bins`.
+    /// Results are bit-identical to a cold [`AuditContext::new`] over a
     /// compacted table of the same rows.
     ///
     /// # Errors
     ///
     /// [`AuditError`] for empty tables/live sets, misaligned scores or
-    /// bin columns, bad bin counts, or unusable attribute selections.
-    #[allow(clippy::too_many_arguments)]
+    /// bin columns, bad bin counts, or unusable attribute selections
+    /// (including attributes `base` does not count).
     pub fn from_parts(
         table: &'a Table,
         scores: &'a [f64],
         config: AuditConfig,
-        indexes: Arc<IndexSet>,
         bin_of: Arc<CodeColumn>,
         live: Option<RowSet>,
+        base: Option<&CellCube>,
         epoch: u64,
     ) -> Result<Self, AuditError> {
         let (spec, attributes) = Self::validate(
@@ -351,40 +525,47 @@ impl<'a> AuditContext<'a> {
             live.as_ref(),
             &config,
         )?;
-        let shard_plan = config
-            .shards
-            .plan(table.len(), thread_budget(config.threads));
-        Ok(AuditContext {
-            source: DataSource::Mem(table),
-            scores: Some(scores),
+        let (cube, cube_rows) = match base {
+            Some(base) => {
+                if let Some(&attr) = attributes
+                    .iter()
+                    .find(|&&a| !base.attributes().contains(&a))
+                {
+                    return Err(AuditError::BadAttribute {
+                        name: table.schema().attribute(attr).name.clone(),
+                        reason: "not counted by the maintained cube",
+                    });
+                }
+                (base.project(&attributes, live), 0)
+            }
+            None => {
+                let rows = live.as_ref().map_or(table.len(), RowSet::len) as u64;
+                let cube =
+                    CellCube::from_table(table, &attributes, &bin_of, spec.len(), live, false)?;
+                (cube.with_epoch(epoch), rows)
+            }
+        };
+        let built = Built {
             spec,
-            distance: config.distance,
             attributes,
-            indexes,
-            threads: config.threads,
             bin_of,
-            live,
-            epoch,
-            shard_plan,
-            shard_counters: ShardCounters::default(),
-            engine_caches: Mutex::new(None),
-            page_stats: None,
-        })
+            cube,
+            cube_rows,
+            counters: ShardCounters::default(),
+        };
+        Ok(built.into_context(DataSource::Mem(table), Some(scores), config, epoch))
     }
 
     /// Build a context directly over an out-of-core [`PagedStore`] —
     /// the audit never materializes the table. Scores are validated and
     /// binned page-by-page (fused with the read, so the score pages are
-    /// streamed once), and one inverted index is built per audited
-    /// attribute in a single page-ordered pass, so the peak resident
-    /// footprint is the derived per-row columns plus the buffer-manager
-    /// budget — never the raw columns. Sharding aligns its interior
-    /// boundaries to page boundaries ([`ShardPlan::new_aligned`] with
-    /// granule [`PAGE_ALIGN_ROWS`]); results stay bit-identical to the
-    /// in-memory audit of the materialized table under every layout,
-    /// because classification is elementwise per page, postings are
-    /// emitted in row order, and the split kernels never read raw data
-    /// after the build.
+    /// streamed once), then each audited attribute's code pages are
+    /// folded into the rows' cube keys page by page, so the peak
+    /// resident footprint is the bin and key columns plus the
+    /// buffer-manager budget — never the raw columns, and no per-code
+    /// postings. Results stay bit-identical to the in-memory audit of
+    /// the materialized table, because classification is elementwise
+    /// per page and the cube holds integer counts.
     ///
     /// `live` restricts the audit to a row subset (a FairQL `WHERE`
     /// filter, already within the store's own live set); `None` audits
@@ -399,8 +580,9 @@ impl<'a> AuditContext<'a> {
     ///
     /// [`AuditError`] for empty stores or live sets, stores without a
     /// score column, bad bin counts, unusable attribute selections,
-    /// out-of-range scores, or unreadable/corrupt page files — in
-    /// the shared `validate` step's order, like every constructor.
+    /// out-of-range scores, or unreadable/corrupt page files (a code
+    /// outside its dictionary names the attribute and the row) — in the
+    /// shared `validate` step's order, like every constructor.
     pub fn from_paged(
         store: &'a PagedStore,
         config: AuditConfig,
@@ -413,38 +595,31 @@ impl<'a> AuditContext<'a> {
         let scores = if store.has_scores() { rows } else { 0 };
         let (spec, attributes) =
             Self::validate(store.schema(), rows, &[scores], live.as_ref(), &config)?;
-        let shards = config
-            .shards
-            .plan(rows, thread_budget(config.threads))
-            .shards();
-        let shard_counters = ShardCounters::default();
-        let bin_of = Self::classify_paged(store, &spec, live.as_ref(), &shard_counters)?;
-        let indexes = Self::index_paged(store, &attributes, live.as_ref(), &shard_counters)?;
-        Ok(AuditContext {
-            source: DataSource::Paged(store),
-            scores: None,
+        let counters = ShardCounters::default();
+        let bin_of = Self::classify_paged(store, &spec, live.as_ref(), &counters)?;
+        let cube_rows = live.as_ref().map_or(rows, RowSet::len) as u64;
+        let cube = Self::cube_paged(store, &attributes, &bin_of, spec.len(), live, &counters)?
+            .with_epoch(store.epoch());
+        let built = Built {
             spec,
-            distance: config.distance,
             attributes,
-            indexes: Arc::new(indexes),
-            threads: config.threads,
             bin_of: Arc::new(bin_of),
-            live,
-            epoch: store.epoch(),
-            shard_plan: ShardPlan::new_aligned(rows, shards, PAGE_ALIGN_ROWS),
-            shard_counters,
-            engine_caches: Mutex::new(None),
-            page_stats: Some((Arc::clone(store.stats()), baseline)),
-        })
+            cube,
+            cube_rows,
+            counters,
+        };
+        let mut ctx = built.into_context(DataSource::Paged(store), None, config, store.epoch());
+        ctx.page_stats = Some((Arc::clone(store.stats()), baseline));
+        Ok(ctx)
     }
 
     /// Fused paged classification: stream the score pages once,
     /// checking and binning each page while it is cache-hot and writing
     /// the results into a pre-zeroed whole-table column. Pages with no
     /// audited row are skipped and keep their zeros — those rows are
-    /// outside every partition, so the histogram kernels never read
-    /// them. Per-page [`BinSpec::bin_indices`] calls are elementwise, so
-    /// the column equals the serial whole-slice classification exactly.
+    /// outside every partition, so nothing reads them. Per-page
+    /// [`BinSpec::bin_indices`] calls are elementwise, so the column
+    /// equals the serial whole-slice classification exactly.
     fn classify_paged(
         store: &PagedStore,
         spec: &BinSpec,
@@ -468,60 +643,63 @@ impl<'a> AuditContext<'a> {
         checked.map(|()| bin_of)
     }
 
-    /// Paged index build: for each audited attribute, stream its code
-    /// pages once into the forward column (rows on candidate-skipped
-    /// pages keep zero placeholders — the split kernels consult the
-    /// forward column only at audited rows), then build the postings of
-    /// the audited rows from it — the in-memory index build's output
-    /// over the same rows.
-    fn index_paged(
+    /// The paged cube: each audited attribute's code pages folded, page
+    /// by page and in attribute order, into the rows' cube keys, then
+    /// every audited row counted into its cell. Pages without an
+    /// audited row are skipped.
+    ///
+    /// # Errors
+    ///
+    /// [`AuditError::Paged`] naming the attribute (and the row) when a
+    /// page is not a code page or holds a code outside the attribute's
+    /// dictionary — a corrupt file, reported instead of panicking.
+    fn cube_paged(
         store: &PagedStore,
-        attributes: &[usize],
-        live: Option<&RowSet>,
+        attrs: &[usize],
+        bin_of: &CodeColumn,
+        bins: usize,
+        live: Option<RowSet>,
         counters: &ShardCounters,
-    ) -> Result<IndexSet, AuditError> {
-        let mut built = Vec::with_capacity(attributes.len());
-        for &attr in attributes {
-            let def = store.schema().attribute(attr);
-            // Audited attributes are categorical (resolve checked).
-            let cardinality = def.cardinality().unwrap_or(0);
-            let mut codes = CodeColumn::zeroed(cardinality, store.rows());
+    ) -> Result<CellCube, AuditError> {
+        let domains = cube::domains(store.schema(), attrs);
+        let audited = live.as_ref().map_or(store.rows(), RowSet::len);
+        let mut fold = KeyFold::new(&domains, bins, store.rows(), audited, false);
+        for (&attr, &domain) in attrs.iter().zip(&domains) {
+            let name = &store.schema().attribute(attr).name;
+            fold.start(domain, live.as_ref());
             let mut corrupt: Option<String> = None;
-            let summary =
-                store.scan_column(PagedColumn::Attribute(attr), live, None, |first_row, data| {
+            let summary = store.scan_column(
+                PagedColumn::Attribute(attr),
+                live.as_ref(),
+                None,
+                |first_row, data| {
                     if corrupt.is_some() {
                         return;
                     }
-                    if !matches!(data, PageData::Code8(_) | PageData::Code32(_)) {
-                        corrupt = Some(format!(
-                            "attribute `{}` page at row {first_row} is not a code page",
-                            def.name
-                        ));
-                        return;
-                    }
-                    // A code out of the dictionary's range means a
-                    // corrupt file — report it instead of panicking
-                    // downstream.
-                    for i in 0..data.rows() {
-                        let code = data.code_at(i);
-                        if code as usize >= cardinality {
+                    let folded = match data {
+                        PageData::Code8(codes) => fold.fold(first_row, codes),
+                        PageData::Code32(codes) => fold.fold(first_row, codes),
+                        _ => {
                             corrupt = Some(format!(
-                                "attribute `{}` code {code} at row {} exceeds cardinality {cardinality}",
-                                def.name,
-                                first_row + i
+                                "attribute `{name}` page at row {first_row} is not a code page"
                             ));
                             return;
                         }
-                        codes.set(first_row + i, code);
+                    };
+                    if let Err((at, code)) = folded {
+                        corrupt = Some(format!(
+                            "attribute `{name}` code {code} at row {} exceeds cardinality {domain}",
+                            first_row + at
+                        ));
                     }
-                })?;
+                },
+            )?;
             if let Some(reason) = corrupt {
                 return Err(AuditError::Paged(reason));
             }
             counters.note(summary.pages_scanned, 0);
-            built.push(CategoricalIndex::from_codes(attr, cardinality, codes, live));
         }
-        Ok(IndexSet::from_indexes(store.schema().width(), built))
+        Ok(fold.finish(attrs.to_vec(), bin_of, live))
     }
 
     fn resolve_attributes_in(
@@ -644,7 +822,7 @@ impl<'a> AuditContext<'a> {
 
     /// The audited row subset, when restricted (`None` = all rows).
     pub fn live_rows(&self) -> Option<&RowSet> {
-        self.live.as_ref()
+        self.cube.rows().live()
     }
 
     /// Epoch stamp of the audited data version (0 for batch audits).
@@ -652,14 +830,26 @@ impl<'a> AuditContext<'a> {
         self.epoch
     }
 
-    /// Per-shard kernel executions dispatched so far (layout-dependent:
-    /// scales with the shard count; independent of thread count).
+    /// The cell cube of the audited attributes.
+    pub fn cube(&self) -> &CellCube {
+        &self.cube
+    }
+
+    /// Rows read to build the cube: every audited row once, or none
+    /// when a stream view maintains the cube.
+    pub fn cube_rows(&self) -> u64 {
+        self.cube_rows
+    }
+
+    /// Per-shard classify tasks (and pages) dispatched by the build
+    /// (layout-dependent: scales with the shard count; independent of
+    /// thread count).
     pub fn shard_tasks(&self) -> u64 {
         self.shard_counters.shard_tasks.load(Ordering::Relaxed)
     }
 
-    /// Rows pushed through the sharded classify/split kernels so far
-    /// (independent of both the shard count and the thread count).
+    /// Rows the build classified into score bins (independent of both
+    /// the shard count and the thread count).
     pub fn rows_classified_parallel(&self) -> u64 {
         self.shard_counters
             .rows_classified_parallel
@@ -677,113 +867,157 @@ impl<'a> AuditContext<'a> {
         )
     }
 
-    /// Build a [`Partition`] from a predicate and its rows.
+    /// The histogram of integer bin counts.
+    fn counts_histogram(&self, counts: Vec<u32>) -> Histogram {
+        Histogram::from_counts(
+            self.spec.clone(),
+            counts.into_iter().map(f64::from).collect(),
+        )
+    }
+
+    /// Build a row-built [`Partition`] from a predicate and its rows
+    /// (repair audits arbitrary row groups this way). Row-built
+    /// partitions are leaves: [`AuditContext::split`] splits only the
+    /// partitions of the cube.
     pub fn partition(&self, predicate: Predicate, rows: RowSet) -> Partition {
         let histogram = self.histogram(&rows);
-        Partition {
-            predicate,
-            rows,
-            histogram,
-        }
+        Partition::new(predicate, rows, histogram)
     }
 
     /// The root partition: all audited workers (the live subset for
-    /// streaming contexts), the always-true predicate.
+    /// streaming contexts), the always-true predicate — every cell of
+    /// the cube.
     pub fn root(&self) -> Partition {
-        let rows = match &self.live {
-            Some(live) => live.clone(),
-            None => RowSet::all(self.rows()),
-        };
-        self.partition(Predicate::always(), rows)
+        let cells = self.cube.cells();
+        let mut counts = vec![0u32; self.spec.len()];
+        for cell in 0..cells {
+            for (acc, &c) in counts.iter_mut().zip(self.cube.counts_of(cell)) {
+                *acc += c;
+            }
+        }
+        let len = counts.iter().map(|&c| c as usize).sum();
+        Partition::of_cells(
+            Predicate::always(),
+            self.counts_histogram(counts),
+            (0..cells as u32).collect(),
+            len,
+            self.cube.rows(),
+        )
     }
 
     /// Split `part` by attribute `attr`. Returns `None` when the split is
     /// impossible or void: the attribute already constrains the
-    /// partition, or every member shares one value (split would be a
-    /// no-op). Children are never empty.
+    /// partition, is not audited, or every member shares one value
+    /// (split would be a no-op), or `part` is row-built. Children are
+    /// never empty.
     ///
-    /// Runs the split kernel: one walk over the partition's rows
-    /// produces all child row sets and child histograms at once
-    /// (O(|partition|) instead of the O(table) posting intersections of
-    /// [`AuditContext::split_legacy`]). The root split reads the
-    /// postings directly; partitions of at least
-    /// `SHARD_DISPATCH_MIN_ROWS` rows run the kernel once per shard on
-    /// the worker pool, merged in shard order — bit-identical to the
-    /// serial walk.
+    /// Groups the partition's cube cells by the attribute's code and
+    /// sums their integer bin counts: O(cells × bins), no row read. The
+    /// children hold their cells and build their rows on first use.
+    /// `part` must come from this context's cube, or from a cube with
+    /// the same [`CellCube::fingerprint`].
     pub fn split(&self, part: &Partition, attr: usize) -> Option<Vec<Partition>> {
         if part.predicate.constrains(attr) {
             return None;
         }
-        self.refine(part, attr)
-            .filter(|children| children.len() > 1)
+        let groups = self.cube.group(part.cells()?, self.cube.position(attr)?);
+        (groups.len() > 1).then(|| {
+            groups
+                .into_iter()
+                .map(|group| {
+                    Partition::of_cells(
+                        part.predicate.and(attr, group.code),
+                        Histogram::from_counts(self.spec.clone(), group.counts),
+                        group.cells,
+                        group.len,
+                        self.cube.rows(),
+                    )
+                })
+                .collect()
+        })
     }
 
     /// The full cartesian partitioning of the audited rows by `attrs`
-    /// (non-empty cells only): the root refined by each attribute in
-    /// turn, so every cell carries one `attribute = code` constraint per
-    /// attribute, including those all its members share. Cells come in
-    /// code order within parent order — lexicographic in the code
-    /// vector, `fairjob_store::groupby::group_by_many`'s key order —
-    /// and follow the context's audited rows on every source, paged
-    /// ones included. Attributes the context does not audit are
-    /// ignored.
+    /// (non-empty cells only): the cube's cells grouped by their codes
+    /// of `attrs`, so every cell carries one `attribute = code`
+    /// constraint per attribute, including those all its members
+    /// share. Cells come in lexicographic code-vector order —
+    /// `fairjob_store::groupby::group_by_many`'s key order — and follow
+    /// the context's audited rows on every source, paged ones included.
+    /// Attributes the context does not audit are ignored.
     pub fn cells(&self, attrs: &[usize]) -> Vec<Partition> {
-        let mut cells = vec![self.root()];
-        for &attr in attrs {
-            cells = cells
-                .into_iter()
-                .flat_map(|part| self.refine(&part, attr).unwrap_or_else(|| vec![part]))
-                .collect();
-        }
-        cells
+        let (attrs, at): (Vec<usize>, Vec<usize>) = attrs
+            .iter()
+            .filter_map(|&a| self.cube.position(a).map(|k| (a, k)))
+            .unzip();
+        self.cube
+            .group_by_codes(&at)
+            .into_iter()
+            .map(|group| {
+                let predicate = attrs
+                    .iter()
+                    .zip(&group.codes)
+                    .fold(Predicate::always(), |p, (&attr, &code)| p.and(attr, code));
+                let len = group.counts.iter().map(|&c| c as usize).sum();
+                Partition::of_cells(
+                    predicate,
+                    self.counts_histogram(group.counts),
+                    group.cells,
+                    len,
+                    self.cube.rows(),
+                )
+            })
+            .collect()
     }
 
-    /// The split kernel behind [`AuditContext::split`] and
-    /// [`AuditContext::cells`]: `part` grouped by `attr`'s code, one
-    /// child per code present (one child when every member shares a
-    /// value), each child constrained on `attr`. `None` when `attr` is
-    /// not an audited attribute.
-    fn refine(&self, part: &Partition, attr: usize) -> Option<Vec<Partition>> {
-        let index = self.indexes.get(attr)?;
-        let bins = self.spec.len();
-        let rows = &part.rows;
-        self.shard_counters
-            .note(self.shard_plan.shards(), rows.len());
-        let parallelism = thread_budget(self.threads);
-        let groups = if rows.len() == self.rows() {
-            index.split_root(&self.bin_of, bins)
-        } else if rows.len() >= SHARD_DISPATCH_MIN_ROWS && parallelism > 1 {
-            let sharded = self.shard_plan.shard_rows(rows);
-            let partials = WorkerPool::global().run_chunks(parallelism, sharded.shards(), |s| {
-                index.split_rows(sharded.shard(s), &self.bin_of, bins)
-            });
-            CategoricalIndex::merge_shard_splits(partials)
-        } else {
-            index.split_rows(rows.rows(), &self.bin_of, bins)
-        };
-        Some(
-            groups
-                .into_iter()
-                .map(|child| Partition {
-                    predicate: part.predicate.and(attr, child.code),
-                    histogram: Histogram::from_counts(self.spec.clone(), child.bin_counts),
-                    rows: child.rows,
+    /// `parts` with their row sets built in one row-order pass over the
+    /// audited rows — how an algorithm returns the partitioning it
+    /// found. Row-built partitions keep their rows.
+    pub fn partitioning<P: Borrow<Partition>>(&self, parts: &[P]) -> Partitioning {
+        let members: Vec<Option<(&[u32], usize)>> = parts
+            .iter()
+            .map(|p| {
+                let p = p.borrow();
+                p.cells().map(|cells| (cells, p.len()))
+            })
+            .collect();
+        let rows = self
+            .cube
+            .rows()
+            .rows_of_parts(&members, thread_budget(self.threads));
+        Partitioning::new(
+            parts
+                .iter()
+                .zip(rows)
+                .map(|(p, rows)| {
+                    let p = p.borrow();
+                    let rows = match p.cells() {
+                        Some(_) => rows,
+                        None => p.rows().clone(),
+                    };
+                    Partition::new(p.predicate.clone(), rows, p.histogram.clone())
                 })
                 .collect(),
         )
     }
 
-    /// The legacy split path: per-code posting intersections followed by
-    /// a histogram build per child. Semantically identical to
-    /// [`AuditContext::split`]; kept as the kernel's differential-test
-    /// oracle and as the baseline the `split_search` bench measures
-    /// against.
+    /// The legacy split path: per-code posting intersections followed
+    /// by a histogram build per child, the postings built from the
+    /// table (a paged context's materialized). Semantically
+    /// identical to [`AuditContext::split`]; kept as the cube's
+    /// differential-test oracle and as the baseline the `split_search`
+    /// bench measures against.
     pub fn split_legacy(&self, part: &Partition, attr: usize) -> Option<Vec<Partition>> {
-        if part.predicate.constrains(attr) {
+        if part.predicate.constrains(attr) || self.cube.position(attr).is_none() {
             return None;
         }
-        let index = self.indexes.get(attr)?;
-        let groups = index.split(&part.rows);
+        let index = match self.source {
+            DataSource::Mem(table) => CategoricalIndex::build(table, attr).ok()?,
+            DataSource::Paged(store) => {
+                CategoricalIndex::build(&store.materialize().ok()?.0, attr).ok()?
+            }
+        };
+        let groups = index.split(part.rows());
         if groups.len() <= 1 {
             return None;
         }
@@ -884,7 +1118,6 @@ mod tests {
         path.push(format!("fairjob-context-errors-{}.fjp", std::process::id()));
         fairjob_store::paged::write_paged(&path, &t, Some(&scores), None, 0, 10).unwrap();
         let store = PagedStore::open(&path, 1 << 20).unwrap();
-        let indexes = Arc::new(IndexSet::build(&t, &t.schema().splittable()).unwrap());
         let bin_of = Arc::new(CodeColumn::zeroed(10, t.len()));
         let unknown = AuditConfig {
             attributes: Some(vec!["nope".into()]),
@@ -893,16 +1126,9 @@ mod tests {
         for config in [AuditConfig::with_bins(0), unknown] {
             let new = AuditContext::new(&t, &scores, config.clone()).unwrap_err();
             let paged = AuditContext::from_paged(&store, config.clone(), None, None).unwrap_err();
-            let parts = AuditContext::from_parts(
-                &t,
-                &scores,
-                config,
-                Arc::clone(&indexes),
-                Arc::clone(&bin_of),
-                None,
-                0,
-            )
-            .unwrap_err();
+            let parts =
+                AuditContext::from_parts(&t, &scores, config, Arc::clone(&bin_of), None, None, 0)
+                    .unwrap_err();
             assert!(matches!(
                 new,
                 AuditError::Bins(_) | AuditError::BadAttribute { .. }

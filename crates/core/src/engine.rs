@@ -70,29 +70,26 @@
 //!    still come from level 3's full evaluations. Distances without the
 //!    form, and wrappers that do not forward it, keep levels 2 and 4.
 //!
-//! On top of the distance paths sits the **partition-materialisation
-//! fast path**:
+//! On top of the distance paths sits the **split cache**:
 //!
-//! 6. **Split cache** — [`EvalEngine::split`] materialises candidate
-//!    splits through the single-pass kernel
-//!    ([`AuditContext::split`]) and memoises the children under the
-//!    parent's predicate fingerprint × attribute, sharing them as
-//!    [`Arc<Partition>`]s ([`SplitChildren`]). Losing candidates —
-//!    recomputed every greedy round by the seed — cost zero row scans
-//!    after first touch. Non-viable splits are negatively cached too,
-//!    since greedy loops retry them each round.
-//! 7. **Parallel candidate search** — [`EvalEngine::split_batch`]
-//!    classifies cache hits serially, computes the missing splits in
-//!    fixed-size chunks on the persistent worker pool (the kernel is
-//!    pure), and inserts results serially in request order, so every
-//!    counter and every returned child is identical for every thread
-//!    count.
+//! 6. **Split cache** — [`EvalEngine::split`] and
+//!    [`EvalEngine::split_batch`] answer split requests from the
+//!    context's cell cube ([`AuditContext::split`]: a partition's cells
+//!    grouped by one attribute's code, no row read) and memoise the
+//!    children under the parent's predicate fingerprint × attribute,
+//!    sharing them as [`Arc<Partition>`]s ([`SplitChildren`]). Losing
+//!    candidates — recomputed every greedy round by the seed — cost a
+//!    lookup after first touch. Non-viable splits are negatively cached
+//!    too, since greedy loops retry them each round. Entries hold cube
+//!    cells, so they pass to another engine only when its context's
+//!    cube has the same [`crate::CellCube::fingerprint`].
 //!
 //! The engine counts distances computed and cache hits, candidates
 //! scored from columns and the screen's ties, plus splits
-//! computed, split-cache hits, rows scanned, and histograms built
-//! ([`EngineStats`]); algorithms surface the counters through
-//! [`crate::report::AuditResult::engine`] and the CLI audit report.
+//! computed, split-cache hits and histograms built, and reports the
+//! rows its context read into the cube ([`EngineStats`]); algorithms
+//! surface the counters through [`crate::report::AuditResult::engine`]
+//! and the CLI audit report.
 //! Every cached or incremental result stays within 1e-9 of the naive
 //! [`crate::AuditContext::unfairness`] on identical inputs.
 
@@ -102,18 +99,18 @@ use crate::partition::Partition;
 use crate::pool::{thread_budget, WorkerPool};
 use crate::scratch::with_scratch;
 use crate::unfairness::{PairwiseAverager, PRUNE_MARGIN};
-use fairjob_hist::{BinSpec, Histogram, L1Form, PairBatch, ScratchStats};
-use fairjob_store::{Predicate, RowSet};
+use fairjob_hist::{Histogram, L1Form, PairBatch, ScratchStats};
+use fairjob_store::Predicate;
 use std::borrow::Borrow;
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// The shared children of one materialised split: the engine hands the
-/// same `Arc`s to every algorithm that asks, so a split is materialised
-/// (rows walked, histograms built) at most once per engine lifetime.
+/// The shared children of one split: the engine hands the same `Arc`s
+/// to every algorithm that asks, so a split is computed (cells grouped,
+/// histograms built) at most once per engine lifetime.
 pub type SplitChildren = Arc<Vec<Arc<Partition>>>;
 
 /// One candidate partitioning, written as replacements of a base
@@ -163,14 +160,6 @@ pub struct InvalidationReport {
     pub distances_evicted: usize,
     /// Memoised distances kept warm.
     pub distances_retained: usize,
-    /// Split entries dropped (unknown parent, dirty negative entry, or
-    /// an unpatchable inconsistency).
-    pub splits_evicted: usize,
-    /// Split entries whose children were patched in place to reflect
-    /// the epoch's row changes (bit-identical to a recompute).
-    pub splits_patched: usize,
-    /// Split entries kept untouched (clean parent).
-    pub splits_retained: usize,
 }
 
 /// The hasher of the engine's fingerprint-keyed maps: one folded
@@ -246,29 +235,30 @@ const PARALLEL_THRESHOLD: usize = 256;
 /// chunk — is identical no matter how many workers run the chunks.
 const PAIR_CHUNK: usize = 1024;
 
-/// Fixed chunk size (in split requests) for candidate-split batches
-/// dispatched to the worker pool. Independent of the thread count, so
-/// the `pool_tasks` counter — and the serial request-order insertion
-/// downstream — are identical no matter how many workers run.
-const SPLIT_CHUNK: usize = 8;
-
 /// The engine's cache state, detached from any engine lifetime so it
-/// can survive across epochs of a streaming audit: the EMD memo, the
-/// split cache, and a fingerprint → predicate registry that lets
-/// [`EngineCaches::invalidate`] map changed rows to affected entries.
+/// can survive across audits (FairQL statements, stream epochs): the
+/// distance memo, the split cache, and a fingerprint → predicate
+/// registry of the memo's endpoints that lets
+/// [`EngineCaches::invalidate`] map changed rows to affected distances.
 ///
-/// Both caches are bounded (8 M entries each) with generation-
-/// based eviction: when a cache fills, entries not touched-by-insert
-/// since the previous sweep are dropped in one pass — a deterministic
-/// two-generation FIFO, so counters stay thread-count independent.
+/// Split entries hold cells of one cube; `cube` records its
+/// fingerprint, and an engine whose context has another cube drops them
+/// on adoption (a stream epoch that changed rows, a new `WHERE` or
+/// attribute list). Both caches are bounded (8 M entries each) with
+/// generation-based eviction: when a cache fills, entries not
+/// touched-by-insert since the previous sweep are dropped in one pass —
+/// a deterministic two-generation FIFO, so counters stay thread-count
+/// independent.
 #[derive(Debug)]
 pub struct EngineCaches {
     /// Distance memo: ordered fingerprint pair → (distance, generation).
     memo: HashMap<(u128, u128), (f64, u32), FingerprintBuild>,
-    /// Materialised splits: (parent fingerprint, attribute) →
-    /// (children or `None` for non-viable, generation).
+    /// Split cache: (parent fingerprint, attribute) → (children or
+    /// `None` for non-viable, generation).
     splits: HashMap<(u128, usize), (Option<SplitChildren>, u32), FingerprintBuild>,
-    /// Every fingerprint that may appear in a cache key, with the
+    /// Fingerprint of the cube the split entries were computed on.
+    cube: Option<u128>,
+    /// Every fingerprint that may appear in a memo key, with the
     /// predicate it stands for. Fingerprints missing here are evicted
     /// conservatively on invalidation.
     registry: HashMap<u128, Predicate, FingerprintBuild>,
@@ -311,6 +301,7 @@ impl EngineCaches {
         EngineCaches {
             memo: HashMap::default(),
             splits: HashMap::default(),
+            cube: None,
             registry: HashMap::default(),
             memo_generation: 0,
             split_generation: 0,
@@ -356,34 +347,40 @@ impl EngineCaches {
         evicted
     }
 
-    /// Selective invalidation after an epoch of row changes: keep every
-    /// entry whose partitions the changes cannot have touched, patch
-    /// cached split children whose parent is dirty (bit-identical to a
-    /// recompute — integer bin arithmetic on exact f64 counts), and
-    /// evict only what cannot be salvaged (distances with a dirty
-    /// endpoint, dirty negative split entries, unknown fingerprints).
-    ///
-    /// `spec` must match the audit context the cache will be used with
-    /// next (it decides the patched histogram layout).
-    pub fn invalidate(&mut self, changes: &[RowChange], spec: &BinSpec) -> InvalidationReport {
-        let mut report = InvalidationReport::default();
+    /// Keep the split entries only if they were computed on the cube
+    /// fingerprinted `cube`; they then belong to it.
+    fn adopt_cube(&mut self, cube: u128) {
+        if self.cube != Some(cube) {
+            self.splits.clear();
+            self.cube = Some(cube);
+        }
+    }
+
+    /// Selective invalidation of the distance memo after an epoch of
+    /// row changes: keep every distance whose partitions the changes
+    /// cannot have touched and evict the rest (a dirty or unknown
+    /// endpoint). Split entries need no invalidation: they belong to
+    /// one cube, and a changed row changes the cube.
+    pub fn invalidate(&mut self, changes: &[RowChange]) -> InvalidationReport {
         if changes.is_empty() {
-            report.distances_retained = self.memo.len();
-            report.splits_retained = self.splits.len();
-            return report;
+            return InvalidationReport {
+                distances_evicted: 0,
+                distances_retained: self.memo.len(),
+            };
         }
-        // 1. Dirty fingerprints: predicates matching any changed row's
-        //    before- or after-state. The always-true predicate (the
-        //    root) matches every change.
-        let mut dirty: HashSet<u128, FingerprintBuild> = HashSet::default();
-        for (&fp, pred) in &self.registry {
-            if changes.iter().any(|c| {
-                matches_facts(pred, c.before.as_ref()) || matches_facts(pred, c.after.as_ref())
-            }) {
-                dirty.insert(fp);
-            }
-        }
-        // 2. Distance memo: drop pairs with a dirty or unknown endpoint.
+        // Dirty fingerprints: predicates matching any changed row's
+        // before- or after-state. The always-true predicate (the root)
+        // matches every change.
+        let dirty: HashSet<u128, FingerprintBuild> = self
+            .registry
+            .iter()
+            .filter(|(_, pred)| {
+                changes.iter().any(|c| {
+                    matches_facts(pred, c.before.as_ref()) || matches_facts(pred, c.after.as_ref())
+                })
+            })
+            .map(|(&fp, _)| fp)
+            .collect();
         let registry = &self.registry;
         let before = self.memo.len();
         self.memo.retain(|(a, b), _| {
@@ -392,126 +389,11 @@ impl EngineCaches {
                 && !dirty.contains(a)
                 && !dirty.contains(b)
         });
-        report.distances_evicted = before - self.memo.len();
-        report.distances_retained = self.memo.len();
-        // 3. Split cache: retain clean entries, patch dirty positive
-        //    entries, evict the rest.
-        let old = std::mem::take(&mut self.splits);
-        let mut new_children: Vec<(u128, Predicate)> = Vec::new();
-        for ((pfp, attr), (entry, generation)) in old {
-            let Some(parent) = self.registry.get(&pfp) else {
-                report.splits_evicted += 1;
-                continue;
-            };
-            if !dirty.contains(&pfp) {
-                self.splits.insert((pfp, attr), (entry, generation));
-                report.splits_retained += 1;
-                continue;
-            }
-            let patched = entry
-                .as_ref()
-                .and_then(|kids| patch_children(parent, attr, kids, changes, spec));
-            match patched {
-                // Dirty negative entries can't be patched (nothing was
-                // materialised), and inconsistent patches fall back to
-                // eviction — a later miss recomputes from scratch.
-                None => report.splits_evicted += 1,
-                Some(patched_entry) => {
-                    if let Some(kids) = &patched_entry {
-                        for kid in kids.iter() {
-                            new_children.push((kid.predicate.fingerprint(), kid.predicate.clone()));
-                        }
-                    }
-                    self.splits.insert((pfp, attr), (patched_entry, generation));
-                    report.splits_patched += 1;
-                }
-            }
-        }
-        for (fp, pred) in new_children {
-            self.registry.entry(fp).or_insert(pred);
-        }
-        report
-    }
-}
-
-/// Patch one cached split's children to reflect `changes`: rows leaving
-/// the parent are removed from the child of their old code (bin count
-/// decremented), rows entering are added to the child of their new code
-/// (created if missing), emptied children are dropped, and viability is
-/// re-checked under the same rules as [`AuditContext::split`]. All
-/// arithmetic is exact (integer-valued f64 counts), so the result is
-/// bit-identical to re-running the split kernel on the updated parent.
-///
-/// Returns `None` when the cached state is inconsistent with the
-/// changes (caller evicts), `Some(None)` when the patched split is no
-/// longer viable, `Some(Some(kids))` otherwise. Children are fresh
-/// `Arc`s — cached values shared with earlier snapshots are never
-/// mutated.
-fn patch_children(
-    parent: &Predicate,
-    attr: usize,
-    kids: &SplitChildren,
-    changes: &[RowChange],
-    spec: &BinSpec,
-) -> Option<Option<SplitChildren>> {
-    let mut by_code: BTreeMap<u32, (RowSet, Vec<f64>)> = BTreeMap::new();
-    for kid in kids.iter() {
-        let code = kid
-            .predicate
-            .constraints()
-            .iter()
-            .find(|c| c.attr == attr)?
-            .code;
-        by_code.insert(code, (kid.rows.clone(), kid.histogram.counts().to_vec()));
-    }
-    for change in changes {
-        if let Some(state) = &change.before {
-            if matches_facts(parent, Some(state)) {
-                let code = state.codes.get(attr).copied()?;
-                let (rows, counts) = by_code.get_mut(&code)?;
-                if !rows.remove(change.row) {
-                    return None;
-                }
-                let bin = state.bin as usize;
-                if bin >= counts.len() || counts[bin] < 1.0 {
-                    return None;
-                }
-                counts[bin] -= 1.0;
-            }
-        }
-        if let Some(state) = &change.after {
-            if matches_facts(parent, Some(state)) {
-                let code = state.codes.get(attr).copied()?;
-                let bin = state.bin as usize;
-                if bin >= spec.len() {
-                    return None;
-                }
-                let (rows, counts) = by_code
-                    .entry(code)
-                    .or_insert_with(|| (RowSet::empty(), vec![0.0; spec.len()]));
-                if !rows.insert(change.row) {
-                    return None;
-                }
-                counts[bin] += 1.0;
-            }
+        InvalidationReport {
+            distances_evicted: before - self.memo.len(),
+            distances_retained: self.memo.len(),
         }
     }
-    by_code.retain(|_, (rows, _)| !rows.is_empty());
-    if by_code.len() <= 1 {
-        return Some(None);
-    }
-    Some(Some(Arc::new(
-        by_code
-            .into_iter()
-            .map(|(code, (rows, counts))| {
-                Arc::new(Partition {
-                    predicate: parent.and(attr, code),
-                    histogram: Histogram::from_counts(spec.clone(), counts),
-                    rows,
-                })
-            })
-            .collect(),
-    )))
 }
 
 /// Counter snapshot of an engine's work (all monotonically increasing
@@ -524,17 +406,19 @@ pub struct EngineStats {
     /// Distance lookups served from the memo cache (0 for the full
     /// evaluations of distances with an L1 form, which skip it).
     pub cache_hits: u64,
-    /// Splits materialised through the single-pass kernel (split-cache
-    /// misses; includes non-viable attempts, which are negatively
-    /// cached).
+    /// Splits computed from the context's cell cube (split-cache misses;
+    /// includes non-viable attempts, which are negatively cached).
     pub splits_computed: u64,
-    /// Split requests served from the split cache without touching a
-    /// single row.
+    /// Split requests served from the split cache.
     pub split_cache_hits: u64,
-    /// Rows walked by the split kernel (the parent partition's size, per
-    /// computed split).
+    /// Rows read into the context's cell cube: every audited row once
+    /// when the context builds its cube (in memory, filtered or paged),
+    /// none when a stream view maintains it. Splits read cells, never
+    /// rows, and the one row-order pass that builds the returned
+    /// partitioning's row sets is not counted. Context-cumulative, like
+    /// [`Self::shard_tasks`], but layout-independent.
     pub rows_scanned: u64,
-    /// Child histograms built by the split kernel.
+    /// Child histograms built by computed splits.
     pub histograms_built: u64,
     /// Distance-memo entries dropped by generation-based eviction when
     /// the cache hit its capacity.
@@ -571,17 +455,19 @@ pub struct EngineStats {
     /// Exact flow solves warm-started from the previous pair's round-1
     /// Dijkstra (consecutive chunk pairs sharing a support set).
     pub warm_starts: u64,
-    /// Per-shard kernel executions dispatched through the sharded
-    /// split/classify path. **Layout-dependent**: scales with the shard
-    /// count, so it is excluded from the layout-independence parity the
-    /// other counters guarantee; it is still thread-count independent. Unlike the engine-local counters
-    /// above, the shard counters are **context-cumulative**: they live on
-    /// the [`crate::AuditContext`] (shard work starts at context build,
-    /// before any engine exists) and cover everything sharded on that
-    /// context up to the `stats()` call.
+    /// Tasks of the context build's classify pass: one per shard in
+    /// memory, one per page read when paged. **Layout-dependent**:
+    /// scales with the shard count, so it is excluded from the
+    /// layout-independence parity the other counters guarantee; it is
+    /// still thread-count independent. Unlike the engine-local counters
+    /// above, the shard counters are **context-cumulative**: they live
+    /// on the [`crate::AuditContext`] (the build runs before any engine
+    /// exists).
     pub shard_tasks: u64,
-    /// Rows pushed through the sharded classify/split kernels:
-    /// independent of both shard count and thread count, but kept out
+    /// Rows the context build classified into score bins: every table
+    /// row in memory, the rows of the score pages read when paged, none
+    /// when a stream view or a prebuilt bin column supplies the bins.
+    /// Independent of both shard count and thread count, but kept out
     /// of the layout-independence parity alongside
     /// [`Self::shard_tasks`] because the paged build meters only the
     /// rows it reads. Context-cumulative, like [`Self::shard_tasks`].
@@ -750,8 +636,8 @@ fn row_segments(n: usize, range: Range<usize>) -> impl Iterator<Item = (usize, R
 pub struct EvalEngine<'c, 'a> {
     ctx: &'c AuditContext<'a>,
     /// Memo cache, split cache, and fingerprint registry — detachable
-    /// state ([`EngineCaches`]) so streaming audits can carry it across
-    /// engine lifetimes (seeded via
+    /// state ([`EngineCaches`]) so FairQL sessions and streaming audits
+    /// can carry it across engine lifetimes (seeded via
     /// [`AuditContext::seed_engine_caches`], returned on drop).
     caches: RefCell<EngineCaches>,
     /// True when the caches were adopted from the context; only then
@@ -762,7 +648,6 @@ pub struct EvalEngine<'c, 'a> {
     cache_hits: Cell<u64>,
     splits_computed: Cell<u64>,
     split_cache_hits: Cell<u64>,
-    rows_scanned: Cell<u64>,
     histograms_built: Cell<u64>,
     cache_evictions: Cell<u64>,
     split_evictions: Cell<u64>,
@@ -799,11 +684,16 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
     /// once per process, so building an engine makes no system call),
     /// caches capped at 8 M entries each. When the context carries
     /// seeded caches ([`AuditContext::seed_engine_caches`]) they are
-    /// adopted warm and handed back when the engine drops.
+    /// adopted warm — their split entries only if they were computed on
+    /// a cube with this context's cube's fingerprint — and handed back
+    /// when the engine drops.
     pub fn new(ctx: &'c AuditContext<'a>) -> Self {
         let threads = thread_budget(ctx.threads());
         let (caches, adopted) = match ctx.take_engine_caches() {
-            Some(seeded) => (seeded, true),
+            Some(mut seeded) => {
+                seeded.adopt_cube(ctx.cube().fingerprint());
+                (seeded, true)
+            }
             None => (EngineCaches::new(), false),
         };
         EvalEngine {
@@ -814,7 +704,6 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
             cache_hits: Cell::new(0),
             splits_computed: Cell::new(0),
             split_cache_hits: Cell::new(0),
-            rows_scanned: Cell::new(0),
             histograms_built: Cell::new(0),
             cache_evictions: Cell::new(0),
             split_evictions: Cell::new(0),
@@ -850,7 +739,7 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
             cache_hits: self.cache_hits.get(),
             splits_computed: self.splits_computed.get(),
             split_cache_hits: self.split_cache_hits.get(),
-            rows_scanned: self.rows_scanned.get(),
+            rows_scanned: self.ctx.cube_rows(),
             histograms_built: self.histograms_built.get(),
             cache_evictions: self.cache_evictions.get(),
             split_evictions: self.split_evictions.get(),
@@ -968,89 +857,48 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
         Ok(d)
     }
 
-    /// Materialise the split of `part` by `attr`, served from the split
-    /// cache when this (parent, attribute) pair was split before —
-    /// including negatively: a split the context refused is remembered
-    /// as `None` and never re-attempted. Cache misses run the
-    /// single-pass kernel ([`AuditContext::split`]).
+    /// The split of `part` by `attr`, served from the split cache when
+    /// this (parent, attribute) pair was split before — including
+    /// negatively: a split the context refused is remembered as `None`
+    /// and never re-attempted. Cache misses group the parent's cube
+    /// cells ([`AuditContext::split`]).
     pub fn split(&self, part: &Partition, attr: usize) -> Option<SplitChildren> {
         self.split_batch(&[(part, attr)])
             .pop()
             .expect("one request, one result")
     }
 
-    /// The deterministic parallel candidate search: answer a batch of
-    /// split requests at once. Cache hits are classified serially;
-    /// misses run the split kernel in fixed-size chunks on the
-    /// persistent worker pool (the kernel is pure — it only reads the
-    /// context); results and counters are then recorded serially in
-    /// request order. Returned children, counters, and cache state are
-    /// identical for every thread count.
+    /// Answer a batch of split requests in request order: a request the
+    /// predicate already constrains is refused inline (neither cached
+    /// nor counted), a cached one is a hit, and a miss groups the
+    /// parent's cells and is cached for later requests — in this batch
+    /// too. A split costs its cells, so the batch runs on the calling
+    /// thread; children, counters and cache state depend on the
+    /// requests alone.
     pub fn split_batch(&self, requests: &[(&Partition, usize)]) -> Vec<Option<SplitChildren>> {
-        let mut results: Vec<Option<Option<SplitChildren>>> = vec![None; requests.len()];
-        let mut misses: Vec<usize> = Vec::new();
-        {
-            let caches = self.caches.borrow();
-            for (at, &(part, attr)) in requests.iter().enumerate() {
-                // `constrains` is a cheap predicate check, not a split:
-                // answered inline, neither cached nor counted.
+        let mut caches = self.caches.borrow_mut();
+        requests
+            .iter()
+            .map(|&(part, attr)| {
                 if part.predicate.constrains(attr) {
-                    results[at] = Some(None);
-                    continue;
+                    return None;
                 }
-                match caches.get_split((Self::key(part), attr)) {
-                    Some(cached) => {
-                        Self::bump(&self.split_cache_hits);
-                        results[at] = Some(cached);
-                    }
-                    None => misses.push(at),
+                let key = (Self::key(part), attr);
+                if let Some(cached) = caches.get_split(key) {
+                    Self::bump(&self.split_cache_hits);
+                    return cached;
                 }
-            }
-        }
-        if !misses.is_empty() {
-            let chunks: Vec<&[usize]> = misses.chunks(SPLIT_CHUNK).collect();
-            self.note_pool_tasks(chunks.len() as u64);
-            let ctx = self.ctx;
-            let computed: Vec<Option<Vec<Partition>>> = WorkerPool::global()
-                .run_chunks(self.threads, chunks.len(), |c| {
-                    chunks[c]
-                        .iter()
-                        .map(|&at| {
-                            let (part, attr) = requests[at];
-                            ctx.split(part, attr)
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect();
-            let mut caches = self.caches.borrow_mut();
-            for (&at, children) in misses.iter().zip(computed) {
-                let (part, attr) = requests[at];
                 Self::bump(&self.splits_computed);
-                self.rows_scanned
-                    .set(self.rows_scanned.get() + part.rows.len() as u64);
-                let entry: Option<SplitChildren> = children.map(|kids| {
+                let entry: Option<SplitChildren> = self.ctx.split(part, attr).map(|kids| {
                     self.histograms_built
                         .set(self.histograms_built.get() + kids.len() as u64);
                     Arc::new(kids.into_iter().map(Arc::new).collect::<Vec<_>>())
                 });
-                let fp = Self::key(part);
-                caches.register(fp, &part.predicate);
-                if let Some(kids) = &entry {
-                    for kid in kids.iter() {
-                        caches.register(kid.predicate.fingerprint(), &kid.predicate);
-                    }
-                }
-                let evicted = caches.insert_split((fp, attr), entry.clone());
+                let evicted = caches.insert_split(key, entry.clone());
                 self.split_evictions
                     .set(self.split_evictions.get() + evicted);
-                results[at] = Some(entry);
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every request resolved"))
+                entry
+            })
             .collect()
     }
 
@@ -1632,7 +1480,7 @@ mod tests {
     use crate::algorithms::Algorithm;
     use crate::context::AuditConfig;
     use fairjob_hist::distance::{DistanceError, Emd1d, HistogramDistance};
-    use fairjob_hist::DistanceBounds;
+    use fairjob_hist::{BinSpec, DistanceBounds};
     use fairjob_marketplace::toy::toy_workers;
     use std::sync::Arc;
 
@@ -2212,7 +2060,7 @@ mod tests {
         // Children come in code order: males first.
         let genders = ctx.split(&ctx.root(), 0).unwrap();
         let males = &genders[0];
-        assert_eq!(males.rows.rows(), &[0, 1]);
+        assert_eq!(males.rows().rows(), &[0, 1]);
         assert!(engine.split(males, 1).is_none());
         assert_eq!(engine.stats().splits_computed, 1);
         // Retried (as every greedy round does): answered from the cache.
@@ -2287,6 +2135,28 @@ mod tests {
         for (a, b) in again.iter().zip(&by_lang) {
             assert!(Arc::ptr_eq(a, b));
         }
+    }
+
+    /// Splits register no predicate: after a `balanced` `emd` audit
+    /// (the column screen picks each attribute, and full evaluations
+    /// skip the memo) the registry and the memo are empty, while the
+    /// split cache holds the audit's splits.
+    #[test]
+    fn split_path_leaves_the_registry_empty() {
+        use crate::algorithms::{balanced::Balanced, AttributeChoice};
+        let (workers, scores) = population_500();
+        let ctx = AuditContext::new(&workers, &scores, AuditConfig::default()).unwrap();
+        ctx.seed_engine_caches(EngineCaches::new());
+        let result = Balanced::new(AttributeChoice::Worst).run(&ctx).unwrap();
+        assert!(result.engine.splits_computed > 0);
+        let caches = ctx.take_engine_caches().expect("caches handed back");
+        assert!(
+            caches.registry.is_empty(),
+            "{} registered",
+            caches.registry.len()
+        );
+        assert_eq!(caches.distances(), 0);
+        assert_eq!(caches.splits() as u64, result.engine.splits_computed);
     }
 
     /// The fingerprint hasher spreads the engine's real keys like a

@@ -47,6 +47,7 @@
 
 pub mod algorithms;
 pub mod context;
+pub mod cube;
 pub mod engine;
 pub mod error;
 pub mod exposure;
@@ -58,6 +59,7 @@ pub mod stats;
 pub mod unfairness;
 
 pub use context::{AuditConfig, AuditContext};
+pub use cube::CellCube;
 pub use engine::{
     CandidateScore, EngineCaches, EngineStats, EvalEngine, IncrementalEval, InvalidationReport,
     RowChange, RowFacts, SplitChildren,

@@ -5,32 +5,106 @@
 //! cover of the worker set by such groups (the constraint set of
 //! Definition 1: `pᵢ ∩ pⱼ = ∅`, `⋃ pᵢ = W`).
 
+use crate::cube::CellRows;
 use fairjob_hist::Histogram;
 use fairjob_store::{Predicate, RowSet, Schema, Table};
+use std::sync::{Arc, OnceLock};
 
-/// One group of workers: its defining predicate, its rows, and the
+/// One group of workers: its defining predicate, its members, and the
 /// histogram of its members' scores (precomputed — every algorithm
 /// compares histograms many times per split decision).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A partition found by a search is a union of cells of its context's
+/// cell cube ([`crate::CellCube`]): it keeps the cell list and its
+/// member count, and builds its row set on the first call to
+/// [`Partition::rows`]. Row-built partitions
+/// ([`Partition::new`], [`crate::AuditContext::partition`]) and every
+/// partition of a returned [`Partitioning`] hold their rows up front.
+#[derive(Clone)]
 pub struct Partition {
     /// The conjunction of attribute constraints defining the group.
     pub predicate: Predicate,
-    /// The member rows.
-    pub rows: RowSet,
     /// Histogram of the members' scores.
     pub histogram: Histogram,
+    members: Members,
+}
+
+#[derive(Clone)]
+enum Members {
+    Rows(RowSet),
+    Cells(CellMembers),
+}
+
+/// The members of a search partition: cells of one cube.
+#[derive(Clone)]
+struct CellMembers {
+    cells: Vec<u32>,
+    len: usize,
+    source: Arc<CellRows>,
+    rows: OnceLock<RowSet>,
 }
 
 impl Partition {
+    /// A partition over listed rows.
+    pub fn new(predicate: Predicate, rows: RowSet, histogram: Histogram) -> Self {
+        Partition {
+            predicate,
+            histogram,
+            members: Members::Rows(rows),
+        }
+    }
+
+    /// A partition over `cells` of the cube whose rows `source` places,
+    /// `len` rows in all.
+    pub(crate) fn of_cells(
+        predicate: Predicate,
+        histogram: Histogram,
+        cells: Vec<u32>,
+        len: usize,
+        source: &Arc<CellRows>,
+    ) -> Self {
+        Partition {
+            predicate,
+            histogram,
+            members: Members::Cells(CellMembers {
+                cells,
+                len,
+                source: Arc::clone(source),
+                rows: OnceLock::new(),
+            }),
+        }
+    }
+
+    /// The member rows, ascending. A search partition builds them from
+    /// its cells on the first call (one pass over the audited rows).
+    pub fn rows(&self) -> &RowSet {
+        match &self.members {
+            Members::Rows(rows) => rows,
+            Members::Cells(m) => m.rows.get_or_init(|| m.source.rows_of(&m.cells, m.len)),
+        }
+    }
+
+    /// The cube cells of a search partition (`None` for row-built
+    /// partitions).
+    pub(crate) fn cells(&self) -> Option<&[u32]> {
+        match &self.members {
+            Members::Rows(_) => None,
+            Members::Cells(m) => Some(&m.cells),
+        }
+    }
+
     /// Number of workers in the partition.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        match &self.members {
+            Members::Rows(rows) => rows.len(),
+            Members::Cells(m) => m.len,
+        }
     }
 
     /// True when the partition has no members (never produced by splits;
     /// possible only for hand-built partitions).
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
     /// True when the partition's histogram holds mass: the one liveness
@@ -51,6 +125,26 @@ impl Partition {
     /// hold a schema but no table).
     pub fn describe_in(&self, schema: &Schema) -> String {
         format!("{} (n={})", self.predicate.describe_in(schema), self.len())
+    }
+}
+
+/// Partitions are equal when their predicates, rows and histograms are:
+/// how a search partition stores its members does not matter.
+impl PartialEq for Partition {
+    fn eq(&self, other: &Self) -> bool {
+        self.predicate == other.predicate
+            && self.histogram == other.histogram
+            && self.rows() == other.rows()
+    }
+}
+
+impl std::fmt::Debug for Partition {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Partition")
+            .field("predicate", &self.predicate)
+            .field("rows", self.rows())
+            .field("histogram", &self.histogram)
+            .finish()
     }
 }
 
@@ -88,7 +182,7 @@ impl Partitioning {
     pub fn validate(&self, n: usize) -> Result<(), String> {
         let mut seen = vec![false; n];
         for (i, p) in self.partitions.iter().enumerate() {
-            for row in p.rows.iter() {
+            for row in p.rows().iter() {
                 if row >= n {
                     return Err(format!("partition {i} references row {row} >= {n}"));
                 }
@@ -141,11 +235,11 @@ mod tests {
 
     fn part(rows: Vec<u32>) -> Partition {
         let spec = BinSpec::equal_width(0.0, 1.0, 4).unwrap();
-        Partition {
-            predicate: Predicate::always(),
-            rows: RowSet::from_rows(rows),
-            histogram: Histogram::from_values(spec, [0.5].iter().copied()),
-        }
+        Partition::new(
+            Predicate::always(),
+            RowSet::from_rows(rows),
+            Histogram::from_values(spec, [0.5].iter().copied()),
+        )
     }
 
     #[test]
@@ -178,10 +272,12 @@ mod tests {
     #[test]
     fn attributes_used_dedups_and_sorts() {
         let spec = BinSpec::equal_width(0.0, 1.0, 4).unwrap();
-        let mk = |pred: Predicate, rows: Vec<u32>| Partition {
-            predicate: pred,
-            rows: RowSet::from_rows(rows),
-            histogram: Histogram::from_values(spec.clone(), [0.5].iter().copied()),
+        let mk = |pred: Predicate, rows: Vec<u32>| {
+            Partition::new(
+                pred,
+                RowSet::from_rows(rows),
+                Histogram::from_values(spec.clone(), [0.5].iter().copied()),
+            )
         };
         let p = Partitioning::new(vec![
             mk(Predicate::eq(3, 0).and(1, 2), vec![0]),

@@ -39,10 +39,10 @@ pub struct AuditResult {
     /// driver of the runtime differences in Tables 1–2).
     pub candidates_evaluated: usize,
     /// Evaluation-engine counters for the run: distances actually
-    /// computed and memo-cache hits, plus the split
-    /// fast path's splits computed, split-cache hits, rows scanned, and
-    /// histograms built. All zero for algorithms that do not route
-    /// through [`crate::EvalEngine`].
+    /// computed and memo-cache hits, splits computed from the cell cube,
+    /// split-cache hits, histograms built, and the rows read into the
+    /// cube. All zero for algorithms that do not route through
+    /// [`crate::EvalEngine`].
     pub engine: EngineStats,
 }
 

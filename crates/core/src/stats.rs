@@ -64,7 +64,7 @@ pub fn permutation_test(
             .iter()
             .map(|p| {
                 let mut h = Histogram::empty(ctx.spec().clone());
-                for row in p.rows.iter() {
+                for row in p.rows().iter() {
                     h.add(shuffled[row]);
                 }
                 h

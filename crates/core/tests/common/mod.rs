@@ -8,7 +8,6 @@ use fairjob_core::{AuditConfig, AuditContext, AuditResult};
 use fairjob_marketplace::scoring::{LinearScore, RuleBasedScore, ScoringFunction};
 use fairjob_marketplace::{bucketise_numeric_protected, generate_uniform};
 use fairjob_store::column::CodeColumn;
-use fairjob_store::index::IndexSet;
 use fairjob_store::paged::write_paged;
 use fairjob_store::{RowSet, ShardPolicy, Table};
 use std::path::PathBuf;
@@ -58,21 +57,24 @@ pub fn run_mem(
 }
 
 /// The in-memory context over the `live` subset of `workers`, through
-/// the stream layer's validated parts path.
+/// the filtered paths' validated parts constructor.
 pub fn live_context<'a>(workers: &'a Table, scores: &'a [f64], live: &RowSet) -> AuditContext<'a> {
-    let indexes = Arc::new(IndexSet::build(workers, &workers.schema().splittable()).unwrap());
-    let bins = fairjob_hist::BinSpec::equal_width(0.0, 1.0, 10).unwrap();
-    let bin_of = Arc::new(CodeColumn::from_values(10, &bins.bin_indices(scores)));
     AuditContext::from_parts(
         workers,
         scores,
         AuditConfig::default(),
-        indexes,
-        bin_of,
+        bin_column(scores),
         Some(live.clone()),
+        None,
         0,
     )
     .unwrap()
+}
+
+/// The default layout's bin column of `scores`.
+pub fn bin_column(scores: &[f64]) -> Arc<CodeColumn> {
+    let bins = fairjob_hist::BinSpec::equal_width(0.0, 1.0, 10).unwrap();
+    Arc::new(CodeColumn::from_values(10, &bins.bin_indices(scores)))
 }
 
 /// A scratch paged file, removed on drop. Named by test + params so

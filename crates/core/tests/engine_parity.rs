@@ -110,10 +110,9 @@ fn assert_split_matches_oracle(ctx: &AuditContext<'_>, what: &str) {
     }
 }
 
-/// Partitions of at least 65 536 rows run the kernel once per shard on
-/// the worker pool and merge the shards in order. The root of a stream
-/// context with one tombstone is such a partition (the root of a batch
-/// context takes the postings path instead).
+/// A stream context over 70 000 rows, one of them tombstoned, splits
+/// its projected cube like the oracle at every shard layout, and its
+/// build reads no row: the view maintains the cube.
 #[test]
 fn pooled_split_kernel_matches_legacy() {
     let (workers, scores) = population(70_000, 7, false);
@@ -129,13 +128,12 @@ fn pooled_split_kernel_matches_legacy() {
         };
         let ctx = view.context(config).unwrap();
         assert_split_matches_oracle(&ctx, &format!("pooled, shards={shards}"));
-        assert!(ctx.shard_tasks() > 0);
+        assert_eq!(ctx.cube_rows(), 0);
     }
 }
 
-/// A 300-value attribute and a 300-bin layout reach the four-byte code
-/// and bin columns and the kernel's counting pre-pass, which the
-/// paper's schema never does.
+/// A 300-value attribute and a 300-bin layout reach the four-byte key
+/// and bin columns, which the paper's schema never does.
 #[test]
 fn wide_code_and_bin_columns_match_legacy() {
     let labels: Vec<String> = (0..300).map(|v| format!("v{v}")).collect();
@@ -200,8 +198,8 @@ proptest! {
         }
     }
 
-    /// The split kernel produces exactly the children the legacy
-    /// posting-list path produced, on batch, stream and paged contexts.
+    /// Cube splits produce exactly the children the legacy posting-list
+    /// path produces, on batch, stream and paged contexts.
     #[test]
     fn split_kernel_matches_legacy_at_core_level(
         size in 60usize..220,

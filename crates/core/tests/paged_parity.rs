@@ -127,7 +127,7 @@ fn cell_algorithms_run_paged_bit_identically() {
 fn tight_budgets_evict_but_do_not_change_bits() {
     // Big enough that every column spans several pages — a one-page
     // budget can only make progress by evicting (a single-page column
-    // set can sit fully pinned during the index build and never evict).
+    // set can sit fully pinned during the cube build and never evict).
     let (workers, scores) = population(20_000, 77, false);
     let tmp = TempPaged::write("evict", &workers, &scores, None);
     let baseline = run_mem(&workers, &scores, ShardPolicy::Auto, 2, false);
@@ -194,4 +194,52 @@ proptest! {
             }
         }
     }
+}
+
+/// A code byte outside its attribute's dictionary in a written file is
+/// a typed error naming the attribute and the row, not a panic.
+#[test]
+fn out_of_range_code_byte_is_a_typed_error() {
+    use fairjob_core::AuditError;
+    use fairjob_store::schema::{AttributeKind, Schema};
+    use fairjob_store::table::{Table, Value};
+    let tiers = ["low", "mid", "high"];
+    let schema = Schema::builder()
+        .categorical("gender", AttributeKind::Protected, &["Male", "Female"])
+        .categorical("tier", AttributeKind::Protected, &tiers)
+        .build()
+        .unwrap();
+    let mut table = Table::new(schema);
+    let mut state = 0x2545_f491_u64;
+    let mut tier_codes = Vec::new();
+    for row in 0..600u64 {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1);
+        let tier = (state >> 33) % 3;
+        tier_codes.push(tier as u8);
+        let gender = if row % 2 == 0 { "Male" } else { "Female" };
+        table
+            .push_row(&[Value::cat(gender), Value::cat(tiers[tier as usize])])
+            .unwrap();
+    }
+    let scores: Vec<f64> = (0..600).map(|r| f64::from(r % 97) / 96.0).collect();
+    let file = TempPaged::write("corrupt-code", &table, &scores, None);
+    // The tier column's one byte-code page holds the codes in row
+    // order; find it and put a code the dictionary lacks at row 123.
+    let mut bytes = std::fs::read(&file.0).unwrap();
+    let page = bytes
+        .windows(tier_codes.len())
+        .position(|w| w == tier_codes.as_slice())
+        .expect("the tier page is in the file");
+    bytes[page + 123] = 7;
+    std::fs::write(&file.0, &bytes).unwrap();
+    let store = PagedStore::open(&file.0, 1 << 20).unwrap();
+    let err = AuditContext::from_paged(&store, AuditConfig::default(), None, None).unwrap_err();
+    let AuditError::Paged(reason) = &err else {
+        panic!("expected a paged-store error, got {err:?}")
+    };
+    assert!(reason.contains("`tier`"), "{reason}");
+    assert!(reason.contains("row 123"), "{reason}");
+    assert!(reason.contains("code 7"), "{reason}");
 }

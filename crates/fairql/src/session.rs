@@ -8,17 +8,21 @@
 //! same `unfairness` bits, same [`EngineStats`](fairjob_core::EngineStats) counters.
 //!
 //! Between statements the session keeps the engine's caches warm: a
-//! repeated audit shape (same source epoch, same `WHERE`, same bins
-//! and metric) re-adopts the previous run's split cache and distance
-//! memo, so `EXPLAIN ANALYZE` on the second statement shows
-//! `split_cache_hits` climbing instead of recomputation. `cache_hits`
+//! repeated audit shape (same source epoch, same `WHERE`, same
+//! `PROTECT` list, same bins and metric) re-adopts the previous run's
+//! split cache and distance memo, so `EXPLAIN ANALYZE` on the second
+//! statement shows `split_cache_hits` climbing instead of
+//! recomputation. `cache_hits`
 //! climbs too for metrics without an L1 form (`ks`, `jsd`,
 //! `emd-exact`, …); `emd` and `tv` sum their full evaluations without
 //! the memo, so their `cache_hits` stay 0.
 //! The caches are keyed by partition-predicate fingerprints, which do
 //! not encode the population — reusing them across a *different*
-//! filter or epoch would alias, so the warm hand-off is gated on an
-//! exact `CacheKey` match and dropped otherwise.
+//! filter or epoch would alias — and split entries hold cells of one
+//! cube, which another attribute list numbers differently. So the warm
+//! hand-off is gated on an exact `CacheKey` match and dropped
+//! otherwise (and the engine keeps split entries only for a cube with
+//! their cube's fingerprint).
 
 use crate::analyze::{analyze, Analyzed, AnalyzedAudit, AnalyzedSelect, OutItem};
 use crate::error::QueryError;
@@ -166,6 +170,9 @@ struct CacheKey {
     epoch: u64,
     /// `WHERE` fingerprint (population subset).
     filter: u128,
+    /// The `PROTECT` list (`None` = every splittable attribute): it
+    /// decides the cube the split entries' cells belong to.
+    attributes: Option<Vec<String>>,
     /// Histogram bin count.
     bins: usize,
     /// Metric name.
@@ -535,6 +542,7 @@ impl<'a> Session<'a> {
             scores: scores_id,
             epoch: self.source.epoch(),
             filter: scan.filter.fingerprint(),
+            attributes: audit.attributes.clone(),
             bins: node.bins,
             metric: node.metric.clone(),
         };
@@ -547,14 +555,10 @@ impl<'a> Session<'a> {
             EngineCaches::new()
         };
 
-        // The filtered batch path needs prebuilt parts; build them
+        // The filtered batch path needs a prebuilt bin column; build it
         // before the source match below takes its shared borrow.
-        let batch_parts = if !trivial && matches!(self.source, Source::Batch { .. }) {
-            self.ensure_batch_indexes();
-            Some((
-                Arc::clone(self.batch_indexes.as_ref().expect("just built")),
-                self.batch_bin_of(node.bins)?,
-            ))
+        let batch_bin_of = if !trivial && matches!(self.source, Source::Batch { .. }) {
+            Some(self.batch_bin_of(node.bins)?)
         } else {
             None
         };
@@ -569,9 +573,9 @@ impl<'a> Session<'a> {
                 finish_audit(&algorithm, &ctx, seeded)?
             }
             (Source::Batch { table, scores }, false) => {
-                let (indexes, bin_of) = batch_parts.expect("built above");
+                let bin_of = batch_bin_of.expect("built above");
                 let ctx =
-                    AuditContext::from_parts(table, scores, config, indexes, bin_of, Some(rows), 0)
+                    AuditContext::from_parts(table, scores, config, bin_of, Some(rows), None, 0)
                         .map_err(setup)?;
                 finish_audit(&algorithm, &ctx, seeded)?
             }

@@ -398,3 +398,47 @@ fn errors_carry_byte_offsets_and_classes() {
         .execute("SELECT COUNT(*) FROM workers WHERE gender = 'Male' LIMIT 0")
         .is_ok());
 }
+
+/// Re-auditing one `WHERE` under another `PROTECT` list in a warm
+/// session gives a cold session's bits and partitions. The lists
+/// differ in members and, for the same members, in order: both number
+/// the cube's cells differently, so no split entry may pass between
+/// them.
+#[test]
+fn protect_list_change_audits_like_a_cold_session() {
+    let (table, scores) = population(400);
+    let first = "AUDIT workers WHERE gender = 'Male' PROTECT country, language USING ";
+    for algorithm in ["balanced", "unbalanced", "all-attributes"] {
+        for second in [
+            "AUDIT workers WHERE gender = 'Male' PROTECT language, country USING ",
+            "AUDIT workers WHERE gender = 'Male' PROTECT language, ethnicity USING ",
+        ] {
+            let mut warm = session(&table, &scores);
+            let outputs = warm
+                .execute(&format!("{first}{algorithm}; {second}{algorithm}"))
+                .unwrap();
+            let cold = session(&table, &scores)
+                .execute(&format!("{second}{algorithm}"))
+                .unwrap();
+            let (
+                QueryOutput::Audit {
+                    summary: warm,
+                    rows: warm_rows,
+                },
+                QueryOutput::Audit {
+                    summary: cold,
+                    rows: cold_rows,
+                },
+            ) = (&outputs[1], &cold[0])
+            else {
+                panic!("not audit outputs")
+            };
+            assert_eq!(
+                warm.unfairness_bits(),
+                cold.unfairness_bits(),
+                "{algorithm}: {second}"
+            );
+            assert_eq!(warm_rows.rows, cold_rows.rows, "{algorithm}: {second}");
+        }
+    }
+}

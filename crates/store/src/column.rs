@@ -77,8 +77,9 @@ impl Column {
 /// A row-aligned column of small non-negative integers — dictionary
 /// codes or histogram bin indices — one byte per row when every value
 /// of the domain fits (at most [`CodeColumn::NARROW_DOMAIN`] values),
-/// four bytes otherwise. The split kernels walk these columns row by
-/// row and are bandwidth bound, so the narrow form is their main lever.
+/// four bytes otherwise. The per-row passes of an audit (classify, the
+/// row sets of the returned partitioning) are bandwidth bound, so the
+/// narrow form is their main lever.
 ///
 /// Values must lie in the domain the column was created for; a narrow
 /// column truncates wider values.

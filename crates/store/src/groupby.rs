@@ -44,8 +44,8 @@ pub fn group_by(
 /// is keyed by its code vector, aligned with `attrs`, in key order.
 ///
 /// No audit builds its partitions here: the audit layer's
-/// `AuditContext::cells` refines through the split kernel instead, and
-/// this scan is kept as that builder's test oracle.
+/// `AuditContext::cells` reads its cell cube instead, and this scan is
+/// kept as that builder's test oracle.
 ///
 /// # Errors
 ///

@@ -65,5 +65,5 @@ pub use paged::{BufferManager, PageCacheStats, PageCounters, PagedError, PagedSt
 pub use predicate::{EqConstraint, Predicate};
 pub use rowset::RowSet;
 pub use schema::{AttributeDef, AttributeKind, DataType, Schema};
-pub use sharded::{ShardPlan, ShardPolicy, ShardedRows};
+pub use sharded::{ShardPlan, ShardPolicy};
 pub use table::{Table, Value};

@@ -8,10 +8,7 @@
 //!
 //! * **Pages.** Every column is cut into fixed 64 KiB pages
 //!   ([`PAGE_SIZE`]): 8 192 `f64` rows per score/numeric page, 65 536
-//!   rows per byte-code page, 16 384 per wide-code page. All capacities
-//!   are multiples of [`PAGE_ALIGN_ROWS`], so a row boundary at a
-//!   multiple of 8 192 is a page boundary in *every* column — shard
-//!   plans aligned to it never split a page across shards.
+//!   rows per byte-code page, 16 384 per wide-code page.
 //! * **Zone maps.** Each page's directory entry carries min/max for
 //!   value pages and a 256-bit code-presence bitset for categorical
 //!   pages. Scans consult the zone map first and skip pages that cannot
@@ -48,10 +45,6 @@ use std::sync::{Arc, Mutex};
 
 /// Fixed page size in bytes.
 pub const PAGE_SIZE: usize = 64 * 1024;
-
-/// Row granule every column's page capacity is a multiple of: shard or
-/// chunk boundaries at multiples of this never split any column's page.
-pub const PAGE_ALIGN_ROWS: usize = PAGE_SIZE / 8;
 
 /// File magic, written after the header and inside the footer.
 const MAGIC: &[u8; 8] = b"FJPAGED1";

@@ -1,23 +1,18 @@
 //! Deterministic row-range sharding.
 //!
-//! Every data-parallel kernel in the workspace slices its input by
-//! **fixed row-id ranges** — shard `s` of a [`ShardPlan`] owns the rows
-//! whose ids fall in `[bounds[s], bounds[s+1])`, regardless of which
-//! rows a particular partition actually contains. Because row sets are
-//! sorted, a partition sliced by such ranges decomposes into contiguous
-//! subslices whose concatenation *in shard order* reproduces the serial
-//! walk exactly; per-shard results merged in that order are therefore
-//! bit-identical to one serial walk of the kernel for every shard count
-//! and every thread count. Counts are merged by integer addition (exact),
-//! and row vectors by concatenation (order-preserving) — no
-//! floating-point reassociation happens in any sharded merge.
+//! The audit context's classify pass slices the table by **fixed row-id
+//! ranges** — shard `s` of a [`ShardPlan`] owns the rows whose ids fall
+//! in `[bounds[s], bounds[s+1])`. Per-shard results merged in shard
+//! order are bit-identical to one serial pass for every shard count and
+//! every thread count: columns are written elementwise and counts are
+//! merged by integer addition (exact) — no floating-point reassociation
+//! happens in any sharded merge.
 //!
 //! The plan itself is pure layout: dispatching shards onto worker
 //! threads is the caller's business (`fairjob-core` runs them on its
 //! `WorkerPool`), which keeps this crate dependency-free and the layout
 //! testable in isolation.
 
-use crate::RowSet;
 use std::ops::Range;
 
 /// Row-count granule the auto policy aims at per shard: small enough to
@@ -111,31 +106,6 @@ impl ShardPlan {
         ShardPlan { n_rows, bounds }
     }
 
-    /// Plan up to `shards` row ranges whose **interior boundaries fall
-    /// on multiples of `granule`** — the paged store shards on page
-    /// boundaries (granule = rows per page) so no shard ever splits a
-    /// page. Boundaries are spread evenly in granule units; with fewer
-    /// granules than requested shards the plan degrades to fewer
-    /// (larger) shards. Results stay bit-identical under any plan — the
-    /// alignment is purely an I/O-locality layout choice.
-    pub fn new_aligned(n_rows: usize, shards: usize, granule: usize) -> Self {
-        let granule = granule.max(1);
-        let granules = n_rows / granule;
-        let shards = shards.clamp(1, n_rows.max(1));
-        let mut bounds = Vec::with_capacity(shards + 1);
-        bounds.push(0u32);
-        let mut last = 0usize;
-        for s in 1..shards {
-            let b = (s * granules / shards) * granule;
-            if b > last && b < n_rows {
-                bounds.push(b as u32);
-                last = b;
-            }
-        }
-        bounds.push(n_rows as u32);
-        ShardPlan { n_rows, bounds }
-    }
-
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.bounds.len() - 1
@@ -149,57 +119,6 @@ impl ShardPlan {
     /// The row-id range owned by shard `s`.
     pub fn range(&self, s: usize) -> Range<usize> {
         self.bounds[s] as usize..self.bounds[s + 1] as usize
-    }
-
-    /// Slice a **sorted** row-id slice into per-shard subslices. The
-    /// concatenation of the returned slices in order is exactly `rows`.
-    pub fn shard_slices<'a>(&self, rows: &'a [u32]) -> ShardedRows<'a> {
-        let mut cuts = Vec::with_capacity(self.bounds.len());
-        let mut from = 0usize;
-        cuts.push(0u32);
-        for &bound in &self.bounds[1..] {
-            from += rows[from..].partition_point(|&r| r < bound);
-            cuts.push(from as u32);
-        }
-        ShardedRows { rows, cuts }
-    }
-
-    /// Slice a [`RowSet`] into per-shard subslices (see
-    /// [`ShardPlan::shard_slices`]).
-    pub fn shard_rows<'a>(&self, rows: &'a RowSet) -> ShardedRows<'a> {
-        self.shard_slices(rows.rows())
-    }
-}
-
-/// A sorted row slice decomposed into per-shard contiguous subslices —
-/// the `ShardedRows` layout every data-parallel kernel consumes. Built
-/// by [`ShardPlan::shard_rows`]; zero-copy over the parent set.
-#[derive(Debug, Clone)]
-pub struct ShardedRows<'a> {
-    rows: &'a [u32],
-    /// `shards + 1` cut points into `rows`.
-    cuts: Vec<u32>,
-}
-
-impl<'a> ShardedRows<'a> {
-    /// Number of shards (including empty ones).
-    pub fn shards(&self) -> usize {
-        self.cuts.len() - 1
-    }
-
-    /// The rows of shard `s` (possibly empty).
-    pub fn shard(&self, s: usize) -> &'a [u32] {
-        &self.rows[self.cuts[s] as usize..self.cuts[s + 1] as usize]
-    }
-
-    /// Total rows across all shards.
-    pub fn total_rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Iterate the per-shard slices in shard order.
-    pub fn iter(&self) -> impl Iterator<Item = &'a [u32]> + '_ {
-        (0..self.shards()).map(move |s| self.shard(s))
     }
 }
 
@@ -224,25 +143,6 @@ mod tests {
         let empty = ShardPlan::new(0, 4);
         assert_eq!(empty.shards(), 1);
         assert_eq!(empty.range(0), 0..0);
-    }
-
-    #[test]
-    fn shard_rows_concatenate_to_parent() {
-        let rows = RowSet::from_rows(vec![0, 3, 4, 6, 7, 9, 11]);
-        for shards in 1..6 {
-            let plan = ShardPlan::new(12, shards);
-            let sharded = plan.shard_rows(&rows);
-            let mut rebuilt: Vec<u32> = Vec::new();
-            for s in 0..sharded.shards() {
-                for &r in sharded.shard(s) {
-                    let range = plan.range(s);
-                    assert!(range.contains(&(r as usize)), "row {r} outside shard {s}");
-                    rebuilt.push(r);
-                }
-            }
-            assert_eq!(rebuilt, rows.rows());
-            assert_eq!(sharded.total_rows(), rows.len());
-        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! round-trips, bucketisation totality.
 
 use fairjob_store::bucketize::{bucketize, BucketSpec};
-use fairjob_store::column::CodeColumn;
 use fairjob_store::groupby::{group_by, group_by_many};
 use fairjob_store::index::CategoricalIndex;
 use fairjob_store::schema::{AttributeKind, Schema};
@@ -85,37 +84,6 @@ proptest! {
         let expected: Vec<u32> = sa.intersection(&sb).copied().collect();
         prop_assert_eq!(a.intersect(&b).rows(), &expected[..]);
         prop_assert_eq!(b.intersect(&a).rows(), &expected[..]);
-    }
-
-    #[test]
-    fn split_kernel_matches_legacy_split(
-        t in table(100),
-        within in rowset(100),
-        bins in 1usize..12,
-    ) {
-        // The kernel must agree with the posting-intersection oracle on
-        // children AND histograms, for any partition and bin layout.
-        let within = RowSet::from_rows(
-            within.rows().iter().copied().filter(|&r| (r as usize) < t.len()).collect(),
-        );
-        let bin_of: Vec<u32> = (0..t.len() as u32).map(|r| r % bins as u32).collect();
-        let bin_column = CodeColumn::from_values(bins, &bin_of);
-        for attr in t.schema().splittable() {
-            let idx = CategoricalIndex::build(&t, attr).unwrap();
-            let kernel = idx.split_rows(within.rows(), &bin_column, bins);
-            let legacy = idx.split(&within);
-            prop_assert_eq!(kernel.len(), legacy.len());
-            for (child, (code, rows)) in kernel.iter().zip(&legacy) {
-                prop_assert_eq!(child.code, *code);
-                prop_assert_eq!(&child.rows, rows);
-                let mut expected = vec![0.0; bins];
-                for row in rows.iter() {
-                    expected[bin_of[row] as usize] += 1.0;
-                }
-                prop_assert_eq!(&child.bin_counts, &expected);
-                prop_assert_eq!(child.bin_counts.iter().sum::<f64>(), rows.len() as f64);
-            }
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The incremental audit loop: apply an epoch, selectively invalidate
-//! the warm engine caches, re-audit, keep the caches for the next
-//! epoch.
+//! The incremental audit loop: apply an epoch (the view patches its
+//! cell cube), selectively invalidate the warm distance memo, re-audit,
+//! keep the caches for the next epoch.
 
 use crate::error::StreamError;
 use crate::view::StreamView;
@@ -17,7 +17,7 @@ pub struct EpochReport {
     pub events: usize,
     /// Net row changes after coalescing.
     pub changes: usize,
-    /// What selective invalidation did to the warm caches.
+    /// What selective invalidation did to the warm distance memo.
     pub invalidation: InvalidationReport,
     /// Live workers at audit time.
     pub live_workers: usize,
@@ -26,17 +26,19 @@ pub struct EpochReport {
 }
 
 /// Maintains an audited view across epochs: each [`run_epoch`]
-/// (1) applies the events to the [`StreamView`], (2) selectively
-/// invalidates the engine caches carried over from the previous epoch
-/// against the epoch's net row changes, (3) seeds those caches into a
-/// fresh per-epoch [`AuditContext`] and runs the algorithm, and
-/// (4) takes the caches back for the next epoch.
+/// (1) applies the events to the [`StreamView`], which patches its cell
+/// cube, (2) selectively invalidates the distance memo carried over
+/// from the previous epoch against the epoch's net row changes,
+/// (3) seeds the caches into a fresh per-epoch [`AuditContext`] — which
+/// projects the view's cube and reads no row — and runs the algorithm,
+/// and (4) takes the caches back for the next epoch.
 ///
 /// The warm result is bit-identical to [`StreamAuditor::cold_audit`]
 /// (a from-scratch audit of the compacted live population): retained
-/// distances are exactly what a recompute would produce, and patched
-/// split entries are rebuilt with the same integer bin arithmetic as
-/// the split kernel.
+/// distances are exactly what a recompute would produce, and the
+/// patched cube holds the integer counts a rebuild would count. Split
+/// entries survive only an epoch that changed no row; any other epoch
+/// recomputes its splits from the patched cube.
 ///
 /// Parallel work inside each epoch's audit (candidate-split batches,
 /// large pairwise evaluations) runs on the process-wide persistent
@@ -118,7 +120,7 @@ impl StreamAuditor {
             None => (0, Vec::new()),
         };
         let mut caches = self.caches.take().unwrap_or_default();
-        let invalidation = caches.invalidate(&changes, self.view.spec());
+        let invalidation = caches.invalidate(&changes);
         let ctx = self.view.context(self.config.clone())?;
         ctx.seed_engine_caches(caches);
         let audit = algorithm.run(&ctx).map_err(StreamError::Audit)?;
@@ -137,7 +139,7 @@ impl StreamAuditor {
 
     /// A from-scratch audit of the compacted live population — the
     /// baseline the incremental path is verified against. Builds a
-    /// fresh table, fresh indexes and a cold engine; does not touch the
+    /// fresh table, a fresh cube and a cold engine; does not touch the
     /// auditor's warm caches.
     ///
     /// # Errors
@@ -251,7 +253,8 @@ mod tests {
     #[test]
     fn warm_epochs_reuse_cached_work() {
         let algorithm = Balanced::new(AttributeChoice::Worst);
-        // The default `emd` reuses splits and keeps no distance memo.
+        // The default `emd` reads no row (the view patched the cube)
+        // and keeps no distance memo.
         let (mut auditor, epochs) = auditor(150, 13);
         auditor.audit(&algorithm).unwrap();
         let warm = auditor.run_epoch(&epochs[0], &algorithm).unwrap();
@@ -293,10 +296,11 @@ mod tests {
         assert_eq!(second.epoch, 1);
         assert_eq!(second.changes, 0);
         assert_eq!(second.invalidation.distances_evicted, 0);
-        assert_eq!(second.invalidation.splits_evicted, 0);
         assert_eq!(second.invalidation.distances_retained, 0);
         assert_eq!(memo_size(&auditor), 0);
-        // Every split the audit needs is already cached.
+        // The cube is unchanged, so every split the audit needs is
+        // already cached, and no row is read.
+        assert_eq!(second.audit.engine.splits_computed, 0);
         assert_eq!(second.audit.engine.rows_scanned, 0);
         assert_eq!(
             first.audit.unfairness.to_bits(),

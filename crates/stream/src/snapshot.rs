@@ -1,9 +1,9 @@
 //! Immutable, published epoch states for concurrent readers.
 //!
 //! A [`StreamSnapshot`] is what a resident server hands to reader
-//! sessions: `Arc` handles on the writer's table, scores, dictionary
-//! indexes and bin array, plus a materialised live row set and the
-//! epoch stamp. Cloning is O(1) in the population size (the row set is
+//! sessions: `Arc` handles on the writer's table, scores, cell cube,
+//! dictionary indexes and bin array, plus a materialised live row set
+//! and the epoch stamp. Cloning is O(1) in the population size (the row set is
 //! shared behind the snapshot's own `Arc` clone semantics — the struct
 //! itself is cheap to clone and `Send + Sync`), so a server can
 //! `Arc`-swap the "current" snapshot on every committed epoch while
@@ -13,7 +13,7 @@
 //! [`crate::StreamView`]), never a published snapshot's.
 
 use crate::error::StreamError;
-use fairjob_core::{AuditConfig, AuditContext};
+use fairjob_core::{AuditConfig, AuditContext, CellCube};
 use fairjob_hist::BinSpec;
 use fairjob_store::column::CodeColumn;
 use fairjob_store::index::IndexSet;
@@ -32,6 +32,7 @@ pub struct StreamSnapshot {
     scores: Arc<Vec<f64>>,
     live: RowSet,
     indexes: Arc<IndexSet>,
+    cube: Arc<CellCube>,
     bin_of: Arc<CodeColumn>,
     spec: BinSpec,
     epoch: u64,
@@ -40,11 +41,13 @@ pub struct StreamSnapshot {
 impl StreamSnapshot {
     /// Assemble a snapshot from a view's shared parts — used by
     /// [`crate::StreamView::snapshot`].
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         table: Arc<Table>,
         scores: Arc<Vec<f64>>,
         live: RowSet,
         indexes: Arc<IndexSet>,
+        cube: Arc<CellCube>,
         bin_of: Arc<CodeColumn>,
         spec: BinSpec,
         epoch: u64,
@@ -54,6 +57,7 @@ impl StreamSnapshot {
             scores,
             live,
             indexes,
+            cube,
             bin_of,
             spec,
             epoch,
@@ -85,9 +89,10 @@ impl StreamSnapshot {
         self.scores.as_slice()
     }
 
-    /// Build an audit context over the snapshot's live rows. Indexes
-    /// and bin array are handed over as shared `Arc`s — no rebuild, no
-    /// copy; audits over the context cannot observe any later epoch.
+    /// Build an audit context over the snapshot's live rows: the
+    /// context projects the snapshot's cube (O(cells), no row read) and
+    /// shares its bin array — no rebuild, no copy; audits over the
+    /// context cannot observe any later epoch.
     ///
     /// # Errors
     ///
@@ -95,14 +100,24 @@ impl StreamSnapshot {
     /// the snapshot's layout; [`StreamError::Audit`] for unusable
     /// configs.
     pub fn context(&self, config: AuditConfig) -> Result<AuditContext<'_>, StreamError> {
-        self.context_over(config, self.live.clone())
+        self.check_bins(&config)?;
+        AuditContext::from_parts(
+            self.table.as_ref(),
+            self.scores.as_slice(),
+            config,
+            Arc::clone(&self.bin_of),
+            Some(self.live.clone()),
+            Some(&self.cube),
+            self.epoch,
+        )
+        .map_err(StreamError::Audit)
     }
 
     /// Like [`context`](Self::context), but restricted to `live` — a
     /// subset of the snapshot's live rows (typically the live set
     /// intersected with a query predicate's row set). The snapshot's
-    /// shared indexes and bin assignments are reused; only the
-    /// population changes.
+    /// bin assignments are reused; the context counts its own cube from
+    /// the subset's rows.
     ///
     /// # Errors
     ///
@@ -114,22 +129,27 @@ impl StreamSnapshot {
         config: AuditConfig,
         live: fairjob_store::rowset::RowSet,
     ) -> Result<AuditContext<'_>, StreamError> {
+        self.check_bins(&config)?;
+        AuditContext::from_parts(
+            self.table.as_ref(),
+            self.scores.as_slice(),
+            config,
+            Arc::clone(&self.bin_of),
+            Some(live),
+            None,
+            self.epoch,
+        )
+        .map_err(StreamError::Audit)
+    }
+
+    fn check_bins(&self, config: &AuditConfig) -> Result<(), StreamError> {
         if config.bins != self.spec.len() {
             return Err(StreamError::BinMismatch {
                 view: self.spec.len(),
                 config: config.bins,
             });
         }
-        AuditContext::from_parts(
-            self.table.as_ref(),
-            self.scores.as_slice(),
-            config,
-            Arc::clone(&self.indexes),
-            Arc::clone(&self.bin_of),
-            Some(live),
-            self.epoch,
-        )
-        .map_err(StreamError::Audit)
+        Ok(())
     }
 
     /// The live row set (rows not tombstoned at snapshot time).

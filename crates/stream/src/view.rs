@@ -2,7 +2,7 @@
 
 use crate::error::StreamError;
 use crate::snapshot::StreamSnapshot;
-use fairjob_core::{AuditConfig, AuditContext, AuditError, RowChange, RowFacts};
+use fairjob_core::{AuditConfig, AuditContext, AuditError, CellCube, RowChange, RowFacts};
 use fairjob_hist::BinSpec;
 use fairjob_marketplace::stream::Event;
 use fairjob_store::bitmap::Bitmap;
@@ -34,8 +34,10 @@ pub struct EpochDelta {
 ///   assigned in arrival order, never reused;
 /// * departures set a tombstone in the `live` bitmap instead of
 ///   deleting the row;
-/// * the dictionary indexes and the per-row score-bin array are
-///   maintained in place (no per-epoch rebuild);
+/// * the cell cube of the live rows over every splittable attribute,
+///   the dictionary indexes (for FairQL's pushed-down scans) and the
+///   per-row score-bin array are maintained in place (no per-epoch
+///   rebuild; the cube patches two cells per changed row);
 /// * every epoch bumps a version stamp and reports its net
 ///   [`RowChange`]s for selective cache invalidation.
 ///
@@ -59,6 +61,9 @@ pub struct StreamView {
     /// hand-off, no rebuild); mutated via `Arc::make_mut` between
     /// audits, when no context of *this* view is borrowing them.
     indexes: Arc<IndexSet>,
+    /// The live rows' cell cube over every splittable attribute; each
+    /// context projects it onto its audited attributes.
+    cube: Arc<CellCube>,
     bin_of: Arc<CodeColumn>,
     spec: BinSpec,
     epoch: u64,
@@ -82,12 +87,12 @@ impl StreamView {
     /// --snapshot`). `live` restricts to the non-tombstoned rows
     /// (`None` = all live); `epoch` resumes the writer's stamp.
     ///
-    /// The derived structures (dictionary indexes, score-bin array) are
-    /// rebuilt from the columns. The stream layer maintains them
-    /// incrementally to exactly the from-scratch values (departures
-    /// only tombstone; in-place index edits mirror a rebuild — asserted
-    /// in tests), so audits over the reloaded view are bit-identical to
-    /// the writer's audits at the same epoch.
+    /// The derived structures (cell cube, dictionary indexes, score-bin
+    /// array) are rebuilt from the columns. The stream layer maintains
+    /// them incrementally to the from-scratch values (departures only
+    /// tombstone; in-place edits mirror a rebuild — asserted in tests),
+    /// so audits over the reloaded view are bit-identical to the
+    /// writer's audits at the same epoch.
     ///
     /// # Errors
     ///
@@ -135,11 +140,20 @@ impl StreamView {
             }
             None => Bitmap::full(table.len()),
         };
+        let cube = CellCube::from_table(
+            &table,
+            &table.schema().splittable(),
+            &bin_of,
+            bins,
+            Some(live.to_rowset()),
+            true,
+        )?;
         Ok(StreamView {
             table: Arc::new(table),
             scores: Arc::new(scores),
             live,
             indexes,
+            cube: Arc::new(cube),
             bin_of,
             spec,
             epoch,
@@ -279,6 +293,7 @@ impl StreamView {
             }
             changes.push(RowChange { row, before, after });
         }
+        self.patch_cube(&changes);
         Ok(EpochDelta {
             epoch: self.epoch,
             changes,
@@ -286,8 +301,9 @@ impl StreamView {
     }
 
     /// Snapshot the view into an audit context over the live rows. The
-    /// maintained indexes and bin array are handed over as shared
-    /// `Arc`s — no rebuild, no copy.
+    /// context projects the maintained cube onto its audited attributes
+    /// (O(cells), no row read) and shares the bin array — no rebuild,
+    /// no copy.
     ///
     /// # Errors
     ///
@@ -304,17 +320,17 @@ impl StreamView {
             self.table.as_ref(),
             self.scores.as_slice(),
             config,
-            Arc::clone(&self.indexes),
             Arc::clone(&self.bin_of),
             Some(self.live.to_rowset()),
+            Some(&self.cube),
             self.epoch,
         )
         .map_err(StreamError::Audit)
     }
 
     /// Publish the current state as an immutable, cheaply-cloneable
-    /// [`StreamSnapshot`]: `Arc` handles on the table, scores, indexes
-    /// and bin array plus a materialised live row set. Concurrent
+    /// [`StreamSnapshot`]: `Arc` handles on the table, scores, cube,
+    /// indexes and bin array plus a materialised live row set. Concurrent
     /// readers audit the snapshot while this view keeps mutating — the
     /// writer's next in-place change copies the shared structure, never
     /// the snapshot's.
@@ -324,6 +340,7 @@ impl StreamView {
             Arc::clone(&self.scores),
             self.live.to_rowset(),
             Arc::clone(&self.indexes),
+            Arc::clone(&self.cube),
             Arc::clone(&self.bin_of),
             self.spec.clone(),
             self.epoch,
@@ -370,6 +387,29 @@ impl StreamView {
             codes,
             bin: self.bin_of.get(row as usize),
         })
+    }
+
+    /// Patch the cube with an epoch's net changes: each changed row
+    /// leaves the cell and bin it started the epoch in and joins the
+    /// ones it ends in.
+    fn patch_cube(&mut self, changes: &[RowChange]) {
+        if changes.is_empty() {
+            return; // keeps a published snapshot's cube shared
+        }
+        let cube = Arc::make_mut(&mut self.cube);
+        let attrs = cube.attributes().to_vec();
+        let codes =
+            |facts: &RowFacts| -> Vec<u32> { attrs.iter().map(|&a| facts.codes[a]).collect() };
+        cube.grow(self.table.len());
+        for change in changes {
+            let before = change.before.as_ref().map(|f| (codes(f), f.bin));
+            let after = change.after.as_ref().map(|f| (codes(f), f.bin));
+            cube.patch(
+                change.row,
+                before.as_ref().map(|(c, bin)| (c.as_slice(), *bin)),
+                after.as_ref().map(|(c, bin)| (c.as_slice(), *bin)),
+            );
+        }
     }
 
     fn record_before(
@@ -487,10 +527,10 @@ mod tests {
         // The maintained indexes match a from-scratch rebuild.
         let rebuilt = IndexSet::build(v.table(), &v.table().schema().splittable()).unwrap();
         for attr in v.table().schema().splittable() {
-            assert_eq!(
-                v.indexes.get(attr).unwrap().codes(),
-                rebuilt.get(attr).unwrap().codes()
-            );
+            let (maintained, fresh) = (v.indexes.get(attr).unwrap(), rebuilt.get(attr).unwrap());
+            for code in 0..fresh.cardinality() as u32 {
+                assert_eq!(maintained.rows_with_code(code), fresh.rows_with_code(code));
+            }
         }
     }
 
@@ -583,7 +623,6 @@ mod tests {
             .unwrap();
         let new = v.table().code_at(attr, 3).unwrap();
         assert_ne!(old, new);
-        assert_eq!(v.indexes.get(attr).unwrap().codes().get(3), new);
         assert!(v.indexes.get(attr).unwrap().rows_with_code(new).contains(3));
         assert!(!v.indexes.get(attr).unwrap().rows_with_code(old).contains(3));
         let c = &delta.changes[0];

@@ -34,7 +34,7 @@ fn main() {
         .partitioning
         .partitions()
         .iter()
-        .map(|p| p.rows.clone())
+        .map(|p| p.rows().clone())
         .collect();
     let repaired = repair_scores(
         &scores,

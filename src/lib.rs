@@ -33,7 +33,7 @@
 //! assert!(audit.unfairness > 0.7, "f6 separates genders by ~0.8");
 //!
 //! // 4. Repair: quantile-align the groups the audit found.
-//! let groups: Vec<_> = audit.partitioning.partitions().iter().map(|p| p.rows.clone()).collect();
+//! let groups: Vec<_> = audit.partitioning.partitions().iter().map(|p| p.rows().clone()).collect();
 //! let repaired = repair_scores(
 //!     &scores,
 //!     &groups,

@@ -103,7 +103,7 @@ fn repair_after_audit_eliminates_the_found_unfairness() {
         .partitioning
         .partitions()
         .iter()
-        .map(|p| p.rows.clone())
+        .map(|p| p.rows().clone())
         .collect();
     let repaired = repair_scores(
         &scores,
@@ -136,7 +136,7 @@ fn partial_repair_interpolates_monotonically() {
         .partitioning
         .partitions()
         .iter()
-        .map(|p| p.rows.clone())
+        .map(|p| p.rows().clone())
         .collect();
     let mut last = f64::INFINITY;
     for lambda in [0.0, 0.25, 0.5, 0.75, 1.0] {

@@ -135,7 +135,7 @@ proptest! {
         let ctx = AuditContext::new(&t, &scores, AuditConfig::default()).unwrap();
         let audit = Balanced::new(AttributeChoice::Worst).run(&ctx).unwrap();
         let groups: Vec<RowSet> =
-            audit.partitioning.partitions().iter().map(|p| p.rows.clone()).collect();
+            audit.partitioning.partitions().iter().map(|p| p.rows().clone()).collect();
         // λ = 0 is the identity.
         let zero = repair_scores(&scores, &groups,
             &RepairConfig { lambda: 0.0, target: RepairTarget::Median }).unwrap();
