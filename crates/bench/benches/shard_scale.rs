@@ -13,8 +13,12 @@
 //! It also extends the machine-readable perf trajectory: a
 //! `BENCH_shard.json` next to the workspace root with the 1M-row
 //! end-to-end timing of the two-attribute audit (best of three, one
-//! thread) and of the six-attribute `balanced` audit (median of five,
-//! the machine's threads; no bound), uploaded as a CI artifact.
+//! thread), the two phases of that audit's per-row work timed apart —
+//! its context build and the row pass of the partitioning it returns
+//! (median and interquartile range of eleven interleaved runs, the
+//! machine's threads) — and of the six-attribute `balanced` audit
+//! (median of five, the machine's threads); no bound on any, uploaded
+//! as a CI artifact.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fairjob_core::algorithms::{balanced::Balanced, Algorithm, AttributeChoice};
@@ -125,6 +129,73 @@ fn time_all_attributes_audit(table: &Table, scores: &[f64]) -> (u128, usize) {
     (runs[runs.len() / 2], threads)
 }
 
+/// Median and quartiles (by rank) of a phase's timings, in
+/// microseconds.
+struct Spread {
+    median: u128,
+    q1: u128,
+    q3: u128,
+}
+
+impl Spread {
+    fn of(mut runs: Vec<u128>) -> Self {
+        runs.sort_unstable();
+        let n = runs.len();
+        Spread {
+            median: runs[n / 2],
+            q1: runs[n / 4],
+            q3: runs[3 * n / 4],
+        }
+    }
+
+    fn json(&self, name: &str) -> String {
+        format!(
+            "\"{name}_median_us\":{},\"{name}_iqr_us\":{}",
+            self.median,
+            self.q3 - self.q1
+        )
+    }
+}
+
+/// The per-row phases of the two-attribute audit on the
+/// [`SCALE_ROWS`]-row population at the machine's thread count, timed
+/// apart in eleven interleaved runs: the context build
+/// (`AuditContext::new`: validation, the classify pass into the cell
+/// cube) and the row pass (`AuditContext::partitioning` of the parts
+/// `balanced` returns, which over two attributes are their cells).
+fn time_phases(table: &Table, scores: &[f64]) -> (Spread, Spread, usize) {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let config = AuditConfig {
+        threads: Some(threads),
+        attributes: Some(SCALE_ATTRS.iter().map(|a| a.to_string()).collect()),
+        ..AuditConfig::default()
+    };
+    let (mut build, mut row_pass) = (Vec::new(), Vec::new());
+    for _ in 0..11 {
+        let started = Instant::now();
+        let ctx = AuditContext::new(table, scores, config.clone()).expect("context");
+        build.push(started.elapsed().as_micros());
+        let returned = Balanced::new(AttributeChoice::Worst)
+            .run(&ctx)
+            .expect("audit");
+        let cells = ctx.cells(ctx.attributes());
+        let mut predicates: Vec<_> = cells.iter().map(|p| &p.predicate).collect();
+        let mut found: Vec<_> = returned
+            .partitioning
+            .partitions()
+            .iter()
+            .map(|p| &p.predicate)
+            .collect();
+        predicates.sort_by_key(|p| p.fingerprint());
+        found.sort_by_key(|p| p.fingerprint());
+        assert_eq!(predicates, found, "balanced returns the cells");
+        let started = Instant::now();
+        black_box(ctx.partitioning(&cells));
+        row_pass.push(started.elapsed().as_micros());
+    }
+    (Spread::of(build), Spread::of(row_pass), threads)
+}
+
 /// Bit-identity and counter attribution across shard × thread layouts.
 fn assert_layout_parity(table: &Table, scores: &[f64]) {
     let baseline = run_audit(table, scores, ShardPolicy::Fixed(1), 1, None);
@@ -158,12 +229,18 @@ fn assert_layout_parity(table: &Table, scores: &[f64]) {
 }
 
 /// Write the machine-readable trajectory next to the workspace root.
-fn write_bench_json(sharded_us: u128, (all_attrs_us, all_attrs_threads): (u128, usize)) {
+fn write_bench_json(
+    sharded_us: u128,
+    (build, row_pass, phase_threads): (Spread, Spread, usize),
+    (all_attrs_us, all_attrs_threads): (u128, usize),
+) {
     let json = format!(
         "{{\"bench\":\"shard_scale\",\"rows\":{SCALE_ROWS},\
-\"attrs\":\"{}\",\"sharded_us\":{sharded_us},\
+\"attrs\":\"{}\",\"sharded_us\":{sharded_us},{},{},\"phase_threads\":{phase_threads},\
 \"all_attrs_balanced_us\":{all_attrs_us},\"all_attrs_threads\":{all_attrs_threads}}}\n",
         SCALE_ATTRS.join(","),
+        build.json("build"),
+        row_pass.json("row_pass"),
     );
     // `cargo bench` runs with the package directory as cwd; BENCH_*.json
     // lands at the workspace root either way.
@@ -184,8 +261,9 @@ fn bench_shard_scale(c: &mut Criterion) {
 
     let (scale_table, scale_scores) = population(SCALE_ROWS);
     let sharded_us = time_scale_audit(&scale_table, &scale_scores);
+    let phases = time_phases(&scale_table, &scale_scores);
     let all_attrs = time_all_attributes_audit(&scale_table, &scale_scores);
-    write_bench_json(sharded_us, all_attrs);
+    write_bench_json(sharded_us, phases, all_attrs);
     drop((scale_table, scale_scores));
 
     let (table, scores) = population(BENCH_ROWS);

@@ -1,27 +1,24 @@
 //! Audit configuration and the shared evaluation context.
 
-use crate::cube::{self, CellCube, KeyFold};
+use crate::cube::{self, CellCube, KeyFold, RangeCounts};
 use crate::engine::EngineCaches;
 use crate::error::AuditError;
 use crate::partition::{Partition, Partitioning};
 use crate::pool::{thread_budget, WorkerPool};
 use crate::unfairness::average_pairwise;
+use fairjob_hist::bins::Slot;
 use fairjob_hist::distance::Emd1d;
 use fairjob_hist::{BinSpec, Histogram, HistogramDistance};
 use fairjob_store::column::CodeColumn;
 use fairjob_store::index::CategoricalIndex;
 use fairjob_store::paged::{PageCacheStats, PageCounters, PageData, PagedColumn};
-use fairjob_store::{PagedStore, Predicate, RowSet, Schema, ShardPlan, ShardPolicy, Table};
+use fairjob_store::{
+    EqConstraint, PagedStore, Predicate, RowSet, Schema, ShardPlan, ShardPolicy, Table,
+};
 use std::borrow::Borrow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Row-count floor below which the sharded classify pass runs its
-/// shards inline instead of dispatching them to the worker pool: small
-/// tables are dominated by per-task overhead. The choice affects
-/// scheduling only — results and counters are identical either way.
-const SHARD_DISPATCH_MIN_ROWS: usize = 65_536;
 
 /// Configuration of an audit.
 #[derive(Clone)]
@@ -178,45 +175,23 @@ impl std::fmt::Debug for AuditContext<'_> {
 
 /// `Ok` when every score lies in `[0, 1]` (NaN and infinities fail);
 /// otherwise [`AuditError::BadScore`] naming the first offender, its
-/// row offset by `first_row`.
+/// row offset by `first_row`. The classify passes check scores in the
+/// binning kernel ([`BinSpec::bin_checked`]) and call this only to name
+/// the row.
 pub(crate) fn check_scores(first_row: usize, scores: &[f64]) -> Result<(), AuditError> {
-    // A branchless fold the compiler vectorizes; the rescan only runs
-    // on failure.
-    if scores
-        .iter()
-        .fold(true, |ok, s| ok & (0.0..=1.0).contains(s))
-    {
-        return Ok(());
+    match scores.iter().position(|s| !(0.0..=1.0).contains(s)) {
+        None => Ok(()),
+        Some(i) => Err(AuditError::BadScore {
+            row: first_row + i,
+            value: scores[i],
+        }),
     }
-    let (i, &value) = scores
-        .iter()
-        .enumerate()
-        .find(|(_, s)| !(0.0..=1.0).contains(*s))
-        .expect("the fold saw a bad score");
-    Err(AuditError::BadScore {
-        row: first_row + i,
-        value,
-    })
 }
 
 /// A shard's window onto a [`CodeColumn`].
 enum CodeSliceMut<'c> {
     Narrow(&'c mut [u8]),
     Wide(&'c mut [u32]),
-}
-
-impl CodeSliceMut<'_> {
-    /// Overwrite `at..at + values.len()`.
-    fn write(&mut self, at: usize, values: &[u32]) {
-        match self {
-            CodeSliceMut::Narrow(v) => {
-                for (dst, &value) in v[at..at + values.len()].iter_mut().zip(values) {
-                    *dst = value as u8;
-                }
-            }
-            CodeSliceMut::Wide(v) => v[at..at + values.len()].copy_from_slice(values),
-        }
-    }
 }
 
 /// `column` cut into one window per range (`ranges` tile it in order).
@@ -240,46 +215,60 @@ fn windows<'c>(column: &'c mut CodeColumn, ranges: &[Range<usize>]) -> Vec<CodeS
     }
 }
 
+/// Check and bin `scores` (rows `first_row..`) into `out` with the
+/// binning kernel; [`AuditError::BadScore`] names the first bad row.
+fn check_and_bin<B: Slot>(
+    spec: &BinSpec,
+    scores: &[f64],
+    first_row: usize,
+    out: &mut [B],
+) -> Result<(), AuditError> {
+    if spec.bin_checked(scores, out) {
+        Ok(())
+    } else {
+        check_scores(first_row, scores)
+    }
+}
+
 /// The fused pass of one shard: check and bin the scores of rows
-/// `first_row..`, key each row by its codes in `columns` (mixed radix
-/// over `domains`, `space` keys; no column keys every row 0) and count
-/// it into `counts[key * bins + bin]`, writing bins and keys through
-/// the shard's windows. Chunked so the check, the binning and the
-/// keying re-read each chunk from L1.
+/// `first_row..` straight into the shard's window of the bin column,
+/// key each row by its codes in `columns` (mixed radix over `domains`)
+/// in its window of the key column, and count it into
+/// `counts[key * bins + bin]`. With no column, rows are only checked
+/// and binned. Chunked so the keying and counting re-read each chunk
+/// from L1.
 #[allow(clippy::too_many_arguments)]
-fn classify_shard(
+fn classify_shard<B: Slot, K: Slot>(
     spec: &BinSpec,
     scores: &[f64],
     first_row: usize,
     columns: &[&[u32]],
     domains: &[u32],
-    space: usize,
-    mut bins_out: CodeSliceMut<'_>,
-    mut keys_out: CodeSliceMut<'_>,
-) -> Result<Vec<u32>, AuditError> {
+    bins_out: &mut [B],
+    keys_out: &mut [K],
+    counts: &mut [u32],
+) -> Result<(), AuditError> {
     const CHUNK: usize = 4096;
     let bins = spec.len();
-    let mut counts = vec![0u32; space * bins];
-    let mut keys = vec![0u32; CHUNK];
     for (c, chunk) in scores.chunks(CHUNK).enumerate() {
         let at = c * CHUNK;
         let row = first_row + at;
-        check_scores(row, chunk)?;
-        let bin = spec.bin_indices(chunk);
-        let keys = &mut keys[..chunk.len()];
-        keys.fill(0);
+        let bin = &mut bins_out[at..at + chunk.len()];
+        check_and_bin(spec, chunk, row, bin)?;
+        if columns.is_empty() {
+            continue;
+        }
+        let keys = &mut keys_out[at..at + chunk.len()];
         for (column, &domain) in columns.iter().zip(domains) {
             for (key, &code) in keys.iter_mut().zip(&column[row..row + chunk.len()]) {
-                *key = *key * domain + code;
+                *key = K::from_index(key.index() as u32 * domain + code);
             }
         }
-        for (&key, &b) in keys.iter().zip(&bin) {
-            counts[key as usize * bins + b as usize] += 1;
+        for (key, b) in keys.iter().zip(bin.iter()) {
+            counts[key.index() * bins + b.index()] += 1;
         }
-        bins_out.write(at, &bin);
-        keys_out.write(at, keys);
     }
-    Ok(counts)
+    Ok(())
 }
 
 /// What a constructor derives before it becomes a context.
@@ -394,14 +383,16 @@ impl<'a> AuditContext<'a> {
         Ok((spec, Self::resolve_attributes_in(schema, config)?))
     }
 
-    /// The fused classify pass: check every score, bin it through the
-    /// chunked [`BinSpec::bin_indices`] kernel into the bin column, and
-    /// count the row into its cell of the audited attributes — one task
-    /// per shard on the worker pool when parallel, per-shard counts
-    /// added in shard order. Classification is elementwise and counts
-    /// are integers, so the column and the cube equal a serial pass
-    /// exactly. Key spaces too wide (or too sparse) to count directly
-    /// are keyed as one cell here and folded from the table afterwards.
+    /// The fused classify pass: check and bin every score with the
+    /// binning kernel straight into the bin column, and count the row
+    /// into its cell of the audited attributes — one task per shard on
+    /// the worker pool when parallel, per-shard counts added in shard
+    /// order, and each shard's rows per key kept as the cube's range
+    /// counts ([`RangeCounts::kept`]). Classification is elementwise and
+    /// counts are integers, so the column and the cube equal a serial
+    /// pass exactly. Key spaces too wide (or too sparse) to count
+    /// directly are only binned here and folded from the table
+    /// afterwards.
     ///
     /// # Errors
     ///
@@ -416,11 +407,12 @@ impl<'a> AuditContext<'a> {
         counters: &ShardCounters,
     ) -> Result<(CodeColumn, CellCube), AuditError> {
         counters.note(plan.shards(), scores.len());
+        let rows = scores.len();
         let bins = spec.len();
         let all_domains = cube::domains(table.schema(), attrs);
         let space = cube::key_space(&all_domains);
-        let direct = cube::counts_directly(space, bins, scores.len());
-        let (columns, domains): (Vec<&[u32]>, &[u32]) = if direct {
+        let direct = cube::counts_directly(space, bins, rows);
+        let (columns, domains, space): (Vec<&[u32]>, &[u32], usize) = if direct {
             let columns = attrs
                 .iter()
                 .map(|&a| {
@@ -430,64 +422,85 @@ impl<'a> AuditContext<'a> {
                         .expect("audited attributes are categorical")
                 })
                 .collect();
-            (columns, &all_domains)
+            (columns, &all_domains, space as usize)
         } else {
-            (Vec::new(), &[])
+            (Vec::new(), &[], 0)
         };
-        let space = if direct { space as usize } else { 1 };
         // Small tables and one thread run one shard: the whole table.
-        let shards = if scores.len() < SHARD_DISPATCH_MIN_ROWS || parallelism <= 1 {
-            1
-        } else {
-            plan.shards()
+        let shards = match cube::row_ranges(rows, parallelism) {
+            1 => 1,
+            _ => plan.shards(),
         };
         let ranges: Vec<Range<usize>> = (0..shards)
-            .map(|s| {
-                if shards == 1 {
-                    0..scores.len()
-                } else {
-                    plan.range(s)
-                }
-            })
+            .map(|s| if shards == 1 { 0..rows } else { plan.range(s) })
             .collect();
-        let mut bin_of = CodeColumn::zeroed(bins, scores.len());
-        let mut keys = CodeColumn::zeroed(space, scores.len());
+        let mut bin_of = CodeColumn::zeroed(bins, rows);
+        let mut keys = CodeColumn::zeroed(space, if direct { rows } else { 0 });
+        let key_windows = if direct {
+            windows(&mut keys, &ranges)
+        } else {
+            ranges
+                .iter()
+                .map(|_| CodeSliceMut::Narrow(&mut []))
+                .collect()
+        };
         let slots: Vec<Mutex<Option<(CodeSliceMut<'_>, CodeSliceMut<'_>)>>> =
             windows(&mut bin_of, &ranges)
                 .into_iter()
-                .zip(windows(&mut keys, &ranges))
+                .zip(key_windows)
                 .map(|pair| Mutex::new(Some(pair)))
                 .collect();
         let per_shard = WorkerPool::global().run_chunks(parallelism, ranges.len(), |s| {
-            let (bins_out, keys_out) = slots[s]
+            let windows = slots[s]
                 .lock()
                 .expect("shard slot")
                 .take()
                 .expect("each shard runs once");
-            let range = ranges[s].clone();
-            classify_shard(
-                spec,
-                &scores[range.clone()],
-                range.start,
-                &columns,
-                domains,
-                space,
-                bins_out,
-                keys_out,
-            )
+            let first = ranges[s].start;
+            let scores = &scores[ranges[s].clone()];
+            let columns = columns.as_slice();
+            let mut counts = vec![0u32; space * bins];
+            use CodeSliceMut::{Narrow, Wide};
+            match windows {
+                (Narrow(b), Narrow(k)) => {
+                    classify_shard(spec, scores, first, columns, domains, b, k, &mut counts)
+                }
+                (Narrow(b), Wide(k)) => {
+                    classify_shard(spec, scores, first, columns, domains, b, k, &mut counts)
+                }
+                (Wide(b), Narrow(k)) => {
+                    classify_shard(spec, scores, first, columns, domains, b, k, &mut counts)
+                }
+                (Wide(b), Wide(k)) => {
+                    classify_shard(spec, scores, first, columns, domains, b, k, &mut counts)
+                }
+            }
+            .map(|()| counts)
         });
         drop(slots);
+        if !direct {
+            per_shard.into_iter().collect::<Result<Vec<_>, _>>()?;
+            let cube = CellCube::from_table(table, attrs, &bin_of, bins, None, false, parallelism)?;
+            return Ok((bin_of, cube));
+        }
+        let kept = RangeCounts::kept(ranges.len(), space, rows);
         let mut counts = vec![0u32; space * bins];
+        let mut per_key = Vec::with_capacity(if kept { ranges.len() * space } else { 0 });
         for shard in per_shard {
-            for (acc, c) in counts.iter_mut().zip(shard?) {
-                *acc += c;
+            for (acc, shard) in counts.chunks_mut(bins).zip(shard?.chunks(bins)) {
+                let mut held = 0;
+                for (acc, &c) in acc.iter_mut().zip(shard) {
+                    *acc += c;
+                    held += c;
+                }
+                if kept {
+                    per_key.push(held);
+                }
             }
         }
-        let cube = if direct {
-            cube::direct_cube(attrs.to_vec(), keys, counts, domains, bins, None)
-        } else {
-            CellCube::from_table(table, attrs, &bin_of, bins, None, false)?
-        };
+        let bounds = ranges.iter().map(|r| r.start).chain([rows]).collect();
+        let ranges = kept.then(|| RangeCounts::new(bounds, per_key));
+        let cube = cube::direct_cube(attrs.to_vec(), keys, counts, domains, bins, None, ranges);
         Ok((bin_of, cube))
     }
 
@@ -540,8 +553,16 @@ impl<'a> AuditContext<'a> {
             }
             None => {
                 let rows = live.as_ref().map_or(table.len(), RowSet::len) as u64;
-                let cube =
-                    CellCube::from_table(table, &attributes, &bin_of, spec.len(), live, false)?;
+                let parallelism = thread_budget(config.threads);
+                let cube = CellCube::from_table(
+                    table,
+                    &attributes,
+                    &bin_of,
+                    spec.len(),
+                    live,
+                    false,
+                    parallelism,
+                )?;
                 (cube.with_epoch(epoch), rows)
             }
         };
@@ -598,8 +619,17 @@ impl<'a> AuditContext<'a> {
         let counters = ShardCounters::default();
         let bin_of = Self::classify_paged(store, &spec, live.as_ref(), &counters)?;
         let cube_rows = live.as_ref().map_or(rows, RowSet::len) as u64;
-        let cube = Self::cube_paged(store, &attributes, &bin_of, spec.len(), live, &counters)?
-            .with_epoch(store.epoch());
+        let parallelism = thread_budget(config.threads);
+        let cube = Self::cube_paged(
+            store,
+            &attributes,
+            &bin_of,
+            spec.len(),
+            live,
+            &counters,
+            parallelism,
+        )?
+        .with_epoch(store.epoch());
         let built = Built {
             spec,
             attributes,
@@ -614,11 +644,11 @@ impl<'a> AuditContext<'a> {
     }
 
     /// Fused paged classification: stream the score pages once,
-    /// checking and binning each page while it is cache-hot and writing
-    /// the results into a pre-zeroed whole-table column. Pages with no
-    /// audited row are skipped and keep their zeros — those rows are
-    /// outside every partition, so nothing reads them. Per-page
-    /// [`BinSpec::bin_indices`] calls are elementwise, so the column
+    /// checking and binning each page with the binning kernel while it
+    /// is cache-hot, straight into its window of a pre-zeroed
+    /// whole-table column. Pages with no audited row are skipped and
+    /// keep their zeros — those rows are outside every partition, so
+    /// nothing reads them. The kernel is elementwise, so the column
     /// equals the serial whole-slice classification exactly.
     fn classify_paged(
         store: &PagedStore,
@@ -633,10 +663,14 @@ impl<'a> AuditContext<'a> {
             let PageData::F64(values) = data else {
                 return; // score pages are always F64; `open` validated kinds
             };
+            let page = first_row..first_row + values.len();
+            let binned = match &mut bin_of {
+                CodeColumn::Narrow(out) => check_and_bin(spec, values, first_row, &mut out[page]),
+                CodeColumn::Wide(out) => check_and_bin(spec, values, first_row, &mut out[page]),
+            };
             if checked.is_ok() {
-                checked = check_scores(first_row, values);
+                checked = binned;
             }
-            bin_of.write_at(first_row, &spec.bin_indices(values));
             classified += values.len();
         })?;
         counters.note(summary.pages_scanned, classified);
@@ -645,8 +679,9 @@ impl<'a> AuditContext<'a> {
 
     /// The paged cube: each audited attribute's code pages folded, page
     /// by page and in attribute order, into the rows' cube keys, then
-    /// every audited row counted into its cell. Pages without an
-    /// audited row are skipped.
+    /// every audited row counted into its cell (keeping range counts for
+    /// the row pass at `parallelism`). Pages without an audited row are
+    /// skipped.
     ///
     /// # Errors
     ///
@@ -660,6 +695,7 @@ impl<'a> AuditContext<'a> {
         bins: usize,
         live: Option<RowSet>,
         counters: &ShardCounters,
+        parallelism: usize,
     ) -> Result<CellCube, AuditError> {
         let domains = cube::domains(store.schema(), attrs);
         let audited = live.as_ref().map_or(store.rows(), RowSet::len);
@@ -699,7 +735,7 @@ impl<'a> AuditContext<'a> {
             }
             counters.note(summary.pages_scanned, 0);
         }
-        Ok(fold.finish(attrs.to_vec(), bin_of, live))
+        Ok(fold.finish(attrs.to_vec(), bin_of, live, parallelism))
     }
 
     fn resolve_attributes_in(
@@ -868,10 +904,10 @@ impl<'a> AuditContext<'a> {
     }
 
     /// The histogram of integer bin counts.
-    fn counts_histogram(&self, counts: Vec<u32>) -> Histogram {
+    fn counts_histogram(&self, counts: &[u32]) -> Histogram {
         Histogram::from_counts(
             self.spec.clone(),
-            counts.into_iter().map(f64::from).collect(),
+            counts.iter().map(|&c| f64::from(c)).collect(),
         )
     }
 
@@ -898,7 +934,7 @@ impl<'a> AuditContext<'a> {
         let len = counts.iter().map(|&c| c as usize).sum();
         Partition::of_cells(
             Predicate::always(),
-            self.counts_histogram(counts),
+            self.counts_histogram(&counts),
             (0..cells as u32).collect(),
             len,
             self.cube.rows(),
@@ -952,18 +988,19 @@ impl<'a> AuditContext<'a> {
             .unzip();
         self.cube
             .group_by_codes(&at)
-            .into_iter()
-            .map(|group| {
-                let predicate = attrs
-                    .iter()
-                    .zip(&group.codes)
-                    .fold(Predicate::always(), |p, (&attr, &code)| p.and(attr, code));
-                let len = group.counts.iter().map(|&c| c as usize).sum();
+            .iter()
+            .map(|(codes, cells, counts)| {
+                let predicate = Predicate::all_of(
+                    attrs
+                        .iter()
+                        .zip(codes)
+                        .map(|(&attr, &code)| EqConstraint { attr, code }),
+                );
                 Partition::of_cells(
                     predicate,
-                    self.counts_histogram(group.counts),
-                    group.cells,
-                    len,
+                    self.counts_histogram(counts),
+                    cells.to_vec(),
+                    counts.iter().map(|&c| c as usize).sum(),
                     self.cube.rows(),
                 )
             })
@@ -1143,6 +1180,55 @@ mod tests {
         let paged = AuditContext::from_paged(&store, AuditConfig::default(), None, None);
         assert_eq!(paged.unwrap_err(), new);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Bad scores in shards 3 and 5 of 8 (8 192 scores to a page, so
+    /// also on two pages): the sharded in-memory build and the paged
+    /// build name the first bad row, as `check_scores` does.
+    #[test]
+    fn builds_name_the_first_bad_score() {
+        use fairjob_store::schema::AttributeKind;
+        use fairjob_store::table::Value;
+        let rows = 80_000;
+        let schema = Schema::builder()
+            .categorical("tier", AttributeKind::Protected, &["a", "b", "c"])
+            .build()
+            .unwrap();
+        let mut table = Table::new(schema);
+        let labels = ["a", "b", "c"];
+        for row in 0..rows {
+            table.push_row(&[Value::cat(labels[row % 3])]).unwrap();
+        }
+        let mut scores: Vec<f64> = (0..rows).map(|row| (row % 101) as f64 / 100.0).collect();
+        scores[52_001] = f64::NAN;
+        scores[35_123] = 1.5;
+        let first = check_scores(0, &scores).unwrap_err();
+        assert_eq!(
+            first,
+            AuditError::BadScore {
+                row: 35_123,
+                value: 1.5
+            }
+        );
+        let config = AuditConfig {
+            threads: Some(2),
+            shards: ShardPolicy::Fixed(8),
+            ..AuditConfig::default()
+        };
+        let plan = config.shards.plan(rows, 2);
+        assert!(plan.range(3).contains(&35_123) && plan.range(5).contains(&52_001));
+        let err = AuditContext::new(&table, &scores, config.clone()).unwrap_err();
+        assert_eq!(err, first);
+        let mut path = std::env::temp_dir();
+        path.push(format!(
+            "fairjob-context-first-bad-{}.fjp",
+            std::process::id()
+        ));
+        fairjob_store::paged::write_paged(&path, &table, Some(&scores), None, 0, 10).unwrap();
+        let store = PagedStore::open(&path, 1 << 20).unwrap();
+        let paged = AuditContext::from_paged(&store, config, None, None).unwrap_err();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(paged, first);
     }
 
     #[test]

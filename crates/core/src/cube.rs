@@ -32,10 +32,12 @@
 
 use crate::error::AuditError;
 use crate::pool::WorkerPool;
+use fairjob_hist::bins::Slot;
 use fairjob_store::column::CodeColumn;
 use fairjob_store::{RowSet, Table};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::ops::Range;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Largest key space × bin count counted in one flat table, per shard.
 /// The paper's six attributes give 1 800 keys, 18 000 counters at ten
@@ -52,12 +54,61 @@ pub(crate) fn key_space(domains: &[u32]) -> u128 {
         .fold(1u128, |acc, &d| acc.saturating_mul(u128::from(d)))
 }
 
+/// Whether rows are keyed directly, by their mixed-radix code vectors
+/// over `space` keys: a flat table of `space` keys × `bins` bins must
+/// fit [`DIRECT_COUNTERS`].
+fn keys_directly(space: u128, bins: usize) -> bool {
+    space.saturating_mul(bins as u128) <= DIRECT_COUNTERS as u128
+}
+
 /// Whether `audited` rows are counted in a flat table over `space`
-/// keys × `bins` bins: the table must fit [`DIRECT_COUNTERS`] and hold
-/// no more keys than rows — a sparser table costs more to clear and
-/// scan than ranking the few keys present.
+/// keys × `bins` bins: rows are keyed directly and the table holds no
+/// more keys than rows — a sparser table costs more to clear and scan
+/// than ranking the few keys present with a presence table (see
+/// [`KeyFold::finish`]).
 pub(crate) fn counts_directly(space: u128, bins: usize, audited: usize) -> bool {
-    space.saturating_mul(bins as u128) <= DIRECT_COUNTERS as u128 && space <= audited as u128
+    keys_directly(space, bins) && space <= audited as u128
+}
+
+/// Audited rows from which a per-row pass (the in-memory classify
+/// pass, the row pass) runs in several contiguous ranges on the worker
+/// pool.
+pub(crate) const PARALLEL_MIN_ROWS: usize = 65_536;
+
+/// How many contiguous ranges a per-row pass over `audited` rows runs
+/// in at `parallelism`.
+pub(crate) fn row_ranges(audited: usize, parallelism: usize) -> usize {
+    if audited < PARALLEL_MIN_ROWS {
+        1
+    } else {
+        parallelism.max(1)
+    }
+}
+
+/// Rows per key in each contiguous range of the audited rows, recorded
+/// by the count pass that builds a cube, so the row pass places every
+/// range's rows without counting them again.
+#[derive(Debug, Clone)]
+pub(crate) struct RangeCounts {
+    /// Range `r` holds the audited positions `bounds[r]..bounds[r + 1]`.
+    bounds: Vec<usize>,
+    /// `counts[r * keys + key]`: rows of range `r` holding `key`.
+    counts: Vec<u32>,
+}
+
+impl RangeCounts {
+    /// Whether a count pass over `audited` rows in `ranges` ranges and
+    /// `keys` keys records range counts: only for several ranges, and
+    /// only while they take no more room than the key column (ranges ×
+    /// keys ≤ audited rows).
+    pub(crate) fn kept(ranges: usize, keys: usize, audited: usize) -> bool {
+        ranges > 1 && ranges.saturating_mul(keys) <= audited
+    }
+
+    /// Range counts over `bounds` (see the fields).
+    pub(crate) fn new(bounds: Vec<usize>, counts: Vec<u32>) -> Self {
+        RangeCounts { bounds, counts }
+    }
 }
 
 /// Where the audited rows of a cube sit: each table row's key, the key
@@ -76,6 +127,9 @@ pub(crate) struct CellRows {
     live: Option<RowSet>,
     /// Cells of the cube.
     cells: usize,
+    /// The build's range counts, when it kept them; a patched or
+    /// projected cube has none.
+    ranges: Option<RangeCounts>,
 }
 
 impl CellRows {
@@ -94,10 +148,16 @@ impl CellRows {
     /// The rows of several parts at once, in one row-order pass over
     /// the audited rows: `parts[i]` lists part `i`'s cells and its row
     /// count (`None`: a part not made of cells, which gets no rows).
-    /// From [`PARALLEL_GATHER_MIN_ROWS`] audited rows on, the pass runs
-    /// in `parallelism` contiguous row ranges on the worker pool, each
-    /// part's lists concatenated in range order — the same rows, sorted,
-    /// at any parallelism.
+    ///
+    /// Each part's list is allocated at its exact length, and each
+    /// contiguous range of the audited rows writes its rows straight
+    /// into its own window of every list — the same rows, sorted, at
+    /// any parallelism. Parallel passes take the ranges and their rows
+    /// per part from the build's range counts; without them (a patched
+    /// or projected cube, or one too narrow to keep them) a counting
+    /// pass over the same ranges comes first. From
+    /// [`PARALLEL_MIN_ROWS`] audited rows on, the ranges run on the
+    /// worker pool.
     pub(crate) fn rows_of_parts(
         &self,
         parts: &[Option<(&[u32], usize)>],
@@ -122,89 +182,119 @@ impl CellRows {
                 .collect(),
         };
         let audited = self.live.as_ref().map_or(self.keys.len(), RowSet::len);
-        let ranges = if audited < PARALLEL_GATHER_MIN_ROWS {
-            1
-        } else {
-            parallelism.max(1)
-        };
-        let gather = |range: usize| {
-            let (from, to) = (audited * range / ranges, audited * (range + 1) / ranges);
-            let mut out: Vec<Vec<u32>> = lens
-                .iter()
-                .map(|&len| Vec::with_capacity(len.div_ceil(ranges)))
-                .collect();
-            match &*self.keys {
-                CodeColumn::Narrow(keys) => {
-                    gather_in(keys, self.live.as_ref(), from..to, &part_of_key, &mut out)
+        // `placed[r * parts + part]`: rows of `part` in range `r`.
+        let (bounds, placed) = match &self.ranges {
+            Some(ranges) if parallelism > 1 => {
+                let keys = part_of_key.len();
+                let mut placed = vec![0u32; (ranges.bounds.len() - 1) * parts.len()];
+                for (range, counts) in placed
+                    .chunks_mut(parts.len())
+                    .zip(ranges.counts.chunks(keys))
+                {
+                    for (&part, &count) in part_of_key.iter().zip(counts) {
+                        if part != NO_CELL {
+                            range[part as usize] += count;
+                        }
+                    }
                 }
-                CodeColumn::Wide(keys) => {
-                    gather_in(keys, self.live.as_ref(), from..to, &part_of_key, &mut out)
-                }
+                (ranges.bounds.clone(), placed)
             }
-            out
+            _ => {
+                let ranges = row_ranges(audited, parallelism);
+                let bounds: Vec<usize> = (0..=ranges).map(|r| audited * r / ranges).collect();
+                let placed = if ranges == 1 {
+                    lens.iter().map(|&len| len as u32).collect()
+                } else {
+                    WorkerPool::global()
+                        .run_chunks(parallelism, ranges, |r| {
+                            let mut placed = vec![0u32; parts.len()];
+                            self.scan(bounds[r]..bounds[r + 1], |_, key| {
+                                let part = part_of_key[key];
+                                if part != NO_CELL {
+                                    placed[part as usize] += 1;
+                                }
+                            });
+                            placed
+                        })
+                        .concat()
+                };
+                (bounds, placed)
+            }
+        };
+        let ranges = bounds.len() - 1;
+        let mut lists: Vec<Vec<u32>> = lens.iter().map(|&len| vec![0; len]).collect();
+        let mut windows: Vec<Vec<&mut [u32]>> = (0..ranges)
+            .map(|_| Vec::with_capacity(parts.len()))
+            .collect();
+        for (part, list) in lists.iter_mut().enumerate() {
+            let mut rest = list.as_mut_slice();
+            for (range, windows) in windows.iter_mut().enumerate() {
+                let (window, tail) = std::mem::take(&mut rest)
+                    .split_at_mut(placed[range * parts.len() + part] as usize);
+                windows.push(window);
+                rest = tail;
+            }
+            assert!(rest.is_empty(), "every row of part {part} has a range");
+        }
+        let place = |range: usize, mut windows: Vec<&mut [u32]>| {
+            self.scan(bounds[range]..bounds[range + 1], |row, key| {
+                let part = part_of_key[key];
+                if part != NO_CELL {
+                    let (slot, rest) = std::mem::take(&mut windows[part as usize])
+                        .split_first_mut()
+                        .expect("the range counts hold every row of the range");
+                    *slot = row;
+                    windows[part as usize] = rest;
+                }
+            });
         };
         if ranges == 1 {
-            return gather(0).into_iter().map(RowSet::from_sorted).collect();
+            place(0, windows.pop().expect("one range"));
+        } else {
+            let slots: Vec<Mutex<Option<Vec<&mut [u32]>>>> =
+                windows.into_iter().map(|w| Mutex::new(Some(w))).collect();
+            WorkerPool::global().run_chunks(parallelism, ranges, |range| {
+                let windows = slots[range]
+                    .lock()
+                    .expect("range slot")
+                    .take()
+                    .expect("each range runs once");
+                place(range, windows);
+            });
         }
-        let per_range = WorkerPool::global().run_chunks(parallelism, ranges, gather);
-        lens.iter()
-            .enumerate()
-            .map(|(part, &len)| {
-                let mut rows = Vec::with_capacity(len);
-                for range in &per_range {
-                    rows.extend_from_slice(&range[part]);
-                }
-                RowSet::from_sorted(rows)
-            })
-            .collect()
+        lists.into_iter().map(RowSet::from_sorted).collect()
+    }
+
+    /// `visit(row, key)` for the audited rows at positions `at`.
+    fn scan(&self, at: Range<usize>, visit: impl FnMut(u32, usize)) {
+        scan(&self.keys, self.live.as_ref(), at, visit);
     }
 }
 
-/// Audited rows from which [`CellRows::rows_of_parts`] gathers in
-/// parallel.
-const PARALLEL_GATHER_MIN_ROWS: usize = 65_536;
-
-/// One element of a code, key or bin column (one or four bytes).
-pub(crate) trait Code: Copy {
-    fn idx(self) -> usize;
-}
-impl Code for u8 {
-    #[inline(always)]
-    fn idx(self) -> usize {
-        self as usize
-    }
-}
-impl Code for u32 {
-    #[inline(always)]
-    fn idx(self) -> usize {
-        self as usize
+/// `visit(row, key)` for the rows at positions `at` (of every row, or
+/// of `live`) of a key column, in row order.
+fn scan(keys: &CodeColumn, live: Option<&RowSet>, at: Range<usize>, visit: impl FnMut(u32, usize)) {
+    match keys {
+        CodeColumn::Narrow(keys) => scan_in(keys, live, at, visit),
+        CodeColumn::Wide(keys) => scan_in(keys, live, at, visit),
     }
 }
 
-/// Append the audited rows at positions `at` (of every row, or of
-/// `live`) to their parts' lists.
-fn gather_in<K: Code>(
+fn scan_in<K: Slot>(
     keys: &[K],
     live: Option<&RowSet>,
-    at: std::ops::Range<usize>,
-    part_of_key: &[u32],
-    out: &mut [Vec<u32>],
+    at: Range<usize>,
+    mut visit: impl FnMut(u32, usize),
 ) {
-    let mut place = |row: u32, key: K| {
-        let part = part_of_key[key.idx()];
-        if part != NO_CELL {
-            out[part as usize].push(row);
-        }
-    };
     match live {
         None => {
             for (row, &key) in keys[at.clone()].iter().enumerate() {
-                place((at.start + row) as u32, key);
+                visit((at.start + row) as u32, key.index());
             }
         }
         Some(live) => {
             for &row in &live.rows()[at] {
-                place(row, keys[row as usize]);
+                visit(row, keys[row as usize].index());
             }
         }
     }
@@ -220,11 +310,36 @@ pub(crate) struct CellGroup {
     pub len: usize,
 }
 
-/// Cells sharing one code vector over some of a cube's attributes.
-pub(crate) struct CodeGroup {
-    pub codes: Vec<u32>,
-    pub cells: Vec<u32>,
-    pub counts: Vec<u32>,
+/// A cube's cells grouped by their code vectors over some of its
+/// attributes ([`CellCube::group_by_codes`]), in flat vectors: group
+/// `g` has the code vector `codes[g * width..]`, the cells
+/// `cells[ends[g - 1]..ends[g]]` and the summed counts
+/// `counts[g * bins..]`.
+pub(crate) struct CodeGroups {
+    width: usize,
+    bins: usize,
+    codes: Vec<u32>,
+    cells: Vec<u32>,
+    ends: Vec<usize>,
+    counts: Vec<u32>,
+}
+
+impl CodeGroups {
+    /// Each group's code vector, cells and summed counts, in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&[u32], &[u32], &[u32])> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        self.ends
+            .iter()
+            .zip(starts)
+            .enumerate()
+            .map(|(g, (&end, start))| {
+                (
+                    &self.codes[g * self.width..(g + 1) * self.width],
+                    &self.cells[start..end],
+                    &self.counts[g * self.bins..(g + 1) * self.bins],
+                )
+            })
+    }
 }
 
 /// The cell cube of one audit context (see the module docs): the
@@ -251,6 +366,7 @@ pub struct CellCube {
 }
 
 impl CellCube {
+    #[allow(clippy::too_many_arguments)]
     fn assemble(
         attrs: Vec<usize>,
         bins: usize,
@@ -259,6 +375,7 @@ impl CellCube {
         keys: CodeColumn,
         map: Option<Vec<u32>>,
         live: Option<RowSet>,
+        ranges: Option<RangeCounts>,
     ) -> Self {
         let cells = counts.len() / bins;
         CellCube {
@@ -271,6 +388,7 @@ impl CellCube {
                 map: map.map(Arc::from),
                 live,
                 cells,
+                ranges,
             }),
             stamp: 0,
             fingerprint: OnceLock::new(),
@@ -281,7 +399,9 @@ impl CellCube {
     /// The cube of `table`'s `live` rows (`None` = every row) over
     /// `attrs` (categorical, by schema index), their score bins read
     /// from `bin_of` (`< bins`). `dense` makes every key a cell, as a
-    /// [`CellCube::patch`]ed base cube needs.
+    /// [`CellCube::patch`]ed base cube needs. The count pass keeps range
+    /// counts for the row pass at `parallelism` (see
+    /// [`AuditContext::partitioning`](crate::AuditContext::partitioning)).
     ///
     /// # Errors
     ///
@@ -293,6 +413,7 @@ impl CellCube {
         bins: usize,
         live: Option<RowSet>,
         dense: bool,
+        parallelism: usize,
     ) -> Result<Self, AuditError> {
         let domains = domains(table.schema(), attrs);
         let audited = live.as_ref().map_or(table.len(), RowSet::len);
@@ -307,7 +428,7 @@ impl CellCube {
             fold.fold(0, codes)
                 .expect("table codes lie in their dictionaries");
         }
-        Ok(fold.finish(attrs.to_vec(), bin_of, live))
+        Ok(fold.finish(attrs.to_vec(), bin_of, live, parallelism))
     }
 
     /// Schema attribute indexes of the cube, in cube order.
@@ -406,31 +527,66 @@ impl CellCube {
     /// The cells holding a row grouped by their codes of the cube
     /// attributes at positions `at` (in that order), in code-vector
     /// order: per group its code vector, its cells (ascending) and their
-    /// summed counts.
-    pub(crate) fn group_by_codes(&self, at: &[usize]) -> Vec<CodeGroup> {
-        let key = |cell: usize| at.iter().map(move |&k| self.codes_of(cell)[k]);
-        let mut order: Vec<usize> = (0..self.cells())
-            .filter(|&cell| self.counts_of(cell).iter().any(|&c| c > 0))
+    /// summed counts. The cells are ordered once, by a radix sort of
+    /// their codes packed into a `u64` (by comparison when the codes
+    /// need more bits).
+    pub(crate) fn group_by_codes(&self, at: &[usize]) -> CodeGroups {
+        let cells: Vec<u32> = (0..self.cells() as u32)
+            .filter(|&cell| self.counts_of(cell as usize).iter().any(|&c| c > 0))
             .collect();
-        // Stable, so equal keys keep their cells ascending.
-        order.sort_by(|&a, &b| key(a).cmp(key(b)));
-        let mut groups: Vec<CodeGroup> = Vec::new();
-        for cell in order {
-            if groups
-                .last()
-                .is_none_or(|g| !g.codes.iter().copied().eq(key(cell)))
-            {
-                groups.push(CodeGroup {
-                    codes: key(cell).collect(),
-                    cells: Vec::new(),
-                    counts: vec![0; self.bins],
-                });
+        let code = |i: usize, k: usize| self.codes_of(cells[i] as usize)[at[k]];
+        let bits: Vec<u32> = (0..at.len())
+            .map(|k| {
+                let top = (0..cells.len()).map(|i| code(i, k)).max().unwrap_or(0);
+                u32::BITS - top.leading_zeros()
+            })
+            .collect();
+        let width: u32 = bits.iter().sum();
+        let packed: Option<Vec<u64>> = (width <= u64::BITS).then(|| {
+            (0..cells.len())
+                .map(|i| (0..at.len()).fold(0, |acc, k| acc << bits[k] | u64::from(code(i, k))))
+                .collect()
+        });
+        let key = |i: usize| (0..at.len()).map(move |k| code(i, k));
+        let order = match &packed {
+            Some(packed) => radix_order(packed, width),
+            None => {
+                let mut order: Vec<usize> = (0..cells.len()).collect();
+                order.sort_by(|&a, &b| key(a).cmp(key(b)));
+                order
             }
-            let group = groups.last_mut().expect("just pushed");
-            group.cells.push(cell as u32);
-            for (acc, &c) in group.counts.iter_mut().zip(self.counts_of(cell)) {
+        };
+        let same = |a: usize, b: usize| match &packed {
+            Some(packed) => packed[a] == packed[b],
+            None => key(a).eq(key(b)),
+        };
+        let mut groups = CodeGroups {
+            width: at.len(),
+            bins: self.bins,
+            codes: Vec::new(),
+            cells: Vec::with_capacity(cells.len()),
+            ends: Vec::new(),
+            counts: Vec::new(),
+        };
+        for (n, &i) in order.iter().enumerate() {
+            if n == 0 || !same(order[n - 1], i) {
+                if n > 0 {
+                    groups.ends.push(n);
+                }
+                groups.codes.extend(key(i));
+                groups.counts.extend(std::iter::repeat_n(0, self.bins));
+            }
+            let sums = groups.counts.len() - self.bins;
+            for (acc, &c) in groups.counts[sums..]
+                .iter_mut()
+                .zip(self.counts_of(cells[i] as usize))
+            {
                 *acc += c;
             }
+            groups.cells.push(cells[i]);
+        }
+        if !order.is_empty() {
+            groups.ends.push(order.len());
         }
         groups
     }
@@ -451,16 +607,14 @@ impl CellCube {
                     .expect("projected attributes are in the cube")
             })
             .collect();
-        let mut codes: Vec<u32> = Vec::new();
-        let mut counts: Vec<u32> = Vec::new();
+        let groups = self.group_by_codes(&at);
         let mut projected = vec![NO_CELL; self.cells()];
-        for (to, group) in self.group_by_codes(&at).into_iter().enumerate() {
-            codes.extend_from_slice(&group.codes);
-            counts.extend_from_slice(&group.counts);
-            for cell in group.cells {
+        for (to, (_, cells, _)) in groups.iter().enumerate() {
+            for &cell in cells {
                 projected[cell as usize] = to as u32;
             }
         }
+        let (codes, counts) = (groups.codes, groups.counts);
         let map: Vec<u32> = match &self.rows.map {
             None => projected,
             Some(map) => map
@@ -479,6 +633,7 @@ impl CellCube {
                 map: Some(Arc::from(map)),
                 live,
                 cells,
+                ranges: None,
             }),
             stamp: self.stamp,
             fingerprint: OnceLock::new(),
@@ -501,6 +656,7 @@ impl CellCube {
     /// When the cube is not dense (see [`CellCube::from_table`]).
     pub fn grow(&mut self, rows: usize) {
         if self.rows.keys.len() < rows {
+            self.drop_range_counts();
             let keys = self.dense_keys();
             while keys.len() < rows {
                 keys.push(0);
@@ -523,6 +679,7 @@ impl CellCube {
     /// `before` names a cell or bin the row cannot have been counted in
     /// — programming errors of the maintaining view.
     pub fn patch(&mut self, row: u32, before: Option<(&[u32], u32)>, after: Option<(&[u32], u32)>) {
+        self.drop_range_counts();
         let w = self.attrs.len();
         if self.lookup.is_none() {
             self.lookup = Some(
@@ -565,11 +722,44 @@ impl CellCube {
         self.fingerprint = OnceLock::new();
     }
 
+    /// Forget the build's range counts: the rows they count have moved.
+    fn drop_range_counts(&mut self) {
+        if self.rows.ranges.is_some() {
+            Arc::make_mut(&mut self.rows).ranges = None;
+        }
+    }
+
     fn dense_keys(&mut self) -> &mut CodeColumn {
         let rows = Arc::make_mut(&mut self.rows);
         assert!(rows.map.is_none(), "only a dense cube is patched");
         Arc::make_mut(&mut rows.keys)
     }
+}
+
+/// The positions of `keys` in ascending key order, equal keys in
+/// position order: a least-significant-digit radix sort of their low
+/// `bits` bits, a byte per pass.
+fn radix_order(keys: &[u64], bits: u32) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    let mut next = vec![0; keys.len()];
+    for shift in (0..bits).step_by(8) {
+        let digit = |i: usize| (keys[i] >> shift & 0xff) as usize;
+        let mut at = [0usize; 256];
+        for &i in &order {
+            at[digit(i)] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut at {
+            (*slot, start) = (start, start + *slot);
+        }
+        for &i in &order {
+            let slot = &mut at[digit(i)];
+            next[*slot] = i;
+            *slot += 1;
+        }
+        std::mem::swap(&mut order, &mut next);
+    }
+    order
 }
 
 /// The dictionary sizes of `attrs` (0 for non-categorical ones, which
@@ -605,6 +795,24 @@ impl Decoder {
         let prefix = key as usize * self.width;
         out[start..start + self.width].copy_from_slice(&self.prefixes[prefix..prefix + self.width]);
     }
+
+    /// `visit(key, codes)` for the keys `0..space` of direct keys (no
+    /// densified prefix) in order, their codes stepped like an odometer
+    /// over the radixes rather than divided out of each key.
+    fn walk(&self, space: usize, mut visit: impl FnMut(usize, &[u32])) {
+        debug_assert_eq!(self.width, 0, "direct keys are never densified");
+        let mut codes = vec![0u32; self.radixes.len()];
+        for key in 0..space {
+            visit(key, &codes);
+            for (code, &radix) in codes.iter_mut().zip(&self.radixes).rev() {
+                *code += 1;
+                if *code < radix {
+                    break;
+                }
+                *code = 0;
+            }
+        }
+    }
 }
 
 /// Per-row keys while they are folded.
@@ -624,6 +832,8 @@ pub(crate) struct KeyFold {
     space: u128,
     decoder: Decoder,
     bins: usize,
+    /// Rows audited.
+    audited: usize,
     /// The domain being folded.
     domain: u32,
 }
@@ -640,7 +850,7 @@ impl KeyFold {
         dense: bool,
     ) -> Self {
         let space = key_space(domains);
-        let direct = !dense && counts_directly(space, bins, audited);
+        let direct = !dense && keys_directly(space, bins);
         KeyFold {
             keys: if direct {
                 FoldKeys::Direct(CodeColumn::zeroed(space as usize, rows))
@@ -650,6 +860,7 @@ impl KeyFold {
             space: 1,
             decoder: Decoder::default(),
             bins,
+            audited,
             domain: 1,
         }
     }
@@ -670,14 +881,14 @@ impl KeyFold {
     /// Fold the codes of rows `first_row..` of the current attribute.
     /// `Err((offset, code))` names the first code outside its domain;
     /// the keys are then unusable.
-    pub(crate) fn fold<C: Code>(
+    pub(crate) fn fold<C: Slot>(
         &mut self,
         first_row: usize,
         codes: &[C],
     ) -> Result<(), (usize, u32)> {
         let domain = self.domain;
-        if let Some(at) = codes.iter().position(|c| c.idx() >= domain as usize) {
-            return Err((at, codes[at].idx() as u32));
+        if let Some(at) = codes.iter().position(|c| c.index() >= domain as usize) {
+            return Err((at, codes[at].index() as u32));
         }
         let end = first_row + codes.len();
         match &mut self.keys {
@@ -685,18 +896,18 @@ impl KeyFold {
                 // The key space is at most 256 here, so no step overflows.
                 let d = domain as u8;
                 for (key, c) in keys[first_row..end].iter_mut().zip(codes) {
-                    *key = *key * d + c.idx() as u8;
+                    *key = *key * d + c.index() as u8;
                 }
             }
             FoldKeys::Direct(CodeColumn::Wide(keys)) => {
                 for (key, c) in keys[first_row..end].iter_mut().zip(codes) {
-                    *key = *key * domain + c.idx() as u32;
+                    *key = *key * domain + c.index() as u32;
                 }
             }
             FoldKeys::General(keys) => {
                 let d = u64::from(domain);
                 for (key, c) in keys[first_row..end].iter_mut().zip(codes) {
-                    *key = *key * d + c.idx() as u64;
+                    *key = *key * d + c.index() as u64;
                 }
             }
         }
@@ -740,23 +951,54 @@ impl KeyFold {
     }
 
     /// Count every audited row (`live`; `None` = every row) into its
-    /// cell by its score bin in `bin_of`, and assemble the cube over
-    /// `attrs`.
+    /// cell by its score bin in `bin_of`, keeping range counts for the
+    /// row pass at `parallelism`, and assemble the cube over `attrs`.
     pub(crate) fn finish(
         mut self,
         attrs: Vec<usize>,
         bin_of: &CodeColumn,
         live: Option<RowSet>,
+        parallelism: usize,
     ) -> CellCube {
         let bins = self.bins;
         if let FoldKeys::General(_) = self.keys {
             self.densify(live.as_ref());
         }
         match self.keys {
+            FoldKeys::Direct(keys) if self.space > self.audited as u128 => {
+                // More keys than audited rows: rank the keys present by
+                // a presence table over the key space (one marking pass,
+                // one prefix pass in key order).
+                let mut map = vec![NO_CELL; self.space as usize];
+                scan(&keys, live.as_ref(), 0..self.audited, |_, key| map[key] = 0);
+                let mut cells = 0;
+                let mut codes = Vec::new();
+                self.decoder.walk(map.len(), |key, key_codes| {
+                    if map[key] == 0 {
+                        map[key] = cells;
+                        cells += 1;
+                        codes.extend_from_slice(key_codes);
+                    }
+                });
+                let mut counts = vec![0u32; cells as usize * bins];
+                scan(&keys, live.as_ref(), 0..self.audited, |row, key| {
+                    counts[map[key] as usize * bins + bin_of.get(row as usize) as usize] += 1;
+                });
+                CellCube::assemble(attrs, bins, codes, counts, keys, Some(map), live, None)
+            }
             FoldKeys::Direct(keys) => {
                 let mut counts = vec![0u32; self.space as usize * bins];
-                count_rows(&keys, bin_of, live.as_ref(), bins, &mut counts);
-                direct_cube(attrs, keys, counts, &self.decoder.radixes, bins, live)
+                let ranges =
+                    count_rows(&keys, bin_of, live.as_ref(), bins, &mut counts, parallelism);
+                direct_cube(
+                    attrs,
+                    keys,
+                    counts,
+                    &self.decoder.radixes,
+                    bins,
+                    live,
+                    ranges,
+                )
             }
             FoldKeys::General(keys) => {
                 let cells = self.space as usize;
@@ -768,59 +1010,74 @@ impl KeyFold {
                     column
                 };
                 let mut counts = vec![0u32; cells * bins];
-                count_rows(&keys, bin_of, live.as_ref(), bins, &mut counts);
+                let ranges =
+                    count_rows(&keys, bin_of, live.as_ref(), bins, &mut counts, parallelism);
                 let mut codes = Vec::with_capacity(cells * attrs.len());
                 for cell in 0..cells {
                     self.decoder.codes(cell as u64, &mut codes);
                 }
-                CellCube::assemble(attrs, bins, codes, counts, keys, None, live)
+                CellCube::assemble(attrs, bins, codes, counts, keys, None, live, ranges)
             }
         }
     }
 }
 
-/// `counts[key * bins + bin] += 1` for every audited row.
+/// `counts[key * bins + bin] += 1` for every audited row, range by
+/// range in the row pass's ranges at `parallelism`; returns the rows
+/// per key of each range when [`RangeCounts::kept`].
 fn count_rows(
     keys: &CodeColumn,
     bin_of: &CodeColumn,
     live: Option<&RowSet>,
     bins: usize,
     counts: &mut [u32],
-) {
+    parallelism: usize,
+) -> Option<RangeCounts> {
     use CodeColumn::{Narrow, Wide};
-    match (keys, bin_of) {
-        (Narrow(k), Narrow(b)) => count_in(k, b, live, bins, counts),
-        (Narrow(k), Wide(b)) => count_in(k, b, live, bins, counts),
-        (Wide(k), Narrow(b)) => count_in(k, b, live, bins, counts),
-        (Wide(k), Wide(b)) => count_in(k, b, live, bins, counts),
+    let audited = live.map_or(keys.len(), RowSet::len);
+    let space = counts.len() / bins;
+    let ranges = row_ranges(audited, parallelism);
+    let kept = RangeCounts::kept(ranges, space, audited);
+    let ranges = if kept { ranges } else { 1 };
+    let bounds: Vec<usize> = (0..=ranges).map(|r| audited * r / ranges).collect();
+    let mut per_key = vec![0u32; if kept { ranges * space } else { 0 }];
+    let mut per_range = per_key.chunks_mut(space.max(1));
+    for at in bounds.windows(2).map(|w| w[0]..w[1]) {
+        let per_key = per_range.next();
+        match (keys, bin_of) {
+            (Narrow(k), Narrow(b)) => count_in(k, b, live, at, bins, counts, per_key),
+            (Narrow(k), Wide(b)) => count_in(k, b, live, at, bins, counts, per_key),
+            (Wide(k), Narrow(b)) => count_in(k, b, live, at, bins, counts, per_key),
+            (Wide(k), Wide(b)) => count_in(k, b, live, at, bins, counts, per_key),
+        }
     }
+    kept.then(|| RangeCounts::new(bounds, per_key))
 }
 
-fn count_in<K: Code, B: Code>(
+fn count_in<K: Slot, B: Slot>(
     keys: &[K],
     bin_of: &[B],
     live: Option<&RowSet>,
+    at: Range<usize>,
     bins: usize,
     counts: &mut [u32],
+    per_key: Option<&mut [u32]>,
 ) {
-    match live {
-        None => {
-            for (&key, &bin) in keys.iter().zip(bin_of) {
-                counts[key.idx() * bins + bin.idx()] += 1;
-            }
-        }
-        Some(live) => {
-            for &row in live.rows() {
-                let row = row as usize;
-                counts[keys[row].idx() * bins + bin_of[row].idx()] += 1;
-            }
-        }
+    match per_key {
+        None => scan_in(keys, live, at, |row, key| {
+            counts[key * bins + bin_of[row as usize].index()] += 1;
+        }),
+        Some(per_key) => scan_in(keys, live, at, |row, key| {
+            counts[key * bins + bin_of[row as usize].index()] += 1;
+            per_key[key] += 1;
+        }),
     }
 }
 
 /// The cube of direct mixed-radix `keys` (over `radixes`, the audited
-/// attributes' domains) with their `counts` table: keys holding a row
-/// become cells, in key order — the code vectors' lexicographic order.
+/// attributes' domains) with their `counts` table and the count pass's
+/// `ranges`: keys holding a row become cells, in key order — the code
+/// vectors' lexicographic order.
 pub(crate) fn direct_cube(
     attrs: Vec<usize>,
     keys: CodeColumn,
@@ -828,6 +1085,7 @@ pub(crate) fn direct_cube(
     radixes: &[u32],
     bins: usize,
     live: Option<RowSet>,
+    ranges: Option<RangeCounts>,
 ) -> CellCube {
     let space = counts.len() / bins;
     let decoder = Decoder {
@@ -837,20 +1095,72 @@ pub(crate) fn direct_cube(
     let mut map = vec![NO_CELL; space];
     let mut codes = Vec::new();
     let mut compact = Vec::new();
-    for key in 0..space {
+    decoder.walk(space, |key, key_codes| {
         let row = &counts[key * bins..(key + 1) * bins];
         if row.iter().any(|&c| c > 0) {
             map[key] = (compact.len() / bins) as u32;
             compact.extend_from_slice(row);
-            decoder.codes(key as u64, &mut codes);
+            codes.extend_from_slice(key_codes);
         }
-    }
-    CellCube::assemble(attrs, bins, codes, compact, keys, Some(map), live)
+    });
+    CellCube::assemble(attrs, bins, codes, compact, keys, Some(map), live, ranges)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fairjob_store::schema::{AttributeKind, Schema};
+    use fairjob_store::table::Value;
+
+    /// A dense cube keeps its build's range counts until a patch moves
+    /// rows; its parallel row pass then counts the ranges itself and
+    /// gives every cell the rows that hold its codes now.
+    #[test]
+    fn patched_cubes_drop_their_range_counts() {
+        let rows = 2 * PARALLEL_MIN_ROWS;
+        let schema = Schema::builder()
+            .categorical("tier", AttributeKind::Protected, &["a", "b", "c"])
+            .build()
+            .unwrap();
+        let mut table = Table::new(schema);
+        for row in 0..rows {
+            table
+                .push_row(&[Value::cat(["a", "b", "c"][row % 3])])
+                .unwrap();
+        }
+        let bins = CodeColumn::from_values(4, &(0..rows as u32).map(|r| r % 4).collect::<Vec<_>>());
+        let mut cube = CellCube::from_table(&table, &[0], &bins, 4, None, true, 4).unwrap();
+        assert!(
+            cube.rows().ranges.is_some(),
+            "a parallel build keeps range counts"
+        );
+        let mut codes: Vec<u32> = (0..rows).map(|row| (row % 3) as u32).collect();
+        // Rows of the first range move to another tier.
+        for row in (0..1_000u32).step_by(3) {
+            let bin = row % 4;
+            cube.patch(row, Some((&[0], bin)), Some((&[2], bin)));
+            codes[row as usize] = 2;
+        }
+        let cells: Vec<(Vec<u32>, usize)> = (0..cube.cells())
+            .map(|cell| {
+                (
+                    vec![cell as u32],
+                    cube.counts_of(cell).iter().map(|&c| c as usize).sum(),
+                )
+            })
+            .collect();
+        let parts: Vec<Option<(&[u32], usize)>> = cells
+            .iter()
+            .map(|(cells, len)| Some((cells.as_slice(), *len)))
+            .collect();
+        for (cell, got) in cube.rows().rows_of_parts(&parts, 4).iter().enumerate() {
+            let code = cube.codes_of(cell)[0];
+            let want: Vec<u32> = (0..rows as u32)
+                .filter(|&r| codes[r as usize] == code)
+                .collect();
+            assert_eq!(got.rows(), want.as_slice(), "tier {code}");
+        }
+    }
 
     #[test]
     fn decoder_inverts_the_mixed_radix_fold() {

@@ -208,39 +208,89 @@ impl BinSpec {
         }
     }
 
-    /// Bulk form of [`BinSpec::bin_index`]: classify a whole slice in
-    /// fixed-width chunks. On the uniform layout the per-value branches
-    /// collapse into the clamp arithmetic itself — `v <= lo` (and `NaN`)
-    /// land at 0 via the saturating float→int cast, `v >= hi` lands at
-    /// `n - 1` via the `min` — so the loop is a straight
-    /// subtract/divide/scale/clamp the compiler can vectorize. The
-    /// division keeps the exact `(v - lo) / (hi - lo) * n` operation
-    /// order of [`BinSpec::bin_index`], so the returned indices are
-    /// **identical** to the scalar path for every input (asserted by a
-    /// differential test); non-uniform layouts fall back to the scalar
-    /// binary search per value.
+    /// Bulk form of [`BinSpec::bin_index`]: the indices of a whole
+    /// slice (a wrapper around [`BinSpec::bin_checked`]).
     pub fn bin_indices(&self, values: &[f64]) -> Vec<u32> {
-        const CHUNK: usize = 4096;
-        let n = self.len();
+        let mut out = vec![0; values.len()];
+        self.bin_checked(values, &mut out);
+        out
+    }
+
+    /// The binning kernel: write the bin of `values[i]` to `out[i]` —
+    /// [`BinSpec::bin_index`]'s index for every `f64` — and return
+    /// whether every value lay in `[lo, hi]` (NaN does not), in one
+    /// pass with no data-dependent branch on the uniform layout.
+    ///
+    /// The uniform layout clamps in floating point before the cast,
+    /// `((v - lo) / (hi - lo) * n).max(0.0).min(n - 1)`, with
+    /// [`BinSpec::bin_index`]'s operation order: NaN and values at or
+    /// below `lo` land in bin 0 (`max` returns its non-NaN operand),
+    /// values at or above `hi` in bin `n - 1`, and the clamped value
+    /// truncates exactly as the scalar path's integer cast does.
+    /// Non-uniform layouts binary-search each value.
+    ///
+    /// # Panics
+    ///
+    /// When `out` and `values` differ in length.
+    pub fn bin_checked<S: Slot>(&self, values: &[f64], out: &mut [S]) -> bool {
+        assert_eq!(values.len(), out.len(), "one output slot per value");
         let (lo, hi) = (self.lo(), self.hi());
-        let mut out = Vec::with_capacity(values.len());
-        if self.uniform && hi > lo {
+        let mut inside = true;
+        if self.uniform {
             let width = hi - lo;
-            let scale = n as f64;
-            let top = n - 1;
-            for chunk in values.chunks(CHUNK) {
-                out.extend(
-                    chunk
-                        .iter()
-                        .map(|&v| (((v - lo) / width * scale) as usize).min(top) as u32),
-                );
+            let scale = self.len() as f64;
+            let top = (self.len() - 1) as f64;
+            for (slot, &v) in out.iter_mut().zip(values) {
+                inside &= (v >= lo) & (v <= hi);
+                let clamped = ((v - lo) / width * scale).max(0.0).min(top);
+                // SAFETY: `max` returns its non-NaN operand and `min`
+                // keeps the result at most `top`, so `clamped` is finite
+                // in `[0, MAX_BINS - 1]` and its truncation fits an
+                // `i32` — the unchecked cast's requirement. (The checked
+                // cast compiles to a scalar convert per value; this one
+                // to a packed convert.)
+                let index = unsafe { clamped.to_int_unchecked::<i32>() };
+                *slot = S::from_index(index as u32);
             }
         } else {
-            for chunk in values.chunks(CHUNK) {
-                out.extend(chunk.iter().map(|&v| self.bin_index(v) as u32));
+            for (slot, &v) in out.iter_mut().zip(values) {
+                inside &= (v >= lo) & (v <= hi);
+                *slot = S::from_index(self.bin_index(v) as u32);
             }
         }
-        out
+        inside
+    }
+}
+
+/// An element of a column of small unsigned indices (bins, dictionary
+/// codes, cell keys): `u8` when every index is below 256, else `u32`.
+pub trait Slot: Copy {
+    /// `index` as a slot. A `u8` slot keeps the low byte, so callers
+    /// pick it only for indices below 256.
+    fn from_index(index: u32) -> Self;
+    /// The slot's index.
+    fn index(self) -> usize;
+}
+
+impl Slot for u8 {
+    #[inline(always)]
+    fn from_index(index: u32) -> Self {
+        index as u8
+    }
+    #[inline(always)]
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+impl Slot for u32 {
+    #[inline(always)]
+    fn from_index(index: u32) -> Self {
+        index
+    }
+    #[inline(always)]
+    fn index(self) -> usize {
+        self as usize
     }
 }
 

@@ -106,9 +106,11 @@ impl CodeColumn {
 
     /// A copy of `values` (each `< domain`) in the width `domain` needs.
     pub fn from_values(domain: usize, values: &[u32]) -> Self {
-        let mut column = Self::zeroed(domain, values.len());
-        column.write_at(0, values);
-        column
+        if domain <= Self::NARROW_DOMAIN {
+            CodeColumn::Narrow(values.iter().map(|&value| value as u8).collect())
+        } else {
+            CodeColumn::Wide(values.to_vec())
+        }
     }
 
     /// Number of rows.
@@ -145,20 +147,6 @@ impl CodeColumn {
         match self {
             CodeColumn::Narrow(v) => v.push(value as u8),
             CodeColumn::Wide(v) => v.push(value),
-        }
-    }
-
-    /// Overwrite rows `first..first + values.len()` (panics when the
-    /// range runs past the end).
-    pub fn write_at(&mut self, first: usize, values: &[u32]) {
-        let end = first + values.len();
-        match self {
-            CodeColumn::Narrow(v) => {
-                for (dst, &value) in v[first..end].iter_mut().zip(values) {
-                    *dst = value as u8;
-                }
-            }
-            CodeColumn::Wide(v) => v[first..end].copy_from_slice(values),
         }
     }
 }

@@ -47,6 +47,15 @@ impl Predicate {
         Predicate { constraints }
     }
 
+    /// The conjunction of `constraints` built in one allocation and
+    /// one sort: the predicate that adding them one at a time, in order,
+    /// to [`Predicate::always`] with [`Predicate::and`] builds.
+    pub fn all_of(constraints: impl IntoIterator<Item = EqConstraint>) -> Self {
+        let mut constraints: Vec<EqConstraint> = constraints.into_iter().collect();
+        constraints.sort_by_key(|c| c.attr);
+        Predicate { constraints }
+    }
+
     /// The constraints, ordered by attribute index.
     pub fn constraints(&self) -> &[EqConstraint] {
         &self.constraints
@@ -257,6 +266,27 @@ mod tests {
         let p1 = Predicate::eq(0, 1).and(1, 2);
         let p2 = Predicate::eq(1, 2).and(0, 1);
         assert_eq!(p1, p2);
+    }
+
+    #[test]
+    fn all_of_builds_what_and_builds() {
+        let c = |attr, code| EqConstraint { attr, code };
+        // A repeated attribute keeps its constraints in insertion order,
+        // as successive `and`s (stable sorts) do.
+        let lists = [
+            vec![],
+            vec![c(3, 1)],
+            vec![c(4, 0), c(1, 2), c(3, 1)],
+            vec![c(2, 5), c(0, 1), c(2, 3), c(1, 0), c(0, 0)],
+        ];
+        for list in lists {
+            let folded = list
+                .iter()
+                .fold(Predicate::always(), |p, k| p.and(k.attr, k.code));
+            let built = Predicate::all_of(list.iter().copied());
+            assert_eq!(built.constraints(), folded.constraints());
+            assert_eq!(built.fingerprint(), folded.fingerprint());
+        }
     }
 
     #[test]

@@ -140,6 +140,8 @@ impl StreamView {
             }
             None => Bitmap::full(table.len()),
         };
+        // One row range: the base cube is patched and only projected,
+        // and neither keeps the build's range counts.
         let cube = CellCube::from_table(
             &table,
             &table.schema().splittable(),
@@ -147,6 +149,7 @@ impl StreamView {
             bins,
             Some(live.to_rowset()),
             true,
+            1,
         )?;
         Ok(StreamView {
             table: Arc::new(table),
