@@ -26,7 +26,7 @@ use fairjob_core::{AuditConfig, AuditContext, AuditResult};
 use fairjob_marketplace::scoring::{LinearScore, ScoringFunction};
 use fairjob_marketplace::{bucketise_numeric_protected, generate_uniform};
 use fairjob_store::paged::{write_paged, PagedColumn};
-use fairjob_store::{PagedStore, ShardPolicy, Table};
+use fairjob_store::{PagedStore, Table};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -61,7 +61,6 @@ fn population(rows: usize) -> (Table, Vec<f64>) {
 
 fn config(threads: usize) -> AuditConfig {
     AuditConfig {
-        shards: ShardPolicy::Auto,
         threads: Some(threads),
         attributes: Some(GATE_ATTRS.iter().map(|a| a.to_string()).collect()),
         ..AuditConfig::default()

@@ -1,14 +1,16 @@
-//! Sharded-kernel scale bench: end-to-end audit through the sharded
-//! per-row kernels on a 1M-row population.
+//! Row-range scale bench: end-to-end audit through the per-row passes
+//! on a 1M-row population.
 //!
-//! Beyond timing, this bench *asserts* the sharding contract:
+//! Beyond timing, this bench *asserts* the row-range contract on a
+//! population past the 65 536 rows from which a per-row pass runs one
+//! row range per thread, so every thread count runs a different cut:
 //!
-//! - audits are **bit-identical** (unfairness bits and partition count)
-//!   across shard counts × thread counts, against the one-shard,
-//!   one-thread layout (`Fixed(1)`);
-//! - the shard counters attribute truthfully: `shard_tasks` and
-//!   `rows_classified_parallel` are positive on every layout, and the
-//!   row meter is layout-independent.
+//! - audits are **bit-identical** (unfairness bits, partition
+//!   predicates and row sets) at 1, 2, 3 and 8 threads, against one
+//!   thread;
+//! - the build counters attribute truthfully: `shard_tasks` counts one
+//!   classify task per thread, and `rows_classified_parallel` meters
+//!   every row at every thread count.
 //!
 //! It also extends the machine-readable perf trajectory: a
 //! `BENCH_shard.json` next to the workspace root with the 1M-row
@@ -25,14 +27,16 @@ use fairjob_core::algorithms::{balanced::Balanced, Algorithm, AttributeChoice};
 use fairjob_core::{AuditConfig, AuditContext, AuditResult};
 use fairjob_marketplace::scoring::{LinearScore, ScoringFunction};
 use fairjob_marketplace::{bucketise_numeric_protected, generate_uniform};
-use fairjob_store::{ShardPolicy, Table};
+use fairjob_store::Table;
 use std::hint::black_box;
 use std::time::Instant;
 
 /// Rows for the timed scale run — the "1M-row audit".
 const SCALE_ROWS: usize = 1_000_000;
-/// Rows for the bit-identity grid (small enough to sweep layouts).
-const PARITY_ROWS: usize = 20_000;
+/// Rows for the bit-identity grid: past the 65 536 rows from which a
+/// per-row pass runs one row range per thread, small enough to sweep
+/// thread counts.
+const PARITY_ROWS: usize = 70_000;
 /// Rows for the Criterion samples (the scale run is too big to repeat
 /// `sample_size` times).
 const BENCH_ROWS: usize = 200_000;
@@ -55,17 +59,10 @@ fn population(rows: usize) -> (Table, Vec<f64>) {
 const SCALE_ATTRS: &[&str] = &["gender", "country"];
 
 /// One end-to-end audit: context build (validation + classification
-/// into the cell cube) plus the balanced search — everything the shard
-/// layout touches. `attrs = None` audits every protected attribute.
-fn run_audit(
-    table: &Table,
-    scores: &[f64],
-    shards: ShardPolicy,
-    threads: usize,
-    attrs: Option<&[&str]>,
-) -> AuditResult {
+/// into the cell cube) plus the balanced search — everything the row
+/// ranges touch. `attrs = None` audits every protected attribute.
+fn run_audit(table: &Table, scores: &[f64], threads: usize, attrs: Option<&[&str]>) -> AuditResult {
     let config = AuditConfig {
-        shards,
         threads: Some(threads),
         attributes: attrs.map(|names| names.iter().map(|a| a.to_string()).collect()),
         ..AuditConfig::default()
@@ -91,10 +88,10 @@ fn best_of_us(n: usize, mut f: impl FnMut()) -> u128 {
 /// The scale run on [`SCALE_ROWS`] rows: truthful counters, then the
 /// best-of-3 end-to-end wall time in microseconds.
 fn time_scale_audit(table: &Table, scores: &[f64]) -> u128 {
-    let sharded = run_audit(table, scores, ShardPolicy::Auto, 1, Some(SCALE_ATTRS));
-    assert!(
-        sharded.engine.shard_tasks > 0,
-        "sharded run dispatched no shard tasks"
+    let sharded = run_audit(table, scores, 1, Some(SCALE_ATTRS));
+    assert_eq!(
+        sharded.engine.shard_tasks, 1,
+        "a one-thread build runs one classify range"
     );
     assert!(
         sharded.engine.rows_classified_parallel >= SCALE_ROWS as u64,
@@ -103,13 +100,7 @@ fn time_scale_audit(table: &Table, scores: &[f64]) -> u128 {
     );
     // Best-of-3 keeps a one-off stall from deciding the number.
     best_of_us(3, || {
-        black_box(run_audit(
-            table,
-            scores,
-            ShardPolicy::Auto,
-            1,
-            Some(SCALE_ATTRS),
-        ));
+        black_box(run_audit(table, scores, 1, Some(SCALE_ATTRS)));
     })
 }
 
@@ -121,7 +112,7 @@ fn time_all_attributes_audit(table: &Table, scores: &[f64]) -> (u128, usize) {
     let mut runs: Vec<u128> = (0..5)
         .map(|_| {
             let started = Instant::now();
-            black_box(run_audit(table, scores, ShardPolicy::Auto, threads, None));
+            black_box(run_audit(table, scores, threads, None));
             started.elapsed().as_micros()
         })
         .collect();
@@ -196,36 +187,33 @@ fn time_phases(table: &Table, scores: &[f64]) -> (Spread, Spread, usize) {
     (Spread::of(build), Spread::of(row_pass), threads)
 }
 
-/// Bit-identity and counter attribution across shard × thread layouts.
+/// Bit-identity and counter attribution at 1, 2, 3 and 8 threads, each
+/// of which cuts the [`PARITY_ROWS`]-row passes into as many ranges.
 fn assert_layout_parity(table: &Table, scores: &[f64]) {
-    let baseline = run_audit(table, scores, ShardPolicy::Fixed(1), 1, None);
-    let mut rows_metered: Vec<u64> = vec![baseline.engine.rows_classified_parallel];
-    for shards in [
-        ShardPolicy::Fixed(1),
-        ShardPolicy::Fixed(2),
-        ShardPolicy::Fixed(3),
-        ShardPolicy::Fixed(7),
-        ShardPolicy::Auto,
-    ] {
-        for threads in [1usize, 2, 8] {
-            let got = run_audit(table, scores, shards, threads, None);
-            assert_eq!(
-                got.unfairness.to_bits(),
-                baseline.unfairness.to_bits(),
-                "shards={shards} threads={threads} diverged"
-            );
-            assert_eq!(got.partitioning.len(), baseline.partitioning.len());
-            assert!(
-                got.engine.shard_tasks > 0,
-                "shards={shards}: no shard tasks"
-            );
-            rows_metered.push(got.engine.rows_classified_parallel);
+    let baseline = run_audit(table, scores, 1, None);
+    for threads in [1usize, 2, 3, 8] {
+        let got = run_audit(table, scores, threads, None);
+        assert_eq!(
+            got.unfairness.to_bits(),
+            baseline.unfairness.to_bits(),
+            "threads={threads} diverged"
+        );
+        assert_eq!(got.partitioning.len(), baseline.partitioning.len());
+        for (got, want) in got
+            .partitioning
+            .partitions()
+            .iter()
+            .zip(baseline.partitioning.partitions())
+        {
+            assert_eq!(got.predicate, want.predicate, "threads={threads}");
+            assert_eq!(got.rows(), want.rows(), "threads={threads}");
         }
+        assert_eq!(
+            got.engine.shard_tasks, threads as u64,
+            "threads={threads}: one classify range per thread"
+        );
+        assert_eq!(got.engine.rows_classified_parallel, PARITY_ROWS as u64);
     }
-    assert!(
-        rows_metered.iter().all(|&r| r > 0 && r == rows_metered[0]),
-        "rows_classified_parallel is layout-dependent: {rows_metered:?}"
-    );
 }
 
 /// Write the machine-readable trajectory next to the workspace root.
@@ -270,15 +258,7 @@ fn bench_shard_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("shard_scale");
     group.sample_size(10);
     group.bench_function("audit_sharded", |b| {
-        b.iter(|| {
-            black_box(run_audit(
-                &table,
-                &scores,
-                ShardPolicy::Auto,
-                1,
-                Some(SCALE_ATTRS),
-            ))
-        })
+        b.iter(|| black_box(run_audit(&table, &scores, 1, Some(SCALE_ATTRS))))
     });
     group.finish();
 }

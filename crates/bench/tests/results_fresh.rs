@@ -1,7 +1,8 @@
 //! The recorded reproduction results stay fresh: `figure1`,
-//! `table1`–`table3` and `repair_sweep` re-run at their committed seeds
-//! print what `results/figure1.txt`, `results/table1.txt`–`results/table3.txt`
-//! and `results/repair_sweep.txt` hold. Wall-clock times (`elapsed:` lines and the
+//! `table1`–`table3`, `repair_sweep` and `variance` re-run at their
+//! committed seeds print what `results/figure1.txt`,
+//! `results/table1.txt`–`results/table3.txt`, `results/repair_sweep.txt`
+//! and `results/variance.txt` hold. Wall-clock times (`elapsed:` lines and the
 //! tables' `t(...)` columns) and the `engine:`, `splits:`, `bounds:` and
 //! `shards:` counter lines are left out: shard and pool counts follow
 //! the host's thread budget, so they differ between hosts. A change that
@@ -91,6 +92,11 @@ fn table3_matches_its_recording() {
 #[test]
 fn repair_sweep_matches_its_recording() {
     assert_fresh(env!("CARGO_BIN_EXE_repair_sweep"), "repair_sweep.txt");
+}
+
+#[test]
+fn variance_matches_its_recording() {
+    assert_fresh(env!("CARGO_BIN_EXE_variance"), "variance.txt");
 }
 
 #[test]

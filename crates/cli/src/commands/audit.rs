@@ -46,7 +46,6 @@ const FLAGS: &[&str] = &[
     "histograms",
     "json",
     "seed",
-    "shards",
 ];
 
 /// Run the subcommand; returns the audit report.
@@ -113,12 +112,11 @@ fn run_paged(args: &Args, path: &str) -> Result<String, CliError> {
     )
 }
 
-/// The audit config of the `--bins`, `--metric` and `--shards` flags.
+/// The audit config of the `--bins` and `--metric` flags.
 fn audit_config(args: &Args) -> Result<AuditConfig, CliError> {
     Ok(AuditConfig {
         bins: args.parsed_or("bins", 10)?,
         distance: resolve_metric(args.optional("metric").unwrap_or("emd"))?,
-        shards: crate::commands::parse_shards(args)?,
         ..Default::default()
     })
 }
@@ -200,22 +198,25 @@ mod tests {
     }
 
     /// A misspelt flag is a usage error naming it, not a silent run
-    /// with the default it meant to override.
+    /// with the default it meant to override; so is the retired shard
+    /// flag (the thread count is the one layout knob).
     #[test]
     fn unknown_flag_is_a_usage_error_naming_it() {
         let tmp = population();
-        let err = crate::dispatch(&argv(&[
-            "audit",
-            "--workers",
-            &tmp.path_str(),
-            "--function",
-            "f1",
-            "--algoritm",
-            "unbalanced",
-        ]))
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 2);
-        assert!(err.to_string().contains("`--algoritm`"), "{err}");
+        for (flag, value) in [("algoritm", "unbalanced"), ("shards", "2")] {
+            let err = crate::dispatch(&argv(&[
+                "audit",
+                "--workers",
+                &tmp.path_str(),
+                "--function",
+                "f1",
+                &format!("--{flag}"),
+                value,
+            ]))
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 2);
+            assert!(err.to_string().contains(&format!("`--{flag}`")), "{err}");
+        }
     }
 
     #[test]

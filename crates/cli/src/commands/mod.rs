@@ -13,7 +13,7 @@ pub mod stream;
 use crate::args::Args;
 use crate::CliError;
 use fairjob_marketplace::scoring::{LinearScore, RuleBasedScore, ScoringFunction};
-use fairjob_store::{ShardPolicy, Table};
+use fairjob_store::Table;
 
 /// Load a worker population CSV and bucketise its numeric protected
 /// attributes so they are splittable. With `schema_path = None` the
@@ -44,19 +44,6 @@ pub(crate) fn load_workers(path: &str, schema_path: Option<&str>) -> Result<Tabl
         }
     }
     Ok(table)
-}
-
-/// Resolve the `--shards` flag (`auto` | a positive count; default
-/// `auto`). Audit results are bit-identical under every
-/// setting — the flag only chooses how the context's split/classify
-/// kernels execute.
-pub(crate) fn parse_shards(args: &Args) -> Result<ShardPolicy, CliError> {
-    match args.optional("shards") {
-        None => Ok(ShardPolicy::default()),
-        Some(raw) => ShardPolicy::parse(raw).ok_or_else(|| {
-            CliError::Usage(format!("cannot parse `--shards {raw}` (auto | count)"))
-        }),
-    }
 }
 
 /// Parse a byte count with an optional binary `k`/`m`/`g` suffix

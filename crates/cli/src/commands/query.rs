@@ -56,7 +56,6 @@ const FLAGS: &[&str] = &[
     "bins",
     "threads",
     "seed",
-    "shards",
 ];
 
 /// Run the subcommand; returns the rendered outputs of every statement.
@@ -126,7 +125,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
             None => None,
             Some(_) => Some(args.parsed_or("threads", 0usize)?),
         },
-        shards: crate::commands::parse_shards(&args)?,
     };
     let mut session = Session::new(source, defaults).map_err(map_query_error)?;
 

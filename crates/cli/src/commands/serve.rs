@@ -36,7 +36,6 @@ const FLAGS: &[&str] = &[
     "max-inflight",
     "max-sessions",
     "seed",
-    "shards",
 ];
 
 /// Run the subcommand; blocks while the daemon serves and returns the
@@ -99,7 +98,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     let config = AuditConfig {
         bins: view.spec().len(),
         distance: metric,
-        shards: crate::commands::parse_shards(&args)?,
         ..Default::default()
     };
     let live = view.live_count();

@@ -90,7 +90,6 @@ const FLAGS: &[&str] = &[
     "cold-check",
     "json",
     "seed",
-    "shards",
 ];
 
 /// Run the subcommand; returns the replay report.
@@ -125,7 +124,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     let config = AuditConfig {
         bins,
         distance: metric,
-        shards: crate::commands::parse_shards(&args)?,
         ..Default::default()
     };
     let view = StreamView::new(workers, scores, bins)

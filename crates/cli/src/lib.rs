@@ -75,24 +75,22 @@ USAGE:
                    [--algorithm balanced|unbalanced|r-balanced|r-unbalanced|all-attributes|subset-exact]
                    [--bins N] [--metric emd|emd-exact|tv|ks|jsd|hellinger|chi2]
                    [--permutations N] [--histograms] [--json] [--seed S]
-                   [--shards auto|N]
   fairjob query    (--workers FILE.csv (--function f1..f9 | --alpha A)
                     | --paged FILE.fjp [--mem-budget BYTES])
                    [-e QUERY | --query QUERY | --file FILE.fql]
                    [--algorithm ...] [--metric ...] [--bins N]
-                   [--threads N] [--seed S] [--shards auto|N]
+                   [--threads N] [--seed S]
   fairjob snapshot --workers FILE.csv (--function f1..f9 | --alpha A)
                    [--bins N] [--seed S] --out FILE.fjp
   fairjob snapshot --info FILE.fjp
   fairjob stream   --workers FILE.csv --events FILE (--function f1..f9 | --alpha A)
                    [--algorithm ...] [--bins N] [--metric ...]
-                   [--cold-check] [--json] [--seed S] [--shards auto|N]
+                   [--cold-check] [--json] [--seed S]
   fairjob serve    (--workers FILE.csv (--function f1..f9 | --alpha A)
                     | --snapshot FILE.fjp [--mem-budget BYTES])
                    [--algorithm ...] [--bins N] [--metric ...]
                    [--addr HOST:PORT] [--addr-file FILE]
                    [--max-inflight N] [--max-sessions N] [--seed S]
-                   [--shards auto|N]
   fairjob repair   --workers FILE.csv (--function f1..f9 | --alpha A)
                    [--lambda L] [--target median|pooled] --out SCORES.csv [--seed S]
   fairjob rerank   --workers FILE.csv (--function f1..f9 | --alpha A)
@@ -112,10 +110,10 @@ the in-memory audit at every budget — and `serve --snapshot`
 cold-starts the daemon from the file at its recorded epoch, no event
 replay. `snapshot --info` prints a file's header facts.
 
---shards picks the shard layout for the audit context's data-parallel
-split/classify kernels (auto = from row count and thread budget, N =
-exactly N row-range shards; 1 = one serial walk). Results are
-bit-identical under every setting; only speed changes.
+`query --threads N` caps the audit's worker threads (default: the
+machine's, at most 8). A pass over 65 536 or more rows runs one row
+range per thread, at most nine. Results are bit-identical at every
+thread count; only speed changes.
 
 Every command reading --workers also accepts --schema FILE: a schema
 descriptor (see fairjob_store::schema_text) describing a non-default

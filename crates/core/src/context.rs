@@ -12,9 +12,7 @@ use fairjob_hist::{BinSpec, Histogram, HistogramDistance};
 use fairjob_store::column::CodeColumn;
 use fairjob_store::index::CategoricalIndex;
 use fairjob_store::paged::{PageCacheStats, PageCounters, PageData, PagedColumn};
-use fairjob_store::{
-    EqConstraint, PagedStore, Predicate, RowSet, Schema, ShardPlan, ShardPolicy, Table,
-};
+use fairjob_store::{EqConstraint, PagedStore, Predicate, RowSet, Schema, Table};
 use std::borrow::Borrow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,18 +32,14 @@ pub struct AuditConfig {
     /// categorical protected attribute in the schema.
     pub attributes: Option<Vec<String>>,
     /// Worker-thread count for the evaluation engine's parallel paths
-    /// and the context's sharded kernels. `None` (the default) uses the
+    /// and the context's per-row passes. `None` (the default) uses the
     /// machine's available parallelism capped at 8, read once per
     /// process — the count the process-wide worker pool is sized from.
+    /// It is the one layout knob: a per-row pass over 65 536 or more
+    /// audited rows runs one row range per thread, at most nine.
     /// Results are bit-identical for every thread count; this knob
     /// exists for reproducible benchmarking and resource capping.
     pub threads: Option<usize>,
-    /// Row-range sharding of the per-row kernels (classification and
-    /// splits). [`ShardPolicy::Auto`] (the default) picks a shard count
-    /// from the row count and thread budget; `Fixed(1)` is one serial
-    /// walk. Audit results are bit-identical under every policy; only
-    /// the `shard_tasks` counter (and wall-clock) changes.
-    pub shards: ShardPolicy,
 }
 
 impl Default for AuditConfig {
@@ -55,7 +49,6 @@ impl Default for AuditConfig {
             distance: Arc::new(Emd1d),
             attributes: None,
             threads: None,
-            shards: ShardPolicy::Auto,
         }
     }
 }
@@ -67,7 +60,6 @@ impl std::fmt::Debug for AuditConfig {
             .field("distance", &self.distance.name())
             .field("attributes", &self.attributes)
             .field("threads", &self.threads)
-            .field("shards", &self.shards)
             .finish()
     }
 }
@@ -132,7 +124,7 @@ pub struct AuditContext<'a> {
     /// [`crate::EngineStats`] by [`crate::EvalEngine::stats`]. Relaxed
     /// atomics: every increment is a fixed amount per kernel
     /// invocation, so totals are exact and thread-schedule independent.
-    shard_counters: ShardCounters,
+    build_counters: BuildCounters,
     /// Warm engine caches handed across engine lifetimes: seeded before
     /// a run via [`AuditContext::seed_engine_caches`], adopted by the
     /// next [`crate::EvalEngine`], returned here when it drops. A
@@ -146,14 +138,14 @@ pub struct AuditContext<'a> {
     page_stats: Option<(Arc<PageCacheStats>, PageCounters)>,
 }
 
-/// See [`AuditContext`]'s `shard_counters` field.
+/// See [`AuditContext`]'s `build_counters` field.
 #[derive(Debug, Default)]
-struct ShardCounters {
+struct BuildCounters {
     shard_tasks: AtomicU64,
     rows_classified_parallel: AtomicU64,
 }
 
-impl ShardCounters {
+impl BuildCounters {
     fn note(&self, tasks: usize, rows: usize) {
         self.shard_tasks.fetch_add(tasks as u64, Ordering::Relaxed);
         self.rows_classified_parallel
@@ -188,7 +180,7 @@ pub(crate) fn check_scores(first_row: usize, scores: &[f64]) -> Result<(), Audit
     }
 }
 
-/// A shard's window onto a [`CodeColumn`].
+/// A row range's window onto a [`CodeColumn`].
 enum CodeSliceMut<'c> {
     Narrow(&'c mut [u8]),
     Wide(&'c mut [u32]),
@@ -230,15 +222,15 @@ fn check_and_bin<B: Slot>(
     }
 }
 
-/// The fused pass of one shard: check and bin the scores of rows
-/// `first_row..` straight into the shard's window of the bin column,
+/// The fused pass of one row range: check and bin the scores of rows
+/// `first_row..` straight into the range's window of the bin column,
 /// key each row by its codes in `columns` (mixed radix over `domains`)
 /// in its window of the key column, and count it into
 /// `counts[key * bins + bin]`. With no column, rows are only checked
 /// and binned. Chunked so the keying and counting re-read each chunk
 /// from L1.
 #[allow(clippy::too_many_arguments)]
-fn classify_shard<B: Slot, K: Slot>(
+fn classify_range<B: Slot, K: Slot>(
     spec: &BinSpec,
     scores: &[f64],
     first_row: usize,
@@ -278,7 +270,7 @@ struct Built {
     bin_of: Arc<CodeColumn>,
     cube: CellCube,
     cube_rows: u64,
-    counters: ShardCounters,
+    counters: BuildCounters,
 }
 
 impl Built {
@@ -300,7 +292,7 @@ impl Built {
             cube: self.cube,
             cube_rows: self.cube_rows,
             epoch,
-            shard_counters: self.counters,
+            build_counters: self.counters,
             engine_caches: Mutex::new(None),
             page_stats: None,
         }
@@ -324,17 +316,9 @@ impl<'a> AuditContext<'a> {
         let (spec, attributes) =
             Self::validate(table.schema(), table.len(), &[scores.len()], None, &config)?;
         let parallelism = thread_budget(config.threads);
-        let shard_plan = config.shards.plan(table.len(), parallelism);
-        let counters = ShardCounters::default();
-        let (bin_of, cube) = Self::classify(
-            table,
-            &attributes,
-            &spec,
-            scores,
-            &shard_plan,
-            parallelism,
-            &counters,
-        )?;
+        let counters = BuildCounters::default();
+        let (bin_of, cube) =
+            Self::classify(table, &attributes, &spec, scores, parallelism, &counters)?;
         let built = Built {
             spec,
             attributes,
@@ -385,13 +369,13 @@ impl<'a> AuditContext<'a> {
 
     /// The fused classify pass: check and bin every score with the
     /// binning kernel straight into the bin column, and count the row
-    /// into its cell of the audited attributes — one task per shard on
-    /// the worker pool when parallel, per-shard counts added in shard
-    /// order, and each shard's rows per key kept as the cube's range
-    /// counts ([`RangeCounts::kept`]). Classification is elementwise and
-    /// counts are integers, so the column and the cube equal a serial
-    /// pass exactly. Key spaces too wide (or too sparse) to count
-    /// directly are only binned here and folded from the table
+    /// into its cell of the audited attributes — one task per row range
+    /// ([`cube::row_ranges`]) on the worker pool, the ranges' counts
+    /// added in range order, and each range's rows per key kept as the
+    /// cube's range counts ([`RangeCounts::kept`]). Classification is
+    /// elementwise and counts are integers, so the column and the cube
+    /// equal a serial pass exactly. Key spaces too wide (or too sparse)
+    /// to count directly are only binned here and folded from the table
     /// afterwards.
     ///
     /// # Errors
@@ -402,12 +386,13 @@ impl<'a> AuditContext<'a> {
         attrs: &[usize],
         spec: &BinSpec,
         scores: &[f64],
-        plan: &ShardPlan,
         parallelism: usize,
-        counters: &ShardCounters,
+        counters: &BuildCounters,
     ) -> Result<(CodeColumn, CellCube), AuditError> {
-        counters.note(plan.shards(), scores.len());
         let rows = scores.len();
+        let bounds = cube::row_ranges(rows, parallelism);
+        let ranges: Vec<Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
+        counters.note(ranges.len(), rows);
         let bins = spec.len();
         let all_domains = cube::domains(table.schema(), attrs);
         let space = cube::key_space(&all_domains);
@@ -426,14 +411,6 @@ impl<'a> AuditContext<'a> {
         } else {
             (Vec::new(), &[], 0)
         };
-        // Small tables and one thread run one shard: the whole table.
-        let shards = match cube::row_ranges(rows, parallelism) {
-            1 => 1,
-            _ => plan.shards(),
-        };
-        let ranges: Vec<Range<usize>> = (0..shards)
-            .map(|s| if shards == 1 { 0..rows } else { plan.range(s) })
-            .collect();
         let mut bin_of = CodeColumn::zeroed(bins, rows);
         let mut keys = CodeColumn::zeroed(space, if direct { rows } else { 0 });
         let key_windows = if direct {
@@ -450,46 +427,46 @@ impl<'a> AuditContext<'a> {
                 .zip(key_windows)
                 .map(|pair| Mutex::new(Some(pair)))
                 .collect();
-        let per_shard = WorkerPool::global().run_chunks(parallelism, ranges.len(), |s| {
-            let windows = slots[s]
+        let per_range = WorkerPool::global().run_chunks(parallelism, ranges.len(), |r| {
+            let windows = slots[r]
                 .lock()
-                .expect("shard slot")
+                .expect("range slot")
                 .take()
-                .expect("each shard runs once");
-            let first = ranges[s].start;
-            let scores = &scores[ranges[s].clone()];
+                .expect("each range runs once");
+            let first = ranges[r].start;
+            let scores = &scores[ranges[r].clone()];
             let columns = columns.as_slice();
             let mut counts = vec![0u32; space * bins];
             use CodeSliceMut::{Narrow, Wide};
             match windows {
                 (Narrow(b), Narrow(k)) => {
-                    classify_shard(spec, scores, first, columns, domains, b, k, &mut counts)
+                    classify_range(spec, scores, first, columns, domains, b, k, &mut counts)
                 }
                 (Narrow(b), Wide(k)) => {
-                    classify_shard(spec, scores, first, columns, domains, b, k, &mut counts)
+                    classify_range(spec, scores, first, columns, domains, b, k, &mut counts)
                 }
                 (Wide(b), Narrow(k)) => {
-                    classify_shard(spec, scores, first, columns, domains, b, k, &mut counts)
+                    classify_range(spec, scores, first, columns, domains, b, k, &mut counts)
                 }
                 (Wide(b), Wide(k)) => {
-                    classify_shard(spec, scores, first, columns, domains, b, k, &mut counts)
+                    classify_range(spec, scores, first, columns, domains, b, k, &mut counts)
                 }
             }
             .map(|()| counts)
         });
         drop(slots);
         if !direct {
-            per_shard.into_iter().collect::<Result<Vec<_>, _>>()?;
+            per_range.into_iter().collect::<Result<Vec<_>, _>>()?;
             let cube = CellCube::from_table(table, attrs, &bin_of, bins, None, false, parallelism)?;
             return Ok((bin_of, cube));
         }
         let kept = RangeCounts::kept(ranges.len(), space, rows);
         let mut counts = vec![0u32; space * bins];
         let mut per_key = Vec::with_capacity(if kept { ranges.len() * space } else { 0 });
-        for shard in per_shard {
-            for (acc, shard) in counts.chunks_mut(bins).zip(shard?.chunks(bins)) {
+        for range in per_range {
+            for (acc, range) in counts.chunks_mut(bins).zip(range?.chunks(bins)) {
                 let mut held = 0;
-                for (acc, &c) in acc.iter_mut().zip(shard) {
+                for (acc, &c) in acc.iter_mut().zip(range) {
                     *acc += c;
                     held += c;
                 }
@@ -498,7 +475,6 @@ impl<'a> AuditContext<'a> {
                 }
             }
         }
-        let bounds = ranges.iter().map(|r| r.start).chain([rows]).collect();
         let ranges = kept.then(|| RangeCounts::new(bounds, per_key));
         let cube = cube::direct_cube(attrs.to_vec(), keys, counts, domains, bins, None, ranges);
         Ok((bin_of, cube))
@@ -572,7 +548,7 @@ impl<'a> AuditContext<'a> {
             bin_of,
             cube,
             cube_rows,
-            counters: ShardCounters::default(),
+            counters: BuildCounters::default(),
         };
         Ok(built.into_context(DataSource::Mem(table), Some(scores), config, epoch))
     }
@@ -616,7 +592,7 @@ impl<'a> AuditContext<'a> {
         let scores = if store.has_scores() { rows } else { 0 };
         let (spec, attributes) =
             Self::validate(store.schema(), rows, &[scores], live.as_ref(), &config)?;
-        let counters = ShardCounters::default();
+        let counters = BuildCounters::default();
         let bin_of = Self::classify_paged(store, &spec, live.as_ref(), &counters)?;
         let cube_rows = live.as_ref().map_or(rows, RowSet::len) as u64;
         let parallelism = thread_budget(config.threads);
@@ -654,7 +630,7 @@ impl<'a> AuditContext<'a> {
         store: &PagedStore,
         spec: &BinSpec,
         live: Option<&RowSet>,
-        counters: &ShardCounters,
+        counters: &BuildCounters,
     ) -> Result<CodeColumn, AuditError> {
         let mut bin_of = CodeColumn::zeroed(spec.len(), store.rows());
         let mut checked = Ok(());
@@ -694,7 +670,7 @@ impl<'a> AuditContext<'a> {
         bin_of: &CodeColumn,
         bins: usize,
         live: Option<RowSet>,
-        counters: &ShardCounters,
+        counters: &BuildCounters,
         parallelism: usize,
     ) -> Result<CellCube, AuditError> {
         let domains = cube::domains(store.schema(), attrs);
@@ -877,17 +853,17 @@ impl<'a> AuditContext<'a> {
         self.cube_rows
     }
 
-    /// Per-shard classify tasks (and pages) dispatched by the build
-    /// (layout-dependent: scales with the shard count; independent of
-    /// thread count).
+    /// Classify tasks the build ran: one per row range in memory (see
+    /// [`crate::EngineStats::shard_tasks`]), one per page read when
+    /// paged.
     pub fn shard_tasks(&self) -> u64 {
-        self.shard_counters.shard_tasks.load(Ordering::Relaxed)
+        self.build_counters.shard_tasks.load(Ordering::Relaxed)
     }
 
-    /// Rows the build classified into score bins (independent of both
-    /// the shard count and the thread count).
+    /// Rows the build classified into score bins (independent of the
+    /// thread count).
     pub fn rows_classified_parallel(&self) -> u64 {
-        self.shard_counters
+        self.build_counters
             .rows_classified_parallel
             .load(Ordering::Relaxed)
     }
@@ -1182,14 +1158,10 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Bad scores in shards 3 and 5 of 8 (8 192 scores to a page, so
-    /// also on two pages): the sharded in-memory build and the paged
-    /// build name the first bad row, as `check_scores` does.
-    #[test]
-    fn builds_name_the_first_bad_score() {
+    /// A one-attribute table of `rows` rows and its scores.
+    fn tier_table(rows: usize) -> (Table, Vec<f64>) {
         use fairjob_store::schema::AttributeKind;
         use fairjob_store::table::Value;
-        let rows = 80_000;
         let schema = Schema::builder()
             .categorical("tier", AttributeKind::Protected, &["a", "b", "c"])
             .build()
@@ -1199,7 +1171,42 @@ mod tests {
         for row in 0..rows {
             table.push_row(&[Value::cat(labels[row % 3])]).unwrap();
         }
-        let mut scores: Vec<f64> = (0..rows).map(|row| (row % 101) as f64 / 100.0).collect();
+        let scores = (0..rows).map(|row| (row % 101) as f64 / 100.0).collect();
+        (table, scores)
+    }
+
+    /// `shard_tasks` counts the classify ranges that ran: one below
+    /// 65 536 rows at any thread count, one per thread above, and no
+    /// more than the pool runs at once.
+    #[test]
+    fn shard_tasks_count_the_classify_ranges_that_ran() {
+        for (rows, threads, tasks) in [
+            (500, 1, 1),
+            (500, 2, 1),
+            (500, 8, 1),
+            (70_000, 1, 1),
+            (70_000, 2, 2),
+            (70_000, 3, 3),
+            (70_000, 64, 9),
+        ] {
+            let (table, scores) = tier_table(rows);
+            let config = AuditConfig {
+                threads: Some(threads),
+                ..AuditConfig::default()
+            };
+            let ctx = AuditContext::new(&table, &scores, config).unwrap();
+            assert_eq!(ctx.shard_tasks(), tasks, "{rows} rows, {threads} threads");
+            assert_eq!(ctx.rows_classified_parallel(), rows as u64);
+        }
+    }
+
+    /// Bad scores in row ranges 3 and 5 of 8 (8 192 scores to a page,
+    /// so also on two pages): the eight-range in-memory build and the
+    /// paged build name the first bad row, as `check_scores` does.
+    #[test]
+    fn builds_name_the_first_bad_score() {
+        let rows = 80_000;
+        let (table, mut scores) = tier_table(rows);
         scores[52_001] = f64::NAN;
         scores[35_123] = 1.5;
         let first = check_scores(0, &scores).unwrap_err();
@@ -1211,12 +1218,13 @@ mod tests {
             }
         );
         let config = AuditConfig {
-            threads: Some(2),
-            shards: ShardPolicy::Fixed(8),
+            threads: Some(8),
             ..AuditConfig::default()
         };
-        let plan = config.shards.plan(rows, 2);
-        assert!(plan.range(3).contains(&35_123) && plan.range(5).contains(&52_001));
+        let bounds = cube::row_ranges(rows, 8);
+        assert!(
+            (bounds[3]..bounds[4]).contains(&35_123) && (bounds[5]..bounds[6]).contains(&52_001)
+        );
         let err = AuditContext::new(&table, &scores, config.clone()).unwrap_err();
         assert_eq!(err, first);
         let mut path = std::env::temp_dir();

@@ -14,8 +14,8 @@
 //!
 //! A cube is built once per context, in the pass that classifies the
 //! scores:
-//! - in memory, fused with classification, per shard, the per-shard
-//!   counts added in shard order;
+//! - in memory, fused with classification, per row range (see
+//!   `row_ranges`), the ranges' counts added in range order;
 //! - paged, folded page by page from the score and code pages;
 //! - streaming, kept current by the stream view (a *base* cube over
 //!   every splittable attribute, two cells patched per changed row) and
@@ -31,7 +31,7 @@
 //! bits, and once more at the end, so each row's key is its cell.
 
 use crate::error::AuditError;
-use crate::pool::WorkerPool;
+use crate::pool::{WorkerPool, MAX_GLOBAL_WORKERS};
 use fairjob_hist::bins::Slot;
 use fairjob_store::column::CodeColumn;
 use fairjob_store::{RowSet, Table};
@@ -39,9 +39,9 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Largest key space × bin count counted in one flat table, per shard.
-/// The paper's six attributes give 1 800 keys, 18 000 counters at ten
-/// bins (see [`counts_directly`]).
+/// Largest key space × bin count counted in one flat table, per row
+/// range. The paper's six attributes give 1 800 keys, 18 000 counters
+/// at ten bins (see [`counts_directly`]).
 pub(crate) const DIRECT_COUNTERS: usize = 1 << 18;
 
 /// A key no audited row holds.
@@ -71,18 +71,28 @@ pub(crate) fn counts_directly(space: u128, bins: usize, audited: usize) -> bool 
 }
 
 /// Audited rows from which a per-row pass (the in-memory classify
-/// pass, the row pass) runs in several contiguous ranges on the worker
-/// pool.
+/// pass, the count pass, the row pass) runs in several contiguous
+/// ranges on the worker pool.
 pub(crate) const PARALLEL_MIN_ROWS: usize = 65_536;
 
-/// How many contiguous ranges a per-row pass over `audited` rows runs
-/// in at `parallelism`.
-pub(crate) fn row_ranges(audited: usize, parallelism: usize) -> usize {
-    if audited < PARALLEL_MIN_ROWS {
+/// Most ranges a per-row pass runs in: as many as the global pool runs
+/// at once (its helpers and the calling thread). Each range holds its
+/// own count table, so a larger thread count would only cost memory.
+const MAX_RANGES: usize = MAX_GLOBAL_WORKERS + 1;
+
+/// The contiguous ranges every per-row pass over `audited` rows runs in
+/// at `parallelism`, as bounds: range `r` holds the audited positions
+/// `bounds[r]..bounds[r + 1]`. One range below [`PARALLEL_MIN_ROWS`]
+/// rows, otherwise one per thread, at most [`MAX_RANGES`]. The passes
+/// merge their ranges' integer results in range order, so no answer
+/// depends on the cut.
+pub(crate) fn row_ranges(audited: usize, parallelism: usize) -> Vec<usize> {
+    let ranges = if audited < PARALLEL_MIN_ROWS {
         1
     } else {
-        parallelism.max(1)
-    }
+        parallelism.clamp(1, MAX_RANGES)
+    };
+    (0..=ranges).map(|r| audited * r / ranges).collect()
 }
 
 /// Rows per key in each contiguous range of the audited rows, recorded
@@ -200,8 +210,8 @@ impl CellRows {
                 (ranges.bounds.clone(), placed)
             }
             _ => {
-                let ranges = row_ranges(audited, parallelism);
-                let bounds: Vec<usize> = (0..=ranges).map(|r| audited * r / ranges).collect();
+                let bounds = row_ranges(audited, parallelism);
+                let ranges = bounds.len() - 1;
                 let placed = if ranges == 1 {
                     lens.iter().map(|&len| len as u32).collect()
                 } else {
@@ -1036,11 +1046,10 @@ fn count_rows(
     use CodeColumn::{Narrow, Wide};
     let audited = live.map_or(keys.len(), RowSet::len);
     let space = counts.len() / bins;
-    let ranges = row_ranges(audited, parallelism);
-    let kept = RangeCounts::kept(ranges, space, audited);
-    let ranges = if kept { ranges } else { 1 };
-    let bounds: Vec<usize> = (0..=ranges).map(|r| audited * r / ranges).collect();
-    let mut per_key = vec![0u32; if kept { ranges * space } else { 0 }];
+    let bounds = row_ranges(audited, parallelism);
+    let kept = RangeCounts::kept(bounds.len() - 1, space, audited);
+    let bounds = if kept { bounds } else { row_ranges(audited, 1) };
+    let mut per_key = vec![0u32; if kept { (bounds.len() - 1) * space } else { 0 }];
     let mut per_range = per_key.chunks_mut(space.max(1));
     for at in bounds.windows(2).map(|w| w[0]..w[1]) {
         let per_key = per_range.next();

@@ -455,25 +455,26 @@ pub struct EngineStats {
     /// Exact flow solves warm-started from the previous pair's round-1
     /// Dijkstra (consecutive chunk pairs sharing a support set).
     pub warm_starts: u64,
-    /// Tasks of the context build's classify pass: one per shard in
-    /// memory, one per page read when paged. **Layout-dependent**:
-    /// scales with the shard count, so it is excluded from the
-    /// layout-independence parity the other counters guarantee; it is
-    /// still thread-count independent. Unlike the engine-local counters
-    /// above, the shard counters are **context-cumulative**: they live
-    /// on the [`crate::AuditContext`] (the build runs before any engine
+    /// Tasks the context build's classify pass ran: one per row range
+    /// in memory, one per page read when paged. An in-memory build runs
+    /// one range below 65 536 rows and, from 65 536 rows, one per
+    /// thread (at most nine), so this counter follows the thread count
+    /// there and is excluded from the layout-independence parity the
+    /// other counters guarantee. Unlike the engine-local counters above,
+    /// the build counters are **context-cumulative**: they live on the
+    /// [`crate::AuditContext`] (the build runs before any engine
     /// exists).
     pub shard_tasks: u64,
     /// Rows the context build classified into score bins: every table
     /// row in memory, the rows of the score pages read when paged, none
     /// when a stream view or a prebuilt bin column supplies the bins.
-    /// Independent of both shard count and thread count, but kept out
-    /// of the layout-independence parity alongside
+    /// Independent of the thread count, but kept out of the
+    /// layout-independence parity alongside
     /// [`Self::shard_tasks`] because the paged build meters only the
     /// rows it reads. Context-cumulative, like [`Self::shard_tasks`].
     pub rows_classified_parallel: u64,
     /// Page requests served from the paged store's buffer cache (0 for
-    /// in-memory contexts). Like the shard counters, the page counters
+    /// in-memory contexts). Like the build counters, the page counters
     /// are context-cumulative and **layout-dependent**: they vary with
     /// the `--mem-budget` cache size and page layout, never with the
     /// audit's results.
@@ -1664,7 +1665,7 @@ mod tests {
         parts
     }
 
-    /// The counters an engine's own work fixes: the shard meters are
+    /// The counters an engine's own work fixes: the build meters are
     /// context-cumulative and follow the context's thread budget.
     fn engine_local(stats: EngineStats) -> EngineStats {
         EngineStats {
@@ -2076,7 +2077,7 @@ mod tests {
 
     #[test]
     fn split_batch_is_thread_count_independent() {
-        // Each thread count gets its own context: the shard counters are
+        // Each thread count gets its own context: the build counters are
         // context-cumulative, so sharing one context across engines would
         // conflate the runs being compared.
         let (t, scores) = toy_workers();

@@ -47,7 +47,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Ceiling on global pool workers and on the default thread budget
 /// (`thread_budget`), so large boxes never oversubscribe.
-const MAX_GLOBAL_WORKERS: usize = 8;
+pub(crate) const MAX_GLOBAL_WORKERS: usize = 8;
 
 /// The machine's available parallelism, read once per process.
 ///
@@ -64,8 +64,8 @@ fn available_cores() -> usize {
 
 /// The worker-thread budget of an audit: `threads` when configured,
 /// else [`available_cores`] capped at 8; never zero. The one resolution
-/// of [`crate::AuditConfig::threads`], shared by the context's sharded
-/// kernels and [`crate::EvalEngine`].
+/// of [`crate::AuditConfig::threads`], shared by the context's per-row
+/// passes and [`crate::EvalEngine`].
 pub(crate) fn thread_budget(threads: Option<usize>) -> usize {
     threads
         .unwrap_or_else(|| available_cores().min(MAX_GLOBAL_WORKERS))

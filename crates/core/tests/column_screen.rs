@@ -95,7 +95,7 @@ fn assert_same_answer(screened: &AuditResult, pairwise: &AuditResult, what: &str
 /// `prepare_population` builds them) give the same answers with the
 /// column screen, at one and at four threads, as on the pairwise path,
 /// for both L1 metrics. The pairwise answers are thread-count
-/// independent (`shard_parity`), so one serial oracle run serves both.
+/// independent (`thread_parity`), so one serial oracle run serves both.
 #[test]
 fn paper_algorithms_match_the_pairwise_path() {
     let metrics = l1_metrics();

@@ -9,7 +9,7 @@ use fairjob_marketplace::scoring::{LinearScore, RuleBasedScore, ScoringFunction}
 use fairjob_marketplace::{bucketise_numeric_protected, generate_uniform};
 use fairjob_store::column::CodeColumn;
 use fairjob_store::paged::write_paged;
-use fairjob_store::{RowSet, ShardPolicy, Table};
+use fairjob_store::{RowSet, Table};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -26,10 +26,9 @@ pub fn population(size: usize, seed: u64, rule: bool) -> (Table, Vec<f64>) {
     (workers, scores)
 }
 
-/// The default config at a shard layout and thread count.
-pub fn layout(shards: ShardPolicy, threads: usize) -> AuditConfig {
+/// The default config at a thread count.
+pub fn layout(threads: usize) -> AuditConfig {
     AuditConfig {
-        shards,
         threads: Some(threads),
         ..AuditConfig::default()
     }
@@ -44,15 +43,9 @@ pub fn worst_audit(ctx: &AuditContext<'_>, balanced: bool) -> AuditResult {
     }
 }
 
-/// [`worst_audit`] of an in-memory context at a layout.
-pub fn run_mem(
-    workers: &Table,
-    scores: &[f64],
-    shards: ShardPolicy,
-    threads: usize,
-    balanced: bool,
-) -> AuditResult {
-    let ctx = AuditContext::new(workers, scores, layout(shards, threads)).unwrap();
+/// [`worst_audit`] of an in-memory context at a thread count.
+pub fn run_mem(workers: &Table, scores: &[f64], threads: usize, balanced: bool) -> AuditResult {
+    let ctx = AuditContext::new(workers, scores, layout(threads)).unwrap();
     worst_audit(&ctx, balanced)
 }
 

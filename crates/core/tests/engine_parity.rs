@@ -19,7 +19,7 @@ use fairjob_store::column::CodeColumn;
 use fairjob_store::paged::write_paged;
 use fairjob_store::schema::{AttributeKind, Schema};
 use fairjob_store::table::{Table, Value};
-use fairjob_store::{PagedStore, RowSet, ShardPolicy};
+use fairjob_store::{PagedStore, RowSet};
 use fairjob_stream::StreamView;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -111,7 +111,7 @@ fn assert_split_matches_oracle(ctx: &AuditContext<'_>, what: &str) {
 }
 
 /// A stream context over 70 000 rows, one of them tombstoned, splits
-/// its projected cube like the oracle at every shard layout, and its
+/// its projected cube like the oracle at 2 and 7 threads, and its
 /// build reads no row: the view maintains the cube.
 #[test]
 fn pooled_split_kernel_matches_legacy() {
@@ -119,15 +119,14 @@ fn pooled_split_kernel_matches_legacy() {
     let mut view = StreamView::new(workers, scores, 10).unwrap();
     view.apply_epoch(&[Event::WorkerRemoved { worker: 0 }])
         .unwrap();
-    for shards in [ShardPolicy::Auto, ShardPolicy::Fixed(7)] {
+    for threads in [2, 7] {
         let config = AuditConfig {
             attributes: Some(vec!["gender".into(), "country".into()]),
-            threads: Some(2),
-            shards,
+            threads: Some(threads),
             ..AuditConfig::default()
         };
         let ctx = view.context(config).unwrap();
-        assert_split_matches_oracle(&ctx, &format!("pooled, shards={shards}"));
+        assert_split_matches_oracle(&ctx, &format!("pooled, {threads} threads"));
         assert_eq!(ctx.cube_rows(), 0);
     }
 }

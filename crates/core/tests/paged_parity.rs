@@ -1,7 +1,7 @@
 //! Out-of-core parity: an audit streamed off the paged store through a
 //! bounded page cache must reproduce the in-memory audit bit for bit —
 //! same unfairness bits, same partitioning, same engine-local counters
-//! — at every (memory budget × shard policy × thread count) layout.
+//! — at every (memory budget × thread count) layout.
 //! The page-cache meters themselves are layout-dependent by definition
 //! (a smaller budget re-reads more pages) but must stay truthful:
 //! every audited page is either scanned or zone-skipped.
@@ -11,20 +11,15 @@ mod common;
 use common::{layout, live_context, population, run_mem, worst_audit, TempPaged};
 use fairjob_core::algorithms::{balanced::Balanced, by_name, Algorithm, AttributeChoice};
 use fairjob_core::{AuditConfig, AuditContext, AuditResult, EngineStats};
-use fairjob_store::{PagedStore, RowSet, ShardPolicy};
+use fairjob_store::{PagedStore, RowSet};
 use proptest::prelude::*;
 
-fn run_paged(
-    store: &PagedStore,
-    shards: ShardPolicy,
-    threads: usize,
-    balanced: bool,
-) -> AuditResult {
-    let ctx = AuditContext::from_paged(store, layout(shards, threads), None, None).unwrap();
+fn run_paged(store: &PagedStore, threads: usize, balanced: bool) -> AuditResult {
+    let ctx = AuditContext::from_paged(store, layout(threads), None, None).unwrap();
     worst_audit(&ctx, balanced)
 }
 
-/// The engine-local counters: everything except the shard-work meters
+/// The engine-local counters: everything except the build meters
 /// and the page-cache meters, both layout-dependent by definition.
 fn engine_local(stats: &EngineStats) -> Vec<(&'static str, u64)> {
     const LAYOUT_DEPENDENT: &[&str] = &[
@@ -130,11 +125,11 @@ fn tight_budgets_evict_but_do_not_change_bits() {
     // set can sit fully pinned during the cube build and never evict).
     let (workers, scores) = population(20_000, 77, false);
     let tmp = TempPaged::write("evict", &workers, &scores, None);
-    let baseline = run_mem(&workers, &scores, ShardPolicy::Auto, 2, false);
+    let baseline = run_mem(&workers, &scores, 2, false);
 
     // One-page budget: every column scan cycles the cache.
     let tight = PagedStore::open(&tmp.0, 1).unwrap();
-    let result = run_paged(&tight, ShardPolicy::Auto, 2, false);
+    let result = run_paged(&tight, 2, false);
     assert_eq!(result.unfairness.to_bits(), baseline.unfairness.to_bits());
     assert_eq!(engine_local(&result.engine), engine_local(&baseline.engine));
     assert!(
@@ -147,7 +142,7 @@ fn tight_budgets_evict_but_do_not_change_bits() {
 
     // Roomy budget: the same audit re-reads nothing after first touch.
     let roomy = PagedStore::open(&tmp.0, 1 << 30).unwrap();
-    let result = run_paged(&roomy, ShardPolicy::Auto, 2, false);
+    let result = run_paged(&roomy, 2, false);
     assert_eq!(result.unfairness.to_bits(), baseline.unfairness.to_bits());
     assert_eq!(result.engine.page_evictions, 0);
 }
@@ -155,7 +150,7 @@ fn tight_budgets_evict_but_do_not_change_bits() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// The full grid: every (budget × shard policy × thread count)
+    /// The full grid: every (budget × thread count)
     /// reproduces the in-memory audit bit for bit, engine-local
     /// counters included.
     #[test]
@@ -171,26 +166,24 @@ proptest! {
             &scores,
             None,
         );
-        let baseline = run_mem(&workers, &scores, ShardPolicy::Fixed(1), 1, balanced);
+        let baseline = run_mem(&workers, &scores, 1, balanced);
         for budget in [1usize, 1 << 17, 1 << 30] {
             let store = PagedStore::open(&tmp.0, budget).unwrap();
-            for shards in [ShardPolicy::Fixed(1), ShardPolicy::Fixed(3), ShardPolicy::Auto] {
-                for threads in [1usize, 4] {
-                    let got = run_paged(&store, shards, threads, balanced);
-                    prop_assert_eq!(
-                        got.unfairness.to_bits(),
-                        baseline.unfairness.to_bits(),
-                        "budget={} shards={} threads={}",
-                        budget, shards, threads
-                    );
-                    prop_assert_eq!(got.partitioning.len(), baseline.partitioning.len());
-                    prop_assert_eq!(
-                        engine_local(&got.engine),
-                        engine_local(&baseline.engine),
-                        "engine-local counters diverged at budget={} shards={} threads={}",
-                        budget, shards, threads
-                    );
-                }
+            for threads in [1usize, 4] {
+                let got = run_paged(&store, threads, balanced);
+                prop_assert_eq!(
+                    got.unfairness.to_bits(),
+                    baseline.unfairness.to_bits(),
+                    "budget={} threads={}",
+                    budget, threads
+                );
+                prop_assert_eq!(got.partitioning.len(), baseline.partitioning.len());
+                prop_assert_eq!(
+                    engine_local(&got.engine),
+                    engine_local(&baseline.engine),
+                    "engine-local counters diverged at budget={} threads={}",
+                    budget, threads
+                );
             }
         }
     }

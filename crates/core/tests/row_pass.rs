@@ -6,10 +6,10 @@
 //! the worker pool, each range writing its rows into its own window of
 //! every part's list. In-memory and folded builds record the rows per
 //! key of each range while they count; stream contexts project a
-//! patched cube and count them in the pass. Every layout (thread count
-//! × shard policy) must give the oracle's rows on every source, for a
-//! one-byte (two attributes) and a four-byte (six attributes, 1 800
-//! keys) key column.
+//! patched cube and count them in the pass. Every layout (1, 2, 3 and 8
+//! threads: as many row ranges) must give the oracle's rows on every
+//! source, for a one-byte (two attributes) and a four-byte (six
+//! attributes, 1 800 keys) key column.
 
 mod common;
 
@@ -18,30 +18,15 @@ use fairjob_core::{AuditConfig, AuditContext, Partition};
 use fairjob_marketplace::stream::{generate_stream, StreamConfig};
 use fairjob_store::groupby::group_by_many;
 use fairjob_store::paged::PAGE_SIZE;
-use fairjob_store::{PagedStore, RowSet, ShardPolicy, Table};
+use fairjob_store::{PagedStore, RowSet, Table};
 use fairjob_stream::StreamView;
 
 /// Workers of the in-memory, filtered and paged sources; the filter
 /// keeps seven rows in eight, past the 65 536 rows of a parallel pass.
 const ROWS: usize = 80_000;
 
-const LAYOUTS: [(usize, ShardPolicy); 12] = {
-    use ShardPolicy::{Auto, Fixed};
-    [
-        (1, Fixed(1)),
-        (1, Fixed(7)),
-        (1, Auto),
-        (2, Fixed(1)),
-        (2, Fixed(7)),
-        (2, Auto),
-        (3, Fixed(1)),
-        (3, Fixed(7)),
-        (3, Auto),
-        (8, Fixed(1)),
-        (8, Fixed(7)),
-        (8, Auto),
-    ]
-};
+/// The thread counts checked; each runs as many row ranges.
+const LAYOUTS: [usize; 4] = [1, 2, 3, 8];
 
 /// The attribute lists audited: two (a one-byte key column) and every
 /// protected one (1 800 keys, a four-byte key column).
@@ -49,10 +34,9 @@ fn attribute_lists() -> [Option<Vec<String>>; 2] {
     [Some(vec!["gender".into(), "country".into()]), None]
 }
 
-fn config(threads: usize, shards: ShardPolicy, attributes: &Option<Vec<String>>) -> AuditConfig {
+fn config(threads: usize, attributes: &Option<Vec<String>>) -> AuditConfig {
     AuditConfig {
         threads: Some(threads),
-        shards,
         attributes: attributes.clone(),
         ..AuditConfig::default()
     }
@@ -101,7 +85,7 @@ fn assert_row_pass_matches<'a>(
     what: &str,
     build: impl Fn(AuditConfig) -> AuditContext<'a>,
 ) {
-    let first = build(config(1, ShardPolicy::Fixed(1), attributes));
+    let first = build(config(1, attributes));
     assert!(audited.len() >= 65_536, "{what}: {} rows", audited.len());
     let lists = part_lists(&first);
     let wants: Vec<Vec<RowSet>> = lists
@@ -109,8 +93,8 @@ fn assert_row_pass_matches<'a>(
         .map(|parts| oracle(table, audited, first.attributes(), parts))
         .collect();
     drop(first);
-    for (threads, shards) in LAYOUTS {
-        let ctx = build(config(threads, shards, attributes));
+    for threads in LAYOUTS {
+        let ctx = build(config(threads, attributes));
         for (parts, want) in part_lists(&ctx).iter().zip(&wants) {
             let got = ctx.partitioning(parts);
             assert_eq!(got.len(), want.len());
@@ -118,7 +102,7 @@ fn assert_row_pass_matches<'a>(
                 assert_eq!(
                     part.rows(),
                     want,
-                    "{what}, {threads} threads, {shards}: {:?}",
+                    "{what}, {threads} threads: {:?}",
                     part.predicate
                 );
             }

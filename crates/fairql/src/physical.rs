@@ -27,7 +27,7 @@ use crate::logical::LogicalPlan;
 use fairjob_core::EngineStats;
 use fairjob_store::index::IndexSet;
 use fairjob_store::schema::Schema;
-use fairjob_store::{PagedStore, Predicate, RowSet, ShardPolicy};
+use fairjob_store::{PagedStore, Predicate, RowSet};
 
 /// What the planner knows about the data it plans over.
 pub struct Catalog<'a> {
@@ -83,8 +83,6 @@ pub struct PlanDefaults {
     pub bins: usize,
     /// Engine thread cap (`None` = auto).
     pub threads: Option<usize>,
-    /// Shard layout for the context's split/classify kernels.
-    pub shards: ShardPolicy,
 }
 
 /// How the scan will produce its rows.
@@ -166,9 +164,6 @@ pub struct AuditNode {
     pub screen: ScreenKind,
     /// Engine thread cap.
     pub threads: Option<usize>,
-    /// Shard layout (audit results do not depend on it; surfaced so
-    /// `EXPLAIN` shows how the context will execute).
-    pub shards: ShardPolicy,
     /// Estimated split children across one round of candidate
     /// attributes (distinct present values summed over attributes).
     pub est_split_children: usize,
@@ -264,7 +259,6 @@ pub fn plan(
                     attributes: audit.attributes.clone(),
                     attr_indexes: audit.attr_indexes.clone(),
                     threads: defaults.threads,
-                    shards: defaults.shards,
                     est_split_children,
                 },
             }
@@ -402,7 +396,7 @@ impl PhysicalPlan {
         match self {
             PhysicalPlan::Audit { scan, audit } => {
                 out.push_str(&format!(
-                    "Audit algorithm={} metric={} bins={} protect=[{}] screen={} threads={} shards={}\n",
+                    "Audit algorithm={} metric={} bins={} protect=[{}] screen={} threads={}\n",
                     audit.algorithm,
                     audit.metric,
                     audit.bins,
@@ -416,7 +410,6 @@ impl PhysicalPlan {
                     audit
                         .threads
                         .map_or_else(|| "auto".to_string(), |t| t.to_string()),
-                    audit.shards,
                 ));
                 out.push_str(&format!(
                     "  est: split-children≈{}\n",

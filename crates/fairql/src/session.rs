@@ -41,7 +41,7 @@ use fairjob_store::column::CodeColumn;
 use fairjob_store::column::Column;
 use fairjob_store::index::IndexSet;
 use fairjob_store::stats::{cardinality_present, summarise, ColumnSummary};
-use fairjob_store::{PagedStore, RowSet, Schema, ShardPolicy, Table};
+use fairjob_store::{PagedStore, RowSet, Schema, Table};
 use fairjob_stream::StreamSnapshot;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -133,12 +133,9 @@ pub struct Defaults {
     pub bins: usize,
     /// Seed for `USING r-…` algorithms named in queries.
     pub seed: u64,
-    /// Engine thread cap.
+    /// Engine thread cap. Results are bit-identical at every thread
+    /// count, so it is not part of the warm-cache key.
     pub threads: Option<usize>,
-    /// Shard layout for the context's split/classify kernels. Results
-    /// are bit-identical under every policy, so — like `threads` — it
-    /// is not part of the warm-cache key.
-    pub shards: ShardPolicy,
 }
 
 impl Default for Defaults {
@@ -152,7 +149,6 @@ impl Default for Defaults {
             bins: config.bins,
             seed: 0xBEEF,
             threads: config.threads,
-            shards: config.shards,
         }
     }
 }
@@ -301,7 +297,6 @@ impl<'a> Session<'a> {
             metric: self.defaults.metric.name().to_string(),
             bins: self.defaults.bins,
             threads: self.defaults.threads,
-            shards: self.defaults.shards,
         };
         plan(&logical, &catalog, &defaults, self.options)
     }
@@ -504,7 +499,6 @@ impl<'a> Session<'a> {
             distance: metric,
             attributes: audit.attributes.clone(),
             threads: self.defaults.threads,
-            shards: self.defaults.shards,
         };
 
         let trivial = scan.filter.is_always();

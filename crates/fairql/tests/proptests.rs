@@ -6,7 +6,6 @@ use fairjob_fairql::ast::{AuditStmt, Condition, Ident, SelectItem, SelectStmt, S
 use fairjob_fairql::{parse, Defaults, QueryError, QueryOutput, Session, Source, Value};
 use fairjob_marketplace::scoring::{LinearScore, ScoringFunction};
 use fairjob_marketplace::{bucketise_numeric_protected, generate_uniform};
-use fairjob_store::ShardPolicy;
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
 use rand::rngs::StdRng;
@@ -305,27 +304,21 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Shard-layout parity through the whole query pipeline: EXPLAIN ANALYZE
-// must report identical actual counters under every shard policy, save
-// for the two shard-work meters (which are layout-dependent by
-// definition) and the plan's own `shards=` label.
+// Layout parity through the whole query pipeline: EXPLAIN ANALYZE must
+// report identical actual counters at every thread count, save for
+// `shard_tasks` (one classify task per row range, and from 65 536 rows
+// a range per thread) and the plan's own `threads=` label.
 // ---------------------------------------------------------------------
 
 /// Run EXPLAIN ANALYZE and strip the tokens allowed to differ between
-/// shard layouts (the `shards=`/`threads=` plan labels and the two
-/// shard-work counters) or between any two runs (`elapsed_us=`).
-fn explain_analyze_lines(
-    query: &str,
-    size: usize,
-    shards: ShardPolicy,
-    threads: usize,
-) -> Vec<String> {
+/// thread counts (the `threads=` plan label and `shard_tasks`) or
+/// between any two runs (`elapsed_us=`).
+fn explain_analyze_lines(query: &str, size: usize, threads: usize) -> Vec<String> {
     let mut table = generate_uniform(size, 23);
     bucketise_numeric_protected(&mut table).unwrap();
     let scores = LinearScore::alpha("f1", 0.5).score_all(&table).unwrap();
     let defaults = Defaults {
         threads: Some(threads),
-        shards,
         ..Defaults::default()
     };
     let mut session = Session::new(
@@ -340,13 +333,7 @@ fn explain_analyze_lines(
     let [QueryOutput::Explain { text }] = outputs.as_slice() else {
         panic!("expected one EXPLAIN output");
     };
-    const VARIABLE: &[&str] = &[
-        "shards=",
-        "threads=",
-        "shard_tasks=",
-        "rows_classified_parallel=",
-        "elapsed_us=",
-    ];
+    const VARIABLE: &[&str] = &["threads=", "shard_tasks=", "elapsed_us="];
     text.lines()
         .map(|line| {
             line.split(' ')
@@ -360,9 +347,8 @@ fn explain_analyze_lines(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// EXPLAIN ANALYZE counter parity: every actual counter except the
-    /// shard-work meters is identical across shard policies and thread
-    /// counts.
+    /// EXPLAIN ANALYZE counter parity: every actual counter except
+    /// `shard_tasks` is identical at 1, 2 and 8 threads.
     #[test]
     fn explain_analyze_counters_are_shard_layout_independent(
         size in 120usize..240,
@@ -372,15 +358,13 @@ proptest! {
             0 => "EXPLAIN ANALYZE AUDIT workers PROTECT gender, country",
             _ => "EXPLAIN ANALYZE AUDIT workers WHERE country = 'India' BINS 8",
         };
-        let baseline = explain_analyze_lines(query, size, ShardPolicy::Fixed(1), 1);
-        for shards in [ShardPolicy::Fixed(1), ShardPolicy::Fixed(3), ShardPolicy::Fixed(7), ShardPolicy::Auto] {
-            for threads in [1usize, 2, 8] {
-                let other = explain_analyze_lines(query, size, shards, threads);
-                prop_assert_eq!(
-                    &baseline, &other,
-                    "EXPLAIN ANALYZE diverged at shards={} threads={}", shards, threads
-                );
-            }
+        let baseline = explain_analyze_lines(query, size, 1);
+        for threads in [1usize, 2, 8] {
+            let other = explain_analyze_lines(query, size, threads);
+            prop_assert_eq!(
+                &baseline, &other,
+                "EXPLAIN ANALYZE diverged at threads={}", threads
+            );
         }
     }
 }

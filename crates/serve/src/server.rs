@@ -512,7 +512,6 @@ fn do_query(shared: &Shared, warm: &mut WarmCache, text: &str) -> Result<String,
         bins: shared.config.bins,
         seed: shared.seed,
         threads: shared.config.threads,
-        shards: shared.config.shards,
     };
     let mut session = Session::new(Source::Snapshot(snapshot), defaults)
         .map_err(map_query_error)?

@@ -19,9 +19,6 @@
 //! * [`bucketize`] — derive categorical columns from numeric ones (year
 //!   of birth → age bands etc.), since only categorical attributes can be
 //!   split on.
-//! * [`sharded`] — deterministic fixed row-range shards: the layout the
-//!   data-parallel split/classify kernels slice their input by, merged
-//!   in shard order so results stay bit-identical at any thread count.
 //! * [`paged`] — out-of-core paged columnar format with zone maps and a
 //!   budgeted buffer manager, for audits beyond RAM and fast snapshot
 //!   restarts.
@@ -56,7 +53,6 @@ pub mod predicate;
 pub mod rowset;
 pub mod schema;
 pub mod schema_text;
-pub mod sharded;
 pub mod stats;
 pub mod table;
 
@@ -65,5 +61,4 @@ pub use paged::{BufferManager, PageCacheStats, PageCounters, PagedError, PagedSt
 pub use predicate::{EqConstraint, Predicate};
 pub use rowset::RowSet;
 pub use schema::{AttributeDef, AttributeKind, DataType, Schema};
-pub use sharded::{ShardPlan, ShardPolicy};
 pub use table::{Table, Value};

@@ -891,6 +891,21 @@ impl PagedStore {
                 }
                 c
             };
+            // A page decodes as its column's type, or an audit would
+            // read its bytes as another column's values.
+            let fits = match schema.attributes().get(slot).map(|def| &def.dtype) {
+                None => kind == PageKind::F64,
+                Some(DataType::Categorical { .. }) => {
+                    matches!(kind, PageKind::Code8 | PageKind::Code32)
+                }
+                Some(DataType::Numeric { .. }) => kind == PageKind::F64,
+                Some(DataType::Integer { .. }) => kind == PageKind::I64,
+            };
+            if !fits {
+                return Err(PagedError::Corrupt(format!(
+                    "page {id} is a {kind:?} page; its column is not stored in those"
+                )));
+            }
             // Each page's rows and bytes are bounded by its kind and by
             // the data region, so no page read allocates more than a
             // page and the row count is bounded by the file size.
@@ -1422,9 +1437,7 @@ mod tests {
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("fairjob-paged-{}-{name}", std::process::id()));
-        let _ = std::fs::create_dir_all(&dir);
-        dir.join("pop.fjp")
+        std::env::temp_dir().join(format!("fairjob-paged-{}-{name}.fjp", std::process::id()))
     }
 
     #[test]
@@ -1591,6 +1604,10 @@ mod tests {
         u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
     }
 
+    fn get_u32(bytes: &[u8], at: usize) -> u32 {
+        u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+    }
+
     fn put_u64_at(bytes: &mut [u8], at: usize, value: u64) {
         bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
     }
@@ -1698,6 +1715,24 @@ mod tests {
                 matches!(opened, Err(PagedError::Corrupt(_))),
                 "a page moved {what} opened: {opened:?}"
             );
+        }
+    }
+
+    /// A score page retagged as an `I64` or a `Code8` page still lies
+    /// inside the data region; read as scores, its rows would bin as
+    /// zero and the audit would silently change.
+    #[test]
+    fn open_rejects_pages_whose_kind_does_not_fit_their_column() {
+        for tag in [PageKind::I64.tag(), PageKind::Code8.tag()] {
+            let opened = open_rewritten("page-kind", None, |b| {
+                let at = entry_at(b, 0);
+                assert_eq!(get_u32(b, at), SCORES_COLUMN, "scores are written first");
+                b[at + 4] = tag;
+            });
+            match opened {
+                Err(PagedError::Corrupt(reason)) => assert!(reason.contains("page 0"), "{reason}"),
+                other => panic!("a score page tagged {tag} opened: {other:?}"),
+            }
         }
     }
 

@@ -11,7 +11,6 @@ use fairjob_core::algorithms::{
 };
 use fairjob_core::{AuditConfig, AuditContext};
 use fairjob_marketplace::stream::{generate_stream, StreamConfig};
-use fairjob_store::ShardPolicy;
 use fairjob_stream::{same_partitioning, StreamAuditor, StreamView};
 use proptest::prelude::*;
 
@@ -119,10 +118,9 @@ proptest! {
         }
     }
 
-    /// The warm-cache replay path is shard-layout independent: the same
-    /// event stream driven through auditors configured with fixed shard
-    /// counts and `auto` produces bit-identical unfairness at every
-    /// epoch, across thread counts.
+    /// The warm-cache replay path is layout independent: the same event
+    /// stream driven through auditors at 1, 2 and 8 threads produces
+    /// bit-identical unfairness at every epoch.
     #[test]
     fn warm_replay_is_bit_identical_across_shard_layouts(
         initial in 40usize..120,
@@ -137,9 +135,8 @@ proptest! {
             alpha: 0.5,
         });
         let algorithm = Balanced::new(AttributeChoice::Worst);
-        let run = |shards: ShardPolicy, threads: usize| -> Vec<u64> {
+        let run = |threads: usize| -> Vec<u64> {
             let config = AuditConfig {
-                shards,
                 threads: Some(threads),
                 ..AuditConfig::default()
             };
@@ -156,17 +153,14 @@ proptest! {
             }
             bits
         };
-        let baseline = run(ShardPolicy::Fixed(1), 1);
-        for shards in [ShardPolicy::Fixed(2), ShardPolicy::Fixed(7), ShardPolicy::Auto] {
-            for threads in [1usize, 2, 8] {
-                prop_assert_eq!(
-                    run(shards, threads),
-                    baseline.clone(),
-                    "warm replay diverged at shards={} threads={}",
-                    shards,
-                    threads
-                );
-            }
+        let baseline = run(1);
+        for threads in [2usize, 8] {
+            prop_assert_eq!(
+                run(threads),
+                baseline.clone(),
+                "warm replay diverged at threads={}",
+                threads
+            );
         }
     }
 }
